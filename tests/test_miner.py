@@ -12,6 +12,76 @@ from hesslab.tensor import Sym3Tensor, Tensor
 # independently cross-checked below by evaluation-based deduplication
 GOLDEN_PATTERN_COUNT = {2: 5, 3: 35}
 
+# canonical slot tuples in enumeration order, recorded from the
+# brute-force enumerator (one canonicalize per raw pattern)
+PINNED_PATTERNS = {
+    2: (
+        (2, 3, 0, 1, -1, -2, -3, -4),
+        (2, 4, 0, -1, 1, -2, -3, -4),
+        (4, -1, 6, -2, 0, -3, 2, -4),
+        (4, 5, -1, -2, 0, 1, -3, -4),
+        (4, 6, -1, -2, 0, -3, 1, -4),
+    ),
+    3: (
+        (2, 3, 0, 1, 6, 7, 4, 5, -1, -2, -3, -4),
+        (2, 3, 0, 1, 6, 8, 4, -1, 5, -2, -3, -4),
+        (2, 3, 0, 1, 8, -1, 10, -2, 4, -3, 6, -4),
+        (2, 3, 0, 1, 8, 9, -1, -2, 4, 5, -3, -4),
+        (2, 3, 0, 1, 8, 10, -1, -2, 4, -3, 5, -4),
+        (2, 4, 0, -1, 1, -2, 8, -3, 6, 10, 9, -4),
+        (2, 4, 0, -1, 1, -2, 8, 9, 6, 7, -3, -4),
+        (2, 4, 0, -1, 1, -2, 8, 10, 6, -3, 7, -4),
+        (2, 4, 0, -1, 1, 8, -2, -3, 5, 10, 9, -4),
+        (2, 4, 0, -1, 1, 8, 9, -2, 5, 6, -3, -4),
+        (2, 4, 0, -1, 1, 8, 10, -2, 5, -3, 6, -4),
+        (2, 4, 0, 6, 1, 7, 3, 5, -1, -2, -3, -4),
+        (2, 4, 0, 6, 1, 8, 3, -1, 5, -2, -3, -4),
+        (2, 4, 0, 8, 1, -1, 10, -2, 3, -3, 6, -4),
+        (2, 4, 0, 8, 1, 6, 5, -1, 3, -2, -3, -4),
+        (2, 4, 0, 8, 1, 9, -1, -2, 3, 5, -3, -4),
+        (2, 4, 0, 8, 1, 10, -1, -2, 3, -3, 5, -4),
+        (4, 5, 6, 7, 0, 1, 2, 3, -1, -2, -3, -4),
+        (4, 5, 6, 8, 0, 1, 2, -1, 3, -2, -3, -4),
+        (4, 5, 8, -1, 0, 1, 9, -2, 2, 6, -3, -4),
+        (4, 5, 8, -1, 0, 1, 10, -2, 2, -3, 6, -4),
+        (4, 5, 8, 9, 0, 1, -1, -2, 2, 3, -3, -4),
+        (4, 5, 8, 10, 0, 1, -1, -2, 2, -3, 3, -4),
+        (4, 6, 5, 7, 0, 2, 1, 3, -1, -2, -3, -4),
+        (4, 6, 5, 8, 0, 2, 1, -1, 3, -2, -3, -4),
+        (4, 6, 8, 10, 0, -1, 1, -2, 2, -3, 3, -4),
+        (4, 8, 5, -1, 0, 2, 9, -2, 1, 6, -3, -4),
+        (4, 8, 5, -1, 0, 2, 10, -2, 1, -3, 6, -4),
+        (4, 8, 5, 9, 0, 2, -1, -2, 1, 3, -3, -4),
+        (4, 8, 5, 10, 0, 2, -1, -2, 1, -3, 3, -4),
+        (4, 8, 6, -1, 0, -2, 2, 10, 1, -3, 7, -4),
+        (4, 8, 6, -1, 0, 9, 2, -2, 1, 5, -3, -4),
+        (4, 8, 6, -1, 0, 10, 2, -2, 1, -3, 5, -4),
+        (4, 8, 6, 10, 0, -1, 2, -2, 1, -3, 3, -4),
+        (4, 8, 10, -1, 0, 11, -2, -3, 1, -4, 2, 5),
+    ),
+}
+
+
+def brute_force_patterns(p):
+    """Oracle: canonicalize every raw (free-slot set, matching) pattern."""
+    nslots = 4 * p
+    pair_of = [s // 2 for s in range(nslots)]
+    seen = set()
+    for free in itertools.combinations(range(nslots), 4):
+        rest = [s for s in range(nslots) if s not in free]
+        for matching in miner._matchings(rest):
+            if any(pair_of[a] == pair_of[b] for a, b in matching):
+                continue
+            slots = [None] * nslots
+            for lab, s in enumerate(free):
+                slots[s] = -(lab + 1)
+            for a, b in matching:
+                slots[a], slots[b] = b, a
+            canon, _, zero = miner.canonicalize(slots)
+            if not zero:
+                seen.add(canon)
+    return tuple(sorted(seen))
+
 
 @pytest.fixture(scope="module")
 def patterns2():
@@ -29,6 +99,16 @@ class TestEnumeration:
 
     def test_degree3_count(self, patterns3):
         assert len(patterns3) == GOLDEN_PATTERN_COUNT[3]
+
+    @pytest.mark.parametrize("p", (2, 3))
+    def test_pinned_slot_tuples(self, p, patterns2, patterns3):
+        pats = {2: patterns2, 3: patterns3}[p]
+        assert tuple(pat.slots for pat in pats) == PINNED_PATTERNS[p]
+
+    def test_brute_force_oracle_degree2(self, patterns2):
+        oracle = brute_force_patterns(2)
+        assert oracle == PINNED_PATTERNS[2]
+        assert tuple(pat.slots for pat in patterns2) == oracle
 
     def test_unsupported_degree(self):
         with pytest.raises(miner.PatternError):
