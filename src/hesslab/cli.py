@@ -91,8 +91,11 @@ def _cmd_rho(args) -> int:
 def _cmd_rank_census(args) -> int:
     if args.dim is None:
         raise UsageError("rank-census requires --dim")
-    report = hessmap.image_rank_census(args.dim, args.samples or 20,
-                                       args.seed, bound=args.bound)
+    samples = 20 if args.samples is None else args.samples
+    if samples < 1:
+        raise UsageError("--samples must be at least 1")
+    report = hessmap.image_rank_census(args.dim, samples, args.seed,
+                                       bound=args.bound)
     return _emit(args, "rank-census", report.to_json())
 
 
@@ -314,6 +317,10 @@ def run(argv=None) -> int:
     except miner.StabilizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except ValueError as exc:
+        # a subcommand's library call rejected its arguments
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:

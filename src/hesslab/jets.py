@@ -58,8 +58,8 @@ class JetReport:
     rows: list = field(default_factory=list)  # (k, dim_metric, dim_hessian, deficit)
     crossover: int | None = None
     monotone_after_crossover: bool = True
-    growth_exponent_metric: float = 0.0
-    growth_exponent_hessian: float = 0.0
+    growth_exponent_metric: float | None = None   # None when cap < 2
+    growth_exponent_hessian: float | None = None
     formula_note: str = (
         "dimensions are computed from the two jet-count summations; the "
         "printed closed form for the per-order coefficient a_{k,n} is "
@@ -106,7 +106,9 @@ def crossover(n: int, cap: int) -> JetReport:
             b > a for a, b in zip(tail, tail[1:])) if len(tail) > 1 else True
         if any(d <= 0 for d in tail):
             report.monotone_after_crossover = False
-    half = max(1, cap // 2)
+    if cap < 2:
+        return report  # the estimate compares orders cap // 2 >= 1 and cap
+    half = cap // 2
     for attr, fn in (("growth_exponent_metric", jet_dim_metric),
                      ("growth_exponent_hessian", jet_dim_hessian_data)):
         ratio = Fraction(fn(n, cap), fn(n, half))

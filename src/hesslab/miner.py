@@ -1,12 +1,13 @@
-"""Brute-force search for equivariant curvature conditions.
+"""Search for equivariant curvature conditions.
 
 Conditions of degree p are spanned by full contractions of p curvature
 factors with four antisymmetrized free indices.  Patterns are enumerated
 up to the symmetries of the curvature tensor (pair antisymmetries with
 sign, pair exchange), factor reordering, and signed relabeling of the
-free indices.  Evaluating every pattern on random points of the image of
-rho and on random generic curvature tensors turns the search for
-identities into exact nullspace computations.
+free indices; the enumeration canonicalizes one raw pattern per orbit and
+marks the rest of the orbit as done.  Evaluating every pattern on random
+points of the image of rho and on random generic curvature tensors turns
+the search for identities into exact nullspace computations.
 """
 
 from __future__ import annotations
@@ -164,21 +165,64 @@ def _matchings(items):
             yield [(a, b)] + m
 
 
+def _orbit_maps(p: int):
+    """Slot maps of the group canonicalize minimises over, free labels aside.
+
+    Each map sends old slot s to map[s]: factor reordering times one
+    _FACTOR_SYMS element per factor, p! * 8**p maps in all.
+    """
+    for order in itertools.permutations(range(p)):
+        for perms in itertools.product([perm for perm, _ in _FACTOR_SYMS],
+                                       repeat=p):
+            g = [0] * (4 * p)
+            for fpos, (fac, perm) in enumerate(zip(order, perms)):
+                for q in range(4):
+                    g[4 * fac + perm[q]] = 4 * fpos + q
+            yield g
+
+
 @lru_cache(maxsize=None)
 def enumerate_patterns(p: int) -> tuple[ContractionPattern, ...]:
     """All canonical degree-p patterns with 4 free slots, deterministic order.
 
+    Raw patterns are swept as (free-slot set, matching) pairs; the first raw
+    of each orbit is canonicalized and its whole orbit under _orbit_maps is
+    marked done, so canonicalize runs once per orbit.  Free labels follow
+    slot order, so a free-slot set and a matching fix a raw pattern.
     Patterns with a contraction inside one antisymmetric index pair, or that
     vanish identically by a sign-reversing symmetry, are dropped.
     """
     if p not in (2, 3):
         raise PatternError(f"degree {p} not supported (use 2 or 3)")
-    nslots = 4 * p
+    nslots, m = 4 * p, 4 * p - 4
     pair_of = [s // 2 for s in range(nslots)]
+    frees = list(itertools.combinations(range(nslots), 4))
+    rests = [[s for s in range(nslots) if s not in free] for free in frees]
+    # _matchings(rest) is _matchings of the positions 0..m-1 within rest
+    pos_matchings = list(_matchings(list(range(m))))
+    # an image is ranked by the bit mask of its free slots and by one bit
+    # per matched pair of positions within its remainder
+    free_of_mask = np.zeros(1 << nslots, dtype=np.int64)
+    pos_of = np.zeros((len(frees), nslots), dtype=np.int64)
+    for fi, (free, rest) in enumerate(zip(frees, rests)):
+        free_of_mask[sum(1 << s for s in free)] = fi
+        pos_of[fi, rest] = range(m)
+    match_keys = np.array([sum(1 << (m * x + y) for x, y in pm)
+                           for pm in pos_matchings])
+    key_order = np.argsort(match_keys)
+    sorted_keys = match_keys[key_order]
+    # images[s] holds the image of slot s under every orbit map
+    count = math.factorial(p) * len(_FACTOR_SYMS) ** p * nslots
+    images = np.fromiter(itertools.chain.from_iterable(_orbit_maps(p)),
+                         dtype=np.int64, count=count).reshape(-1, nslots).T
+    done = bytearray(len(frees) * len(pos_matchings))
+    marks = np.frombuffer(done, dtype=np.uint8)  # writable view of done
     seen: dict[tuple, tuple] = {}
-    for free in itertools.combinations(range(nslots), 4):
-        rest = [s for s in range(nslots) if s not in free]
-        for matching in _matchings(rest):
+    for fi, (free, rest) in enumerate(zip(frees, rests)):
+        for mi, pm in enumerate(pos_matchings):
+            if done[fi * len(pos_matchings) + mi]:
+                continue
+            matching = [(rest[x], rest[y]) for x, y in pm]
             if any(pair_of[a] == pair_of[b] for a, b in matching):
                 continue  # trace inside an antisymmetric pair: identically zero
             slots = [None] * nslots
@@ -189,6 +233,15 @@ def enumerate_patterns(p: int) -> tuple[ContractionPattern, ...]:
             canon, _, zero = canonicalize(slots)
             if not zero:
                 seen.setdefault(canon, canon)
+            # mark the whole orbit: rank each image's free-slot set, then
+            # its matching by positions within the image's remainder
+            img_fi = free_of_mask[sum(1 << images[s] for s in free)]
+            key = 0
+            for a, b in matching:
+                x, y = pos_of[img_fi, images[a]], pos_of[img_fi, images[b]]
+                key = key | 1 << (m * np.minimum(x, y) + np.maximum(x, y))
+            img_mi = key_order[np.searchsorted(sorted_keys, key)]
+            marks[img_fi * len(pos_matchings) + img_mi] = 1
     return tuple(ContractionPattern(p, c) for c in sorted(seen))
 
 
@@ -414,12 +467,12 @@ def mine(n: int, p: int, rho_samples: int | None = None,
 
     n1 = linalg.nullspace(rho_rows, cols=len(patterns))
     n2 = linalg.nullspace(rho_rows + gen_rows, cols=len(patterns))
-    reps = [v for v in n1 if not linalg.in_span(n2, v)]
-    # greedily thin the representatives to an exact complement of N2 in N1
-    kept: list = []
-    for v in reps:
-        if not linalg.in_span(n2 + kept, v):
-            kept.append(v)
+    # greedily pick an exact complement of N2 in N1: keep each N1 vector
+    # that grows the span of N2 and the vectors kept so far
+    space = linalg.RowSpace(len(patterns))
+    for v in n2:
+        space.add(v)
+    kept = [v for v in n1 if space.add(v)]
     return MinedIdentityBasis(
         n=n, degree=p, patterns=patterns,
         image_identities=n1, universal_identities=n2,

@@ -81,9 +81,6 @@ class Tensor:
     def is_zero(self) -> bool:
         return bool(np.all(self.data == 0))
 
-    def max_abs(self):
-        return max(abs(x) for x in self.data.flat) if self.data.size else 0
-
     def _check_like(self, other: "Tensor") -> None:
         if self.n != other.n or self.order != other.order:
             raise ValueError("tensor shape mismatch")

@@ -147,3 +147,30 @@ class TestSubcommands:
         assert code == 0
         assert doc["quotient_dim"] == 1
         assert doc["pattern_count"] == 5
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", (
+        ("cartan2d", "--alpha", "1.5"),
+        ("rank-census", "--dim", "9"),
+        ("jets", "--dim", "3", "--cap", "0"),
+    ))
+    def test_library_value_error_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--no-meta")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("samples", ("0", "-1"))
+    def test_rank_census_rejects_nonpositive_samples(self, capsys, samples):
+        code, out, err = run(capsys, "rank-census", "--dim", "2",
+                             "--samples", samples, "--no-meta")
+        assert code == 2
+        assert "--samples" in err
+
+    def test_jets_cap_one(self, capsys):
+        code, doc, _ = run_json(capsys, "jets", "--dim", "3", "--cap", "1")
+        assert code == 0
+        assert [row[0] for row in doc["rows"]] == [0, 1]
+        assert doc["growth_exponent_metric"] is None
+        assert doc["growth_exponent_hessian"] is None

@@ -53,6 +53,12 @@ class TestCrossover:
         assert 2.5 < report.growth_exponent_metric < 3.5
         assert 2.5 < report.growth_exponent_hessian < 3.5
 
+    def test_cap_one_has_no_growth_exponents(self):
+        report = jets.crossover(3, 1)
+        assert len(report.rows) == 2
+        assert report.growth_exponent_metric is None
+        assert report.growth_exponent_hessian is None
+
     def test_report_serializes(self):
         import json
         doc = jets.crossover(3, 10).to_json()

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,17 @@ def brute_force_patterns(p):
     return tuple(sorted(seen))
 
 
+def moved_pattern(slots, g):
+    """Raw slots of a pattern moved by slot map g, free labels in slot order."""
+    out = [None] * len(slots)
+    for s, t in enumerate(slots):
+        if t >= 0:
+            out[g[s]] = g[t]
+    for lab, i in enumerate(i for i, t in enumerate(out) if t is None):
+        out[i] = -(lab + 1)
+    return tuple(out)
+
+
 @pytest.fixture(scope="module")
 def patterns2():
     return miner.enumerate_patterns(2)
@@ -109,6 +121,19 @@ class TestEnumeration:
         oracle = brute_force_patterns(2)
         assert oracle == PINNED_PATTERNS[2]
         assert tuple(pat.slots for pat in patterns2) == oracle
+
+    # every orbit map at degree 2; at degree 3, every 61st of the 3072 maps,
+    # which meets each factor order and each factor symmetry in each position
+    @pytest.mark.parametrize("p, stride", ((2, 1), (3, 61)))
+    def test_orbit_marking_is_sound(self, p, stride, patterns2, patterns3):
+        pats = {2: patterns2, 3: patterns3}[p]
+        maps = list(miner._orbit_maps(p))
+        assert len(maps) == math.factorial(p) * 8 ** p
+        assert len({tuple(g) for g in maps}) == len(maps)
+        for pat in pats:
+            for g in maps[::stride]:
+                canon, _, zero = miner.canonicalize(moved_pattern(pat.slots, g))
+                assert canon == pat.slots and not zero
 
     def test_unsupported_degree(self):
         with pytest.raises(miner.PatternError):
