@@ -124,11 +124,7 @@ def _cmd_verify(args) -> int:
     failures = []
     for i in range(args.seeds):
         seed = args.seed * 1_000_003 + i
-        try:
-            ok = _verify_one(args.identity, args.dim, seed, args.degree)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        if not ok:
+        if not _verify_one(args.identity, args.dim, seed, args.degree):
             failures.append({"seed": seed})
     payload = {"identity": args.identity, "n": args.dim,
                "seeds": args.seeds, "all_zero": not failures,
@@ -139,13 +135,10 @@ def _cmd_verify(args) -> int:
 def _cmd_mine(args) -> int:
     if args.dim is None:
         raise UsageError("mine requires --dim")
-    try:
-        basis = miner.mine(args.dim, args.degree,
-                           rho_samples=args.max_samples,
-                           generic_samples=args.max_samples,
-                           seed=args.seed)
-    except (ValueError, miner.PatternError) as exc:
-        raise UsageError(str(exc)) from exc
+    basis = miner.mine(args.dim, args.degree,
+                       rho_samples=args.max_samples,
+                       generic_samples=args.max_samples,
+                       seed=args.seed)
     return _emit(args, "mine", basis.to_json())
 
 
@@ -172,8 +165,6 @@ def _cmd_solve3d(args) -> int:
     except ricci3d.VerificationError as exc:
         payload = {"verified": False, "error": str(exc)}
         return _emit(args, "solve3d", payload, failures=[str(exc)])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     payload = {
         "rotation": [[float(x) for x in row] for row in rotation],
         "A": serialize.tensor_to_json(A),

@@ -154,6 +154,8 @@ class TestUsageErrors:
         ("cartan2d", "--alpha", "1.5"),
         ("rank-census", "--dim", "9"),
         ("jets", "--dim", "3", "--cap", "0"),
+        ("mine", "--dim", "3", "--degree", "2"),
+        ("verify", "--identity", "cubic", "--dim", "3", "--seeds", "1"),
     ))
     def test_library_value_error_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv, "--no-meta")
