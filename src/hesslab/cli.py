@@ -161,7 +161,7 @@ def _cmd_solve3d(args) -> int:
     rows = _parse_matrix(doc)
     tol = 1e-9 if args.tol is None else args.tol
     try:
-        rotation, A = ricci3d.solve_from_ricci(rows, mode=args.mode, tol=tol)
+        rotation, A, residual = ricci3d.solve_from_ricci(rows, mode=args.mode, tol=tol)
     except ricci3d.VerificationError as exc:
         payload = {"verified": False, "error": str(exc)}
         return _emit(args, "solve3d", payload, failures=[str(exc)])
@@ -169,7 +169,7 @@ def _cmd_solve3d(args) -> int:
         "rotation": [[float(x) for x in row] for row in rotation],
         "A": serialize.tensor_to_json(A),
         "verified": True,
-        "residual": "0" if args.mode == "exact" else float(args.tol or 1e-9),
+        "residual": "0" if args.mode == "exact" else residual,
         "mode": args.mode,
     }
     return _emit(args, "solve3d", payload)

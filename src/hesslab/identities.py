@@ -4,18 +4,16 @@ All free indices are kept as tensor slots; an identity "vanishes" when
 every component is the exact rational zero.  Index placement follows the
 orthonormal frame, so upper and lower positions coincide; the slot maps
 for the cubic identity are pinned here once and cross-checked by the
-dimension-4 vanishing tests.
+dimension-4 vanishing tests.  Each form is a weighted list of einsum specs
+for tensor.alternating_contraction, which works at sorted index tuples only.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-
-import numpy as np
+from fractions import Fraction
 
 from .curvature import CurvTensor, cyclic_sum
-from .tensor import Tensor, antisymmetrize, _sign
+from .tensor import MAX_ORDER, Tensor, alternating_contraction, alternating_tensor
 
 
 def _require_min_dim(R: CurvTensor, k: int) -> None:
@@ -24,11 +22,16 @@ def _require_min_dim(R: CurvTensor, k: int) -> None:
             f"a degree-{k} antisymmetric form is identically zero for n={R.n} < {k}")
 
 
+def _antisymmetrized(R: CurvTensor, terms) -> Tensor:
+    """(1/4!) signed-permutation sum over the four free slots of the terms."""
+    values = alternating_contraction(R.data, terms) * Fraction(1, 24)
+    return alternating_tensor(R.n, 4, values)
+
+
 def pontryagin_quadratic(R: CurvTensor) -> Tensor:
     """Antisymmetrization over (i,j,k,l) of sum_{ab} R_{ijab} R_{klba}."""
     _require_min_dim(R, 4)
-    m = np.tensordot(R.data, R.data, axes=([2, 3], [3, 2]))
-    return antisymmetrize(Tensor(R.n, m), [0, 1, 2, 3])
+    return _antisymmetrized(R, [("ijab,klba->ijkl", 1)])
 
 
 def cubic_identity(R: CurvTensor) -> Tensor:
@@ -38,55 +41,27 @@ def cubic_identity(R: CurvTensor) -> Tensor:
     term2 = R_{iajb} R_{kcad} R_{ldbc}.
     """
     _require_min_dim(R, 4)
-    d = R.data
-    t1 = np.einsum("iajb,kbcd,ldac->ijkl", d, d, d, optimize=True)
-    t2 = np.einsum("iajb,kcad,ldbc->ijkl", d, d, d, optimize=True)
-    return antisymmetrize(Tensor(R.n, t1 - 2 * t2), [0, 1, 2, 3])
+    return _antisymmetrized(R, [("iajb,kbcd,ldac->ijkl", 1),
+                                ("iajb,kcad,ldbc->ijkl", -2)])
 
 
 def pontryagin_form(R: CurvTensor, p: int) -> Tensor:
     """The order-2p alternating cyclic contraction of p curvature factors.
 
     Equals sum over permutations of the 2p free indices, with sign, of
-    R_{i1 i2 a1 a2} R_{i3 i4 a2 a3} ... R_{i(2p-1) i(2p) ap a1}, evaluated
-    as an iterated pairwise contraction followed by antisymmetrization
-    (the naive (2p)!-term sum is kept in the tests as an oracle for p=2).
+    R_{i1 i2 a1 a2} R_{i3 i4 a2 a3} ... R_{i(2p-1) i(2p) ap a1} (the naive
+    (2p)!-term sum is kept in the tests as an oracle for p=2).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    if 2 * p > MAX_ORDER:
+        raise ValueError(f"form degree 2p={2 * p} exceeds the maximum order {MAX_ORDER}")
     if 2 * p > R.n:
         raise ValueError(f"form degree 2p={2 * p} exceeds dimension n={R.n}")
-    # chain axes (i1, ..., i_{2m}, a_first, a_last), threaded left to right
-    chain = R.data  # (i1, i2, a1, a2)
-    for _ in range(p - 1):
-        chain = np.tensordot(chain, R.data, axes=([chain.ndim - 1], [2]))
-        # axes now (..., a_first, i', j', a_next); restore a_first before a_next
-        chain = np.moveaxis(chain, chain.ndim - 4, chain.ndim - 2)
-    closed = np.trace(chain, axis1=chain.ndim - 2, axis2=chain.ndim - 1)
-    alt = antisymmetrize(Tensor(R.n, closed), list(range(2 * p)))
-    return alt.scale(math.factorial(2 * p))
-
-
-def pontryagin_form_naive(R: CurvTensor, p: int) -> Tensor:
-    """Direct (2p)!-term evaluation of pontryagin_form, kept as a test oracle."""
-    if p < 1 or 2 * p > R.n:
-        raise ValueError("invalid degree")
-    n = R.n
-    out = np.zeros((n,) * (2 * p), dtype=object)
-    for idx in itertools.product(range(n), repeat=2 * p):
-        acc = 0
-        for sigma in itertools.permutations(range(2 * p)):
-            pi = [idx[s] for s in sigma]
-            s = 0
-            for avals in itertools.product(range(n), repeat=p):
-                prod = 1
-                for f in range(p):
-                    prod *= R.data[pi[2 * f], pi[2 * f + 1],
-                                   avals[f], avals[(f + 1) % p]]
-                s += prod
-            acc += _sign(sigma) * s
-        out[idx] = acc
-    return Tensor(n, out)
+    free, inner = "ijklmn", "abc"
+    factors = [free[2 * f:2 * f + 2] + inner[f] + inner[(f + 1) % p] for f in range(p)]
+    spec = ",".join(factors) + "->" + free[:2 * p]
+    return alternating_tensor(R.n, 2 * p, alternating_contraction(R.data, [(spec, 1)]))
 
 
 def bianchi_residual(R: Tensor) -> Tensor:

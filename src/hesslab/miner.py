@@ -5,9 +5,10 @@ factors with four antisymmetrized free indices.  Patterns are enumerated
 up to the symmetries of the curvature tensor (pair antisymmetries with
 sign, pair exchange), factor reordering, and signed relabeling of the
 free indices; the enumeration canonicalizes one raw pattern per orbit and
-marks the rest of the orbit as done.  Evaluating every pattern on random
-points of the image of rho and on random generic curvature tensors turns
-the search for identities into exact nullspace computations.
+marks the rest of the orbit as done.  Evaluating every pattern (one einsum
+spec for tensor.alternating_contraction) on random points of the image of
+rho and on random generic curvature tensors turns the search for
+identities into exact nullspace computations.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 from . import linalg, rng
 from .curvature import CurvTensor, curvature_basis
 from .hessmap import rho
-from .tensor import Sym3Tensor, Tensor, _sign, antisymmetrize, sym3_dim
+from .tensor import (Sym3Tensor, Tensor, alternating_contraction,
+                     alternating_tensor, signed_permutations, sym3_dim)
 
 # slot encoding: value >= 0 is the partner slot of a contraction,
 # value -(label+1) marks a free slot carrying label 0..3
@@ -128,7 +130,7 @@ def canonicalize(slots) -> tuple[tuple, int, bool]:
         for chunks, lmap, emap, sign, oon in cands:
             # account for the signed relabeling of the four free indices
             lperm = tuple(lmap[i] for i in range(4))
-            total = sign * _sign(lperm)
+            total = sign * dict(signed_permutations(4))[lperm]
             enc = tuple(x for c in chunks for x in c)
             if best is None or enc < best[0]:
                 best = (enc, _decode(enc))
@@ -311,31 +313,19 @@ def evaluate_pattern(pat: ContractionPattern, R) -> Tensor:
     n = data.shape[0]
     if n < 4:
         raise PatternError("patterns need n >= 4 for a nonzero 4-form")
-    spec = _einsum_spec(pat)
-    raw = np.einsum(spec, *([data] * pat.degree), optimize=True)
-    return antisymmetrize(Tensor(n, raw), [0, 1, 2, 3])
+    values = alternating_contraction(data, [(_einsum_spec(pat), 1)])
+    return alternating_tensor(n, 4, values * Fraction(1, 24))
 
 
-def _evaluate_rows(patterns, data_int, quads):
-    """24 x (antisymmetrized pattern values) at the index quadruples, as ints.
+def _evaluate_rows(patterns, data_int):
+    """24 x (antisymmetrized pattern values) at the sorted index quadruples, as ints.
 
     data_int is an integer numpy array; the uniform factor 24 clears the
     antisymmetrizer denominator, which leaves the nullspace unchanged.
     """
-    n = data_int.shape[0]
-    cols = []
-    for pat in patterns:
-        spec = _einsum_spec(pat)
-        raw = np.einsum(spec, *([data_int] * pat.degree), optimize=True)
-        vals = []
-        for q in quads:
-            acc = 0
-            for perm in itertools.permutations(range(4)):
-                acc += _sign(perm) * raw[tuple(q[t] for t in perm)]
-            vals.append(acc)
-        cols.append(vals)
-    return [[cols[a][qi] for a in range(len(patterns))]
-            for qi in range(len(quads))]
+    cols = [alternating_contraction(data_int, [(_einsum_spec(pat), 1)])
+            for pat in patterns]
+    return [list(row) for row in zip(*cols)]
 
 
 def _int_sym3(n: int, seed: int, bound: int) -> Sym3Tensor:
@@ -435,13 +425,12 @@ def mine(n: int, p: int, rho_samples: int | None = None,
     for name, cap in (("rho_samples", rho_cap), ("generic_samples", gen_cap)):
         if cap < len(patterns) + 5:
             raise ValueError(f"{name} cap must be >= pattern count + 5")
-    quads = list(itertools.combinations(range(n), 4))
 
     def collect(make_sample, cap, space):
         rows, used, stable = [], 0, 0
         while used < cap:
             data = make_sample(used)
-            new = _evaluate_rows(patterns, data, quads)
+            new = _evaluate_rows(patterns, data)
             grew = any([space.add(r) for r in new])
             rows.extend(new)
             used += 1

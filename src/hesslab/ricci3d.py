@@ -199,10 +199,10 @@ def _exact_eigenvectors(rows, lams):
 def solve_from_ricci(r, mode: str = "exact", tol: float = 1e-9):
     """Diagonalize a symmetric 3x3 matrix and solve the diagonal problem.
 
-    Returns (rotation, A) with rotation an orthogonal matrix of floats whose
-    columns are the eigenvectors; in exact mode the round-trip
-    rotation @ diag(lams) @ rotation.T == r is verified exactly through the
-    unnormalized rational eigenvectors.
+    Returns (rotation, A, residual) with rotation an orthogonal matrix of
+    floats whose columns are the eigenvectors; residual is the measured
+    float round-trip error, or 0 in exact mode, where the round-trip
+    rotation @ diag(lams) @ rotation.T == r is verified exactly.
     """
     if isinstance(r, RicciTensor):
         rows = [list(row) for row in r.entries]
@@ -224,7 +224,7 @@ def solve_from_ricci(r, mode: str = "exact", tol: float = 1e-9):
         resid = float(np.max(np.abs(back - sym)))
         if resid > tol:
             raise VerificationError(f"float round-trip residual {resid} > {tol}")
-        return q, A
+        return q, A, resid
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -239,4 +239,4 @@ def solve_from_ricci(r, mode: str = "exact", tol: float = 1e-9):
     A = solve_from_eigenvalues(*lams)
     rotation = np.array([[float(V[i][j]) / math.sqrt(float(norms[j]))
                           for j in range(3)] for i in range(3)])
-    return rotation, A
+    return rotation, A, 0

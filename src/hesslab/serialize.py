@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tensor import Sym3Tensor, Tensor, sym3_triples
+from .tensor import MAX_DIM, MAX_ORDER, Sym3Tensor, Tensor, sym3_triples
 
 
 def format_rational(x) -> str:
@@ -50,6 +50,9 @@ def tensor_from_json(doc: dict):
                for key, val in doc["entries"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed tensor document: {exc}") from exc
+    if not (type(n) is type(order) is int and 2 <= n <= MAX_DIM and 0 <= order <= MAX_ORDER):
+        raise ValueError(f"dimension must be in [2, {MAX_DIM}] and order in [0, {MAX_ORDER}], "
+                         f"got n={n!r}, order={order!r}")  # checked before anything is allocated
     for idx, _ in raw:
         if len(idx) != order or any(not 0 <= i < n for i in idx):
             raise ValueError(f"index {idx} out of range for n={n}, order={order}")

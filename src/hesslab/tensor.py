@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,13 +23,11 @@ MAX_DIM = 8
 MAX_ORDER = 6
 
 
-def _sign(perm: tuple[int, ...]) -> int:
-    s = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                s = -s
-    return s
+@lru_cache(maxsize=None)
+def signed_permutations(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(perm, sign) for every permutation of range(k), in itertools order."""
+    return tuple((perm, (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)))
+                 for perm in itertools.permutations(range(k)))
 
 
 class Tensor:
@@ -106,15 +105,12 @@ def _alternating_sum(t: Tensor, axes: list[int], signed: bool) -> Tensor:
         if not 0 <= ax < t.order:
             raise ValueError(f"axis {ax} out of range for order {t.order}")
     total = np.zeros_like(t.data)
-    for perm in itertools.permutations(range(len(axes))):
+    for perm, sign in signed_permutations(len(axes)):
         full = list(range(t.order))
         for i, ax in enumerate(axes):
             full[ax] = axes[perm[i]]
         term = np.transpose(t.data, full)
-        if signed and _sign(perm) < 0:
-            total = total - term
-        else:
-            total = total + term
+        total = total - term if signed and sign < 0 else total + term
     return Tensor(t.n, total * Fraction(1, math.factorial(len(axes))))
 
 
@@ -126,6 +122,42 @@ def antisymmetrize(t: Tensor, axes: list[int]) -> Tensor:
 def symmetrize(t: Tensor, axes: list[int]) -> Tensor:
     """(1/|axes|!) sum of permutations over the listed slots."""
     return _alternating_sum(t, list(axes), signed=False)
+
+
+@lru_cache(maxsize=None)
+def _alternating_index(n: int, k: int):
+    """at[t][r, s] = slot t of sorted k-tuple r under permutation s; their signs."""
+    perms = signed_permutations(k)
+    tuples = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
+    at = np.moveaxis(tuples[:, [perm for perm, _ in perms]], -1, 0)
+    signs = np.array([sign for _, sign in perms], dtype=object)
+    at.flags.writeable = signs.flags.writeable = False  # shared by every caller
+    return tuple(at), signs
+
+
+def alternating_contraction(data, terms) -> np.ndarray:
+    """sum_s sign(s) T[q_s(1), ..., q_s(k)] at each sorted k-tuple q of range(n).
+
+    T is the sum of weight * einsum(spec, data, ..., data) over the
+    (spec, weight) terms, all with k free slots.  No 1/k! factor.
+    """
+    at, signs = _alternating_index(data.shape[0], len(terms[0][0].split("->")[1]))
+    total = 0
+    for spec, weight in terms:
+        # a shared size-1 axis Z keeps every intermediate an array: numpy's pairwise
+        # einsum fails on the bare scalar an object-dtype full contraction returns
+        spec = spec.replace(",", "Z,").replace("->", "Z->") + "Z"
+        raw = np.einsum(spec, *[data[..., None]] * (spec.count(",") + 1), optimize=True)
+        total = total + weight * (raw[..., 0][at] * signs).sum(axis=1)
+    return total
+
+
+def alternating_tensor(n: int, k: int, values: np.ndarray) -> Tensor:
+    """The antisymmetric order-k tensor whose sorted-tuple entries are values."""
+    at, signs = _alternating_index(n, k)
+    arr = np.full((n,) * k, Fraction(0), dtype=object)
+    arr[at] = values[:, None] * signs
+    return Tensor(n, arr)
 
 
 def random_rational(n: int, order: int, seed: int, bound: int = 10,

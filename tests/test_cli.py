@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from hesslab import cli, serialize
@@ -92,6 +93,14 @@ class TestSubcommands:
         assert code == 0
         assert doc["verified"] and doc["residual"] == "0"
 
+    def test_solve3d_float_reports_measured_residual(self, capsys, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"rows": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]}))
+        code, doc, _ = run_json(capsys, "solve3d", "--ricci", str(path),
+                                "--mode", "float", "--tol", "0.5")
+        assert code == 0 and doc["verified"]
+        assert doc["residual"] < 1e-12
+
     def test_solve3d_tol_misuse(self, capsys, tmp_path):
         path = tmp_path / "r.json"
         path.write_text(json.dumps({"rows": [["1/1"] * 3] * 3}))
@@ -169,6 +178,44 @@ class TestUsageErrors:
                              "--samples", samples, "--no-meta")
         assert code == 2
         assert "--samples" in err
+
+    def test_pontryagin_order_above_max_exits_2_before_contracting(self, capsys, monkeypatch):
+        # 2p = 8 passes the 2p <= n check at n = 8 but exceeds MAX_ORDER; the
+        # order-4 einsum of rho stays allowed, any larger contraction is refused
+        einsum = np.einsum
+
+        def small_einsum(spec, *operands, **kwargs):
+            if len(spec.split("->")[1]) > 4:
+                raise AssertionError("contracted before validating the degree")
+            return einsum(spec, *operands, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("contracted before validating the degree")
+
+        monkeypatch.setattr(np, "einsum", small_einsum)
+        monkeypatch.setattr(np, "tensordot", refuse)
+        code, out, err = run(capsys, "verify", "--identity", "pontryagin", "--degree", "4",
+                             "--dim", "8", "--seeds", "1", "--no-meta")
+        assert code == 2
+        assert out == ""
+        assert "maximum order" in err
+
+    @pytest.mark.parametrize("packing, order", (("dense", 4), ("sym3", 3)))
+    def test_huge_dimension_rejected_before_allocating(self, capsys, monkeypatch,
+                                                       tmp_path, packing, order):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 10 ** 6, "order": order,
+                                    "packing": packing, "entries": []}))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before validating n")
+
+        monkeypatch.setattr(np, "full", refuse)
+        monkeypatch.setattr(serialize, "sym3_triples", refuse)
+        code, out, _ = run(capsys, "validate", "--in", str(path), "--no-meta")
+        assert code == 1 and json.loads(out)["valid"] is False
+        code, out, err = run(capsys, "rho", "--in", str(path), "--no-meta")
+        assert code == 2 and out == "" and "dimension" in err
 
     def test_jets_cap_one(self, capsys):
         code, doc, _ = run_json(capsys, "jets", "--dim", "3", "--cap", "1")

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +7,37 @@ import pytest
 from hesslab.curvature import CurvTensor, random_curvature
 from hesslab.hessmap import rho
 from hesslab.identities import (bianchi_residual, cubic_identity,
-                                pontryagin_form, pontryagin_form_naive,
-                                pontryagin_quadratic)
-from hesslab.tensor import Sym3Tensor, Tensor
+                                pontryagin_form, pontryagin_quadratic)
+from hesslab.tensor import Sym3Tensor, Tensor, antisymmetrize, signed_permutations
+
+
+def pontryagin_form_naive(R: CurvTensor, p: int) -> Tensor:
+    """Direct (2p)!-term evaluation of pontryagin_form, kept as a test oracle."""
+    if p < 1 or 2 * p > R.n:
+        raise ValueError("invalid degree")
+    n = R.n
+    out = np.zeros((n,) * (2 * p), dtype=object)
+    for idx in itertools.product(range(n), repeat=2 * p):
+        acc = 0
+        for sigma, sign in signed_permutations(2 * p):
+            pi = [idx[s] for s in sigma]
+            s = 0
+            for avals in itertools.product(range(n), repeat=p):
+                prod = 1
+                for f in range(p):
+                    prod *= R.data[pi[2 * f], pi[2 * f + 1],
+                                   avals[f], avals[(f + 1) % p]]
+                s += prod
+            acc += sign * s
+        out[idx] = acc
+    return Tensor(n, out)
+
+
+def full_array_form(R, terms, scale=1):
+    """The weighted einsum over the whole n**k array, then antisymmetrize."""
+    raw = sum(w * np.einsum(spec, *[R.data] * (spec.count(",") + 1))
+              for spec, w in terms)
+    return antisymmetrize(Tensor(R.n, raw), list(range(raw.ndim))).scale(scale)
 
 
 def zero_curvature(n):
@@ -71,6 +100,19 @@ class TestPontryaginForm:
         with pytest.raises(ValueError):
             pontryagin_form(R, 3)  # 2p = 6 > n = 4
 
+    def test_order_above_max_rejected_before_contracting(self, monkeypatch):
+        # 2p = 8 <= n = 8 passes the dimension check but not MAX_ORDER = 6;
+        # a contraction here would build an 8**8-entry array first
+        R = CurvTensor(Tensor(8, np.full((8,) * 4, Fraction(0), dtype=object)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("contracted before validating the degree")
+
+        monkeypatch.setattr(np, "einsum", refuse)
+        monkeypatch.setattr(np, "tensordot", refuse)
+        with pytest.raises(ValueError, match="maximum order"):
+            pontryagin_form(R, 4)
+
     def test_matches_naive_oracle(self):
         R = random_curvature(4, seed=4, bound=3)
         assert pontryagin_form(R, 2) == pontryagin_form_naive(R, 2)
@@ -81,6 +123,33 @@ class TestPontryaginForm:
         for seed in (1, 5, 9):
             R = random_curvature(4, seed=seed)
             assert pontryagin_form(R, 2) == pontryagin_quadratic(R).scale(24)
+
+
+class TestAgainstFullArrayPath:
+    """Each form equals antisymmetrize of its contraction over the full array."""
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_quadratic(self, n):
+        R = random_curvature(n, seed=11)
+        assert pontryagin_quadratic(R) == full_array_form(R, [("ijab,klba->ijkl", 1)])
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_cubic(self, n):
+        R = random_curvature(n, seed=12)
+        terms = [("iajb,kbcd,ldac->ijkl", 1), ("iajb,kcad,ldbc->ijkl", -2)]
+        assert cubic_identity(R) == full_array_form(R, terms)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_pontryagin(self, n):
+        R = random_curvature(n, seed=13)
+        assert pontryagin_form(R, 1) == full_array_form(R, [("ijaa->ij", 1)], 2)
+        assert pontryagin_form(R, 2) == full_array_form(R, [("ijab,klba->ijkl", 1)], 24)
+
+    def test_image_values_keep_their_strings(self):
+        R = rho(Sym3Tensor.random(5, seed=3, bound=6))
+        new = cubic_identity(R)
+        old = full_array_form(R, [("iajb,kbcd,ldac->ijkl", 1), ("iajb,kcad,ldbc->ijkl", -2)])
+        assert [str(x) for x in new.data.flat] == [str(x) for x in old.data.flat]
 
 
 class TestBianchiResidual:

@@ -7,7 +7,7 @@ import pytest
 from hesslab import miner
 from hesslab.curvature import random_curvature
 from hesslab.hessmap import rho
-from hesslab.tensor import Sym3Tensor, Tensor
+from hesslab.tensor import Sym3Tensor, Tensor, signed_permutations
 
 # golden values frozen at first enumeration; the degree-2 count is
 # independently cross-checked below by evaluation-based deduplication
@@ -176,12 +176,11 @@ class TestEnumeration:
                     for R in samples]
             base = tuple(x for o in outs for x in o.flat)
             variants, degenerate = [], False
-            for perm in itertools.permutations(range(4)):
+            for perm, sgn in signed_permutations(4):
                 flat = tuple(x for o in outs
                              for x in np.transpose(o, perm).flat)
                 neg = tuple(-x for x in flat)
                 variants.extend((flat, neg))
-                sgn = miner._sign(perm)
                 for s, moved in ((1, flat), (-1, neg)):
                     if moved == base and s * sgn == -1:
                         degenerate = True
@@ -233,6 +232,26 @@ class TestEvaluation:
             if c:
                 acc = acc + miner.evaluate_pattern(pat, R).scale(c)
         assert acc == cubic_identity(R)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_matches_full_array_antisymmetrization(self, patterns2, patterns3, n):
+        import numpy as np
+        from hesslab.tensor import antisymmetrize
+        R = random_curvature(n, seed=14)
+        # patterns3[0] has two fully traced factors: numpy's optimized
+        # einsum cannot take the bare Fraction scalars they contract to
+        for pat in patterns2 + (patterns3[::6] if n == 4 else ()):
+            raw = np.einsum(miner._einsum_spec(pat), *[R.data] * pat.degree)
+            old = antisymmetrize(Tensor(n, raw), [0, 1, 2, 3])
+            assert miner.evaluate_pattern(pat, R) == old
+
+    def test_integer_rows_are_24_times_pattern_values(self, patterns3):
+        data = rho(miner._int_sym3(5, 2, 5)).data
+        rows = miner._evaluate_rows(patterns3, data)
+        quads = list(itertools.combinations(range(5), 4))
+        vals = [miner.evaluate_pattern(pat, data) for pat in patterns3]
+        assert rows == [[24 * v.data[q] for v in vals] for q in quads]
+        assert all(type(x) is int for row in rows for x in row)
 
     def test_bilinearity_degree2(self, patterns2):
         R1 = random_curvature(4, seed=9)

@@ -118,17 +118,23 @@ def quaternion_rotation(a, b, c, d):
 
 class TestSolveFromRicci:
     def test_diagonal_input_identity_rotation(self):
-        rot, A = ricci3d.solve_from_ricci(diag(1, 2, 3))
+        rot, A, _ = ricci3d.solve_from_ricci(diag(1, 2, 3))
         assert np.allclose(np.abs(rot), np.eye(3))
         assert rho2(A) == diag(1, 2, 3)
 
+    def test_residual_is_measured_in_float_mode(self):
+        assert ricci3d.solve_from_ricci(diag(1, 2, 3))[2] == 0
+        rows = [[1, 1, 0], [1, 2, 0], [0, 0, 3]]
+        resid = ricci3d.solve_from_ricci(rows, mode="float", tol=0.5)[2]
+        assert 0 <= resid < 1e-12
+
     def test_zero_matrix_isotropic_branch(self):
-        rot, A = ricci3d.solve_from_ricci(diag(0, 0, 0))
+        rot, A, _ = ricci3d.solve_from_ricci(diag(0, 0, 0))
         assert rho2(A).is_zero()
 
     def test_quarter_turn_example(self):
         rows = [[2, 1, 0], [1, 2, 0], [0, 0, 5]]
-        rot, A = ricci3d.solve_from_ricci(rows)
+        rot, A, _ = ricci3d.solve_from_ricci(rows)
         # eigenvalues 1, 3, 5; the plane rotation has entries +-1/sqrt(2)
         lams = sorted(abs(x) for x in np.linalg.eigvalsh(np.array(rows, float)))
         assert np.allclose(lams, [1, 3, 5])
@@ -146,7 +152,7 @@ class TestSolveFromRicci:
         rows = [[1, 1, 0], [1, 2, 0], [0, 0, 3]]
         with pytest.raises(ValueError):
             ricci3d.solve_from_ricci(rows, mode="exact")
-        rot, A = ricci3d.solve_from_ricci(rows, mode="float", tol=1e-9)
+        rot, A, _ = ricci3d.solve_from_ricci(rows, mode="float", tol=1e-9)
         sym = np.array(rows, dtype=float)
         w = np.linalg.eigvalsh(sym)
         back = rot @ np.diag(w) @ rot.T
@@ -159,7 +165,7 @@ class TestSolveFromRicci:
              for i in range(3)]
         from hesslab import linalg
         r = linalg.matmul(linalg.matmul(Q, d), [list(row) for row in zip(*Q)])
-        rot, A = ricci3d.solve_from_ricci(r)  # internal exact round-trip oracle
+        rot, A, _ = ricci3d.solve_from_ricci(r)  # internal exact round-trip oracle
         back = rot @ np.diag(sorted(float(x) for x in lams)) @ rot.T
         assert np.allclose(back, np.array(r, dtype=float))
 
@@ -178,7 +184,7 @@ class TestSurjectivityWitness:
             R = CurvTensor(Tensor(3, acc))
             r = ricci(R)
             # generic rational Ricci has an irrational spectrum: float mode
-            rot, A = ricci3d.solve_from_ricci(r, mode="float", tol=1e-8)
+            rot, A, _ = ricci3d.solve_from_ricci(r, mode="float", tol=1e-8)
             got = rho2(A)
             back = rot @ np.diag([float(got[i, i]) for i in range(3)]) @ rot.T
             target = np.array([[float(x) for x in row] for row in r.entries])

@@ -1,8 +1,10 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from hesslab import serialize
 from hesslab.serialize import (format_rational, parse_rational,
                                tensor_from_json, tensor_to_json)
 from hesslab.tensor import Sym3Tensor, random_rational
@@ -59,6 +61,21 @@ class TestTensorDocuments:
             mutate(doc)
             with pytest.raises(ValueError):
                 tensor_from_json(doc)
+
+    @pytest.mark.parametrize("n, order, packing", [
+        (10 ** 6, 4, "dense"), (10 ** 6, 3, "sym3"), (9, 2, "dense"), (1, 2, "dense"),
+        (2.5, 2, "dense"), ("3", 2, "dense"), (True, 3, "sym3"),
+        (3, 7, "dense"), (3, -1, "dense"), (3, 2.0, "dense"),
+    ])
+    def test_size_rejected_before_allocating(self, monkeypatch, n, order, packing):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before validating n and order")
+
+        monkeypatch.setattr(np, "full", refuse)
+        monkeypatch.setattr(serialize, "sym3_triples", refuse)
+        doc = {"n": n, "order": order, "packing": packing, "entries": []}
+        with pytest.raises(ValueError):
+            tensor_from_json(doc)
 
     def test_sym3_requires_sorted_indices(self):
         doc = tensor_to_json(Sym3Tensor.random(2, seed=2))

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 
 from hesslab import rng
-from hesslab.tensor import (Sym3Tensor, Tensor, antisymmetrize, contract,
-                            random_rational, sym3_basis, sym3_dim,
-                            sym3_triples, symmetrize)
+from hesslab.tensor import (Sym3Tensor, Tensor, alternating_contraction,
+                            alternating_tensor, antisymmetrize, contract,
+                            random_rational, signed_permutations, sym3_basis,
+                            sym3_dim, sym3_triples, symmetrize)
 
 
 def basis_tensor(n, order, index):
@@ -76,6 +78,35 @@ class TestAlternators:
         t = random_rational(2, 3, seed=4)
         with pytest.raises(ValueError):
             antisymmetrize(t, [0, 0])
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_signed_permutations_by_cycle_parity(self, k):
+        perms = signed_permutations(k)
+        assert [p for p, _ in perms] == list(itertools.permutations(range(k)))
+        for perm, sign in perms:
+            seen, transpositions = set(), 0
+            for start in range(k):
+                length = 0
+                while start not in seen:
+                    seen.add(start)
+                    start = perm[start]
+                    length += 1
+                transpositions += max(length - 1, 0)
+            assert sign == (-1) ** transpositions
+
+    @pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (3, 3), (4, 3), (4, 4)])
+    def test_alternating_contraction_matches_antisymmetrize(self, n, k):
+        t = random_rational(n, k, seed=n + k)
+        slots = "ijkl"[:k]
+        values = alternating_contraction(t.data, [(f"{slots}->{slots}", 1)])
+        got = alternating_tensor(n, k, values * Fraction(1, math.factorial(k)))
+        assert got == antisymmetrize(t, list(range(k)))
+
+    def test_alternating_contraction_weights_terms(self):
+        t = random_rational(3, 2, seed=5)
+        one = alternating_contraction(t.data, [("ij->ij", 1)])
+        both = alternating_contraction(t.data, [("ij->ij", 3), ("ji->ij", 1)])
+        assert list(both) == list(one * 2)  # the transpose enters with sign -1
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_commutes_with_contraction_on_untouched_axes(self, seed):
