@@ -2,8 +2,8 @@
 
 Each digest is the SHA-256 of a command's ``--no-meta`` standard output, or
 of the comma-joined ``str()`` of every entry of a library result.  They were
-recorded before the contraction code was rewritten, so any change to an
-output byte or to an exact value shows here.
+recorded before the contraction and the elimination code were rewritten, so
+any change to an output byte or to an exact value shows here.
 """
 
 import contextlib
@@ -13,7 +13,9 @@ import io
 import pytest
 
 from hesslab import cli, identities, miner
-from hesslab.curvature import random_curvature
+from hesslab.curvature import curvature_basis, random_curvature
+from hesslab.hessmap import rho_jacobian
+from hesslab.tensor import Sym3Tensor
 
 COMMANDS = {
     "verify quad n=4": (
@@ -41,6 +43,8 @@ COMMANDS = {
         "1efa3c044386684d26c7949c80b55d73d795cc1a4452825421bc78f053137f3a"),
     "mine n=4 p=3": (["mine", "--dim", "4", "--degree", "3", "--seed", "1"], 0,
         "b56245f70eece2c00319dc4a4234d316ef1334f75756ff63659a1c5f8fa4b117"),
+    "mine n=5 p=2": (["mine", "--dim", "5", "--degree", "2", "--seed", "1"], 0,
+        "0b22d53bfd2681423a6bd3768d5a91ee94ab8223093d8d89af08dcf048e1ef4f"),
     "rank-census n=4": (["rank-census", "--dim", "4", "--samples", "1", "--seed", "1"],
                         0,
         "c63844550f3aa0cf4f42f96e50b092d04b3abfcd9601609e5941c17fa9abebcb"),
@@ -123,3 +127,28 @@ def test_command_output_is_unchanged(name):
 @pytest.mark.parametrize("n", [4, 5])
 def test_identity_values_are_unchanged(n):
     assert _values(n) == VALUES[n]
+
+
+# digest of the rho_jacobian entries, row by row, at the first census
+# sample of seed 1, and of every curvature_basis(n) tensor in basis order
+JACOBIANS = {
+    4: "f66889132a60939270b63a26b8b859c2f44ebbdca02ce983f377eb97ebb366cc",
+    5: "b4195acdfd9de7bc2515b2d0b9ffd818e30aa3636034dcd58042a7ef600005c4",
+}
+BASES = {
+    4: "73ebcbbf969929fb1fb03d131d1fa28038cad0d7c2c8c09fd9107b87e31c2402",
+    5: "6abfa7a5f0fad778bafff7f3b0f0ae573d06b717eca40b6294843198e70a149a",
+}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_jacobian_entries_are_unchanged(n):
+    J = rho_jacobian(Sym3Tensor.random(n, seed=1_000_003))
+    assert _digest(",".join(str(x) for row in J for x in row)) == JACOBIANS[n]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_curvature_basis_is_unchanged(n):
+    entries = ";".join(",".join(str(x) for x in b.data.flat)
+                       for b in curvature_basis(n))
+    assert _digest(entries) == BASES[n]
