@@ -10,24 +10,16 @@ conclusion is parameter-independent and checked as such.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .curvature import scalar_curvature
-from .hessmap import rho
 from .tensor import Sym3Tensor
 
 # scalar_curvature(rho(A)) = SCALAR_CURVATURE_SCALE * s, where s is the
 # value of the display polynomial (4/9)(3ac + 3bd - b^2 - c^2); frozen by
 # exact evaluation.
 SCALAR_CURVATURE_SCALE = Fraction(-1, 2)
-
-# The contracted curvature condition s + x*|A|^2 + y*|tr A|^2 = 0 holds
-# identically with (x, y) = (2, -2): the first sign differs from one printed
-# form of the relation, pinned here by exact cross-check against rho.
-EQ_SIGNS = (Fraction(2), Fraction(-2))
 
 
 @dataclass(frozen=True)
@@ -66,39 +58,6 @@ def display_polynomial(t: TwoDSym3) -> Fraction:
 def scalar_relation_residual(t: TwoDSym3, s) -> Fraction:
     """s - (4/9)(3ac + 3bd - b^2 - c^2); zero iff the scalar relation holds."""
     return Fraction(s) - display_polynomial(t)
-
-
-def contracted_relation_residual(t: TwoDSym3, s) -> Fraction:
-    """s + 2 |A|^2 - 2 |trace A|^2, the contracted curvature condition.
-
-    Vanishes exactly when scalar_relation_residual does (same A, same s).
-    """
-    dn = t.to_sym3().to_dense().data
-    full = sum(dn[i, al, j] * dn[j, i, al]
-               for i in range(2) for j in range(2) for al in range(2))
-    tr = [sum(dn[j, al, j] for j in range(2)) for al in range(2)]
-    x, y = EQ_SIGNS
-    return Fraction(s) + x * full + y * (tr[0] ** 2 + tr[1] ** 2)
-
-
-def reconcile_signs(samples=10) -> tuple[Fraction, Fraction]:
-    """Find the (x, y) sign pair making the contracted condition match the
-    display polynomial identically; returns the unique successful pair."""
-    from . import rng
-    cands = [(Fraction(x), Fraction(y)) for x in (2, -2) for y in (2, -2)]
-    for i in range(samples):
-        t = TwoDSym3(*(rng.rational_at("cartan-signs", 7, 4 * i + j, 9)
-                       for j in range(4)))
-        s = display_polynomial(t)
-        dn = t.to_sym3().to_dense().data
-        full = sum(dn[p, al, q] * dn[q, p, al]
-                   for p in range(2) for q in range(2) for al in range(2))
-        tr = [sum(dn[q, al, q] for q in range(2)) for al in range(2)]
-        t2 = tr[0] ** 2 + tr[1] ** 2
-        cands = [(x, y) for x, y in cands if s + x * full + y * t2 == 0]
-    if len(cands) != 1:
-        raise AssertionError(f"sign reconciliation not unique: {cands}")
-    return cands[0]
 
 
 def solve_a(b, c, d, s) -> Fraction:
@@ -172,38 +131,6 @@ def restricted_symbol_matrix(p: SymbolParameters):
 def prolonged_symbol_matrix(p: SymbolParameters):
     """The 6x9 first prolongation of the symbol, at concrete parameters."""
     return [[p._eval(e) for e in row] for row in _symbolic_prolonged()]
-
-
-def echelon_column_permutation():
-    """A column order making the prolonged symbol upper-echelon for every
-    parameter value: each pivot is a nonzero constant with identical zeros
-    below it.  Existence certifies rank 6 irrespective of the parameters."""
-    m = _symbolic_prolonged()
-    rows, cols = len(m), len(m[0])
-
-    def nonzero_const(e):
-        return e[0] != 0 and all(x == 0 for x in e[1:])
-
-    def is_zero(e):
-        return all(x == 0 for x in e)
-
-    def search(k, used):
-        if k == rows:
-            return []
-        for c in range(cols):
-            if c in used:
-                continue
-            if nonzero_const(m[k][c]) and all(is_zero(m[j][c])
-                                              for j in range(k + 1, rows)):
-                rest = search(k + 1, used | {c})
-                if rest is not None:
-                    return [c] + rest
-        return None
-
-    pivots = search(0, set())
-    if pivots is None:
-        raise AssertionError("no parameter-independent echelon permutation exists")
-    return pivots + [c for c in range(cols) if c not in pivots]
 
 
 @dataclass(frozen=True)

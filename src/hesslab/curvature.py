@@ -142,9 +142,8 @@ def curvature_basis(n: int) -> tuple[Tensor, ...]:
         coords[m] = Fraction(1)
         b = cyclic_sum(materialize(coords))
         rows.append([b.data[q] for q in quads])
-    # columns of the operator matrix index the sym basis; transpose for nullspace
-    op = [list(col) for col in zip(*rows)] if quads else []
-    kernel = linalg.nullspace(op, cols=len(sym_index))
+    # the operator's rows are the columns collected above
+    kernel = linalg.nullspace(list(zip(*rows)), cols=len(sym_index))
     basis = tuple(materialize(v) for v in kernel)
     if len(basis) != curvature_space_dim(n):
         raise AssertionError("Bianchi-kernel dimension mismatch")
@@ -164,29 +163,30 @@ def random_curvature(n: int, seed: int, bound: int = 10,
     return CurvTensor(Tensor(n, acc))
 
 
-def curvature_coordinates(n: int):
-    """Exact coordinate map onto curvature_basis(n).
-
-    Returns (positions, inverse) where positions are dense index quadruples
-    such that the basis restricted to them is invertible, and inverse is the
-    corresponding matrix; coords(R) = inverse @ R[positions].
-    """
-    return _coordinate_data(n)
-
-
 @lru_cache(maxsize=None)
 def _coordinate_data(n: int):
-    basis = curvature_basis(n)
-    idxs = list(itertools.product(range(n), repeat=4))
-    mat = [[b.data[i] for i in idxs] for b in basis]  # rows = basis vectors
-    _, pivots = linalg.rref(mat)
-    positions = [idxs[p] for p in pivots]
-    square = [[b.data[pos] for b in basis] for pos in positions]
-    return tuple(positions), linalg.invert(square)
+    """Flat dense positions and values that read off basis coordinates.
+
+    Each curvature_basis(n) tensor comes from a nullspace vector that is 1
+    at its own free column and 0 at the other free columns, so it is the
+    only basis tensor nonzero at that column's dense index.  The scan takes
+    the first such lone nonzero of each basis tensor, and fails if one has
+    none: the positions are checked, not assumed.
+    """
+    stacked = np.array([b.data.ravel() for b in curvature_basis(n)])
+    nonzero = stacked != 0
+    lone = nonzero & (nonzero.sum(axis=0) == 1)
+    if not lone.any(axis=1).all():
+        raise AssertionError("a curvature basis tensor has no lone nonzero entry")
+    positions = lone.argmax(axis=1)
+    return positions, stacked[np.arange(len(positions)), positions]
 
 
 def coordinates(R: Tensor) -> list[Fraction]:
-    """Coordinates of a curvature-symmetric tensor in curvature_basis(R.n)."""
-    positions, inv = curvature_coordinates(R.n)
-    vals = [[R.data[pos]] for pos in positions]
-    return [row[0] for row in linalg.matmul(inv, vals)]
+    """Coordinates of a curvature-symmetric tensor in curvature_basis(R.n).
+
+    Only basis tensor i is nonzero at positions[i], so there R equals its
+    coordinate i times values[i]: an exact gather, with no inverse.
+    """
+    positions, values = _coordinate_data(R.n)
+    return list(R.data.take(positions) / values)

@@ -36,12 +36,6 @@ def rho2(A: Sym3Tensor) -> RicciTensor:
     return ricci(rho(A))
 
 
-def rho_scaling_check(A: Sym3Tensor, c) -> bool:
-    """Degree-2 homogeneity: rho(c A) == c^2 rho(A), both sides exact."""
-    c = Fraction(c)
-    return rho_raw(A.scale(c)) == rho_raw(A).scale(c * c)
-
-
 def rho_jacobian(A: Sym3Tensor) -> list[list[Fraction]]:
     """Exact derivative matrix of rho at A.
 

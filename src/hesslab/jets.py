@@ -38,19 +38,6 @@ def deficit(n: int, k: int) -> int:
     return jet_dim_metric(n, k) - jet_dim_hessian_data(n, k)
 
 
-def deficit_factored_twice(n: int, k: int) -> int:
-    """2 * deficit via the factored form, an exact cross-check oracle.
-
-    2 * deficit = (n+1) * [(n-2) * T_k - 2 C(n+k, k+1) - 2 C(n+k+1, k+2)]
-    where T_k counts monomials of degree <= k.  The (n-2) factor explains
-    why the two-dimensional deficit can never turn positive.
-    """
-    t = _taylor_terms(n, k)
-    return (n + 1) * ((n - 2) * t
-                      - 2 * math.comb(n + k, k + 1)
-                      - 2 * math.comb(n + k + 1, k + 2))
-
-
 @dataclass
 class JetReport:
     n: int

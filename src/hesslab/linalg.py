@@ -1,46 +1,88 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction (or int, which Fraction
-arithmetic absorbs).  Everything here is plain Gaussian elimination;
-no pivoting heuristics are needed because the arithmetic is exact.
+Matrices are lists of lists of Fraction (or int, which Fraction arithmetic
+absorbs).  The one elimination routine is RowSpace, which keeps its rows in
+reduced row echelon form.  That form of a row space is unique, so rref,
+rank, nullspace and in_span read it from a RowSpace of the matrix rows,
+whatever order they come in.
 """
 
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
 
-def _as_fractions(m) -> Matrix:
-    return [[Fraction(x) for x in row] for row in m]
+class RowSpace:
+    """Row space kept in reduced row echelon form, one row at a time.
+
+    `rows` holds the nonzero rows in order of their pivot columns `pivots`;
+    each pivot entry is 1 and the only nonzero entry of its column.
+    """
+
+    def __init__(self, cols: int, rows=()):
+        self.cols = cols
+        self.rows: Matrix = []
+        self.pivots: list[int] = []
+        for row in rows:
+            self.add(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def _reduce(self, row) -> Vector:
+        """row minus its part in the space: zero at every pivot column."""
+        v = [Fraction(x) for x in row]
+        for r, pc in zip(self.rows, self.pivots):
+            f = v[pc]
+            if f != 0:  # r is zero left of pc
+                v[pc:] = [x - f * y for x, y in zip(v[pc:], r[pc:])]
+        return v
+
+    def contains(self, row) -> bool:
+        """Whether row lies in the space (exact), without adding it."""
+        return not any(self._reduce(row))
+
+    def add(self, row) -> bool:
+        """Insert a row; returns True if the rank grew."""
+        v = self._reduce(row)
+        pc = next((c for c, x in enumerate(v) if x != 0), None)
+        if pc is None:
+            return False
+        inv = 1 / v[pc]
+        v[pc:] = [x * inv for x in v[pc:]]
+        # clear the new pivot column from the stored rows; rows pivoting
+        # right of pc are already zero there
+        pos = bisect.bisect(self.pivots, pc)
+        for r in self.rows[:pos]:
+            f = r[pc]
+            if f != 0:
+                r[pc:] = [x - f * y for x, y in zip(r[pc:], v[pc:])]
+        self.rows.insert(pos, v)
+        self.pivots.insert(pos, pc)
+        return True
+
+    def nullspace(self) -> list[Vector]:
+        """Right nullspace basis: one vector per free column, which is 1
+        there and 0 at every other free column."""
+        basis = []
+        for fc in sorted(set(range(self.cols)) - set(self.pivots)):
+            v = [Fraction(0)] * self.cols
+            v[fc] = Fraction(1)
+            for r, pc in zip(self.rows, self.pivots):
+                v[pc] = -r[fc]
+            basis.append(v)
+        return basis
 
 
 def rref(m) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form.  Returns (rref_matrix, pivot_columns)."""
-    a = _as_fractions(m)
-    if not a:
-        return a, []
-    rows, cols = len(a), len(a[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
+    """Reduced row echelon form as (nonzero rows, pivot columns)."""
+    space = RowSpace(len(m[0]) if m else 0, m)
+    return space.rows, space.pivots
 
 
 def rank(m) -> int:
@@ -49,87 +91,16 @@ def rank(m) -> int:
 
 def nullspace(m, cols: int | None = None) -> list[Vector]:
     """Basis of the right nullspace.  `cols` is required if m has no rows."""
-    if m:
-        cols = len(m[0])
-    elif cols is None:
+    if not m and cols is None:
         raise ValueError("cols required for an empty matrix")
-    else:
-        return [[Fraction(int(i == j)) for j in range(cols)] for i in range(cols)]
-    red, pivots = rref(m)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
-
-
-def solve(m, b) -> Vector | None:
-    """One solution x of m @ x = b, or None if inconsistent."""
-    if not m:
-        return None
-    aug = [list(row) + [bv] for row, bv in zip(m, b)]
-    red, pivots = rref(aug)
-    cols = len(m[0])
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
+    return RowSpace(len(m[0]) if m else cols, m).nullspace()
 
 
 def in_span(vectors: list[Vector], v: Vector) -> bool:
     """Whether v lies in the span of the given vectors (exact)."""
-    if not vectors:
-        return all(x == 0 for x in v)
-    cols = [[vec[i] for vec in vectors] for i in range(len(v))]
-    return solve(cols, list(v)) is not None
-
-
-def invert(m) -> Matrix:
-    n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return RowSpace(len(v), vectors).contains(v)
 
 
 def matmul(a, b) -> Matrix:
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-class RowSpace:
-    """Incrementally tracked row space, for rank-stabilization loops."""
-
-    def __init__(self, cols: int):
-        self.cols = cols
-        self._rows: Matrix = []   # kept in echelon form
-        self._pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def add(self, row) -> bool:
-        """Insert a row; returns True if the rank grew."""
-        v = [Fraction(x) for x in row]
-        for r, pc in zip(self._rows, self._pivots):
-            if v[pc] != 0:
-                f = v[pc] / r[pc]
-                v = [x - f * y for x, y in zip(v, r)]
-        pc = next((c for c in range(self.cols) if v[c] != 0), None)
-        if pc is None:
-            return False
-        # keep pivot columns sorted so elimination above stays valid
-        pos = next((i for i, p in enumerate(self._pivots) if p > pc),
-                   len(self._pivots))
-        self._rows.insert(pos, v)
-        self._pivots.insert(pos, pc)
-        return True

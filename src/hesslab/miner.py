@@ -412,9 +412,10 @@ def mine(n: int, p: int, rho_samples: int | None = None,
 
     Evaluation rows are added sample by sample until the matrix rank is
     stable for 5 consecutive additions (the sample-count arguments are
-    caps).  N1 is the exact nullspace over the rho-sample rows; N2 adds the
-    generic-curvature rows on top, so universal identities are, by
-    construction, a subspace of the image identities.
+    caps).  N1 is the exact nullspace of the rho-sample rows; N2 is that of
+    the same row space with the generic-curvature rows added on top, so
+    universal identities are, by construction, a subspace of the image
+    identities.
     """
     if n < 4:
         raise ValueError("mining needs n >= 4")
@@ -426,17 +427,15 @@ def mine(n: int, p: int, rho_samples: int | None = None,
         if cap < len(patterns) + 5:
             raise ValueError(f"{name} cap must be >= pattern count + 5")
 
-    def collect(make_sample, cap, space):
-        rows, used, stable = [], 0, 0
+    def collect(make_sample, cap):
+        used, stable = 0, 0
         while used < cap:
-            data = make_sample(used)
-            new = _evaluate_rows(patterns, data)
+            new = _evaluate_rows(patterns, make_sample(used))
             grew = any([space.add(r) for r in new])
-            rows.extend(new)
             used += 1
             stable = 0 if grew else stable + 1
             if stable >= _STABLE_RUN and used >= _STABLE_RUN + 1:
-                return rows, used
+                return used
         raise StabilizationError(
             f"rank still increasing after {cap} samples (rank {space.rank})")
 
@@ -447,21 +446,17 @@ def mine(n: int, p: int, rho_samples: int | None = None,
     def generic_sample(i):
         return _int_generic_curvature(n, seed * 1_000_003 + i, bound)
 
-    space1 = linalg.RowSpace(len(patterns))
-    rho_rows, rho_used = collect(rho_sample, rho_cap, space1)
-    space2 = linalg.RowSpace(len(patterns))
-    for r in rho_rows:
-        space2.add(r)
-    gen_rows, gen_used = collect(generic_sample, gen_cap, space2)
-
-    n1 = linalg.nullspace(rho_rows, cols=len(patterns))
-    n2 = linalg.nullspace(rho_rows + gen_rows, cols=len(patterns))
+    # one sample space: N1 is its nullspace after the rho rows, N2 after
+    # the generic rows have been added on top
+    space = linalg.RowSpace(len(patterns))
+    rho_used = collect(rho_sample, rho_cap)
+    n1 = space.nullspace()
+    gen_used = collect(generic_sample, gen_cap)
+    n2 = space.nullspace()
     # greedily pick an exact complement of N2 in N1: keep each N1 vector
     # that grows the span of N2 and the vectors kept so far
-    space = linalg.RowSpace(len(patterns))
-    for v in n2:
-        space.add(v)
-    kept = [v for v in n1 if space.add(v)]
+    complement = linalg.RowSpace(len(patterns), n2)
+    kept = [v for v in n1 if complement.add(v)]
     return MinedIdentityBasis(
         n=n, degree=p, patterns=patterns,
         image_identities=n1, universal_identities=n2,

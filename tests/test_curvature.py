@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hesslab import linalg
+from hesslab import curvature, linalg
 from hesslab.curvature import (CurvTensor, RicciTensor, coordinates,
                                curvature_basis, curvature_space_dim,
                                cyclic_sum, random_curvature, ricci,
@@ -102,7 +102,7 @@ class TestContractions:
 
 
 class TestCoordinates:
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_round_trip(self, n):
         R = random_curvature(n, seed=8)
         coords = coordinates(R.tensor)
@@ -111,3 +111,10 @@ class TestCoordinates:
             term = Tensor(n, b.data * c)
             rebuilt = term if rebuilt is None else rebuilt + term
         assert rebuilt == R.tensor
+
+    def test_basis_without_a_lone_entry_is_rejected(self, monkeypatch):
+        # two equal basis tensors share every nonzero position
+        b = curvature_basis(3)[0]
+        monkeypatch.setattr(curvature, "curvature_basis", lambda n: (b, b))
+        with pytest.raises(AssertionError):
+            curvature._coordinate_data.__wrapped__(3)

@@ -1,13 +1,16 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from hesslab import linalg
 from hesslab.curvature import curvature_space_dim, ricci, symmetry_failures
-from hesslab.hessmap import (image_rank_census, rho, rho2, rho_jacobian,
-                             rho_raw, rho_scaling_check)
+from hesslab.hessmap import image_rank_census, rho, rho2, rho_jacobian, rho_raw
 from hesslab.tensor import Sym3Tensor, sym3_basis, sym3_dim
+
+
+def rho_scaling_check(A: Sym3Tensor, c) -> bool:
+    """Degree-2 homogeneity: rho(c A) == c^2 rho(A), both sides exact."""
+    c = Fraction(c)
+    return rho_raw(A.scale(c)) == rho_raw(A).scale(c * c)
 
 
 class TestRho:

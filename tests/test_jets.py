@@ -1,6 +1,21 @@
+import math
+
 import pytest
 
 from hesslab import jets
+
+
+def deficit_factored_twice(n: int, k: int) -> int:
+    """2 * deficit via the factored form, an exact cross-check oracle.
+
+    2 * deficit = (n+1) * [(n-2) * T_k - 2 C(n+k, k+1) - 2 C(n+k+1, k+2)]
+    where T_k counts monomials of degree <= k.  The (n-2) factor explains
+    why the two-dimensional deficit can never turn positive.
+    """
+    t = jets._taylor_terms(n, k)
+    return (n + 1) * ((n - 2) * t
+                      - 2 * math.comb(n + k, k + 1)
+                      - 2 * math.comb(n + k + 1, k + 2))
 
 
 class TestDimensions:
@@ -70,16 +85,16 @@ class TestFactoredDeficit:
     def test_exact_identity_all_n_and_k(self):
         for n in range(2, 9):
             for k in range(31):
-                assert 2 * jets.deficit(n, k) == jets.deficit_factored_twice(n, k)
+                assert 2 * jets.deficit(n, k) == deficit_factored_twice(n, k)
 
     def test_two_dimensional_factor_vanishes(self):
         # the (n-2) factor in the factored form explains n=2: the remaining
         # terms are strictly negative binomials
         for k in range(20):
-            assert jets.deficit_factored_twice(2, k) < 0
+            assert deficit_factored_twice(2, k) < 0
 
     def test_big_integer_regime(self):
         # binomials far beyond 64-bit range must stay exact
         val = jets.jet_dim_metric(8, 2000)
         assert val > 2 ** 63
-        assert 2 * jets.deficit(8, 2000) == jets.deficit_factored_twice(8, 2000)
+        assert 2 * jets.deficit(8, 2000) == deficit_factored_twice(8, 2000)

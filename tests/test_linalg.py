@@ -19,6 +19,10 @@ class TestRank:
         m = [[Fraction(x) for x in row] for row in m]
         assert linalg.rank(m) == 2
 
+    def test_known_reduced_form(self):
+        m = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+        assert linalg.rref(m) == ([[1, 0, 1], [0, 1, 1]], [0, 1])
+
     def test_rank_via_transpose(self):
         m = random_matrix(5, 7, seed=3)
         t = [list(col) for col in zip(*m)]
@@ -40,25 +44,18 @@ class TestNullspace:
         assert len(linalg.nullspace([], cols=4)) == 4
 
 
-class TestSolveSpanInvert:
-    def test_solve_round_trip(self):
-        m = random_matrix(4, 4, seed=6)
-        b = [rational_at("rhs", 6, i, 9) for i in range(4)]
-        x = linalg.solve(m, b)
-        if x is not None:
-            got = [sum(m[i][j] * x[j] for j in range(4)) for i in range(4)]
-            assert got == b
+class TestSpan:
+    VS = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
 
     def test_in_span(self):
-        vs = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
-        assert linalg.in_span(vs, [Fraction(5), Fraction(3)])
-        assert not linalg.in_span([vs[0]], [Fraction(0), Fraction(1)])
+        assert linalg.in_span(self.VS, [Fraction(5), Fraction(3)])
+        assert not linalg.in_span([self.VS[0]], [Fraction(0), Fraction(1)])
 
-    def test_invert(self):
-        m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-        inv = linalg.invert(m)
-        prod = linalg.matmul(m, inv)
-        assert prod == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    def test_rowspace_contains(self):
+        assert linalg.RowSpace(2, self.VS).contains([Fraction(5), Fraction(3)])
+        first = linalg.RowSpace(2, self.VS[:1])
+        assert not first.contains([Fraction(0), Fraction(1)])
+        assert first.rank == 1  # contains does not add
 
 
 class TestRowSpace:
@@ -75,3 +72,19 @@ class TestRowSpace:
         assert not space.add([Fraction(2), Fraction(0), Fraction(0)])
         assert space.add([Fraction(0), Fraction(1), Fraction(1)])
         assert space.rank == 2
+
+    def test_row_order_does_not_change_the_reduced_form(self):
+        m = random_matrix(8, 5, seed=7)
+        forward, backward = linalg.RowSpace(5, m), linalg.RowSpace(5, m[::-1])
+        assert (forward.rows, forward.pivots) == (backward.rows, backward.pivots)
+        assert (forward.rows, forward.pivots) == linalg.rref(m)
+
+    def test_rows_are_reduced(self):
+        m = random_matrix(3, 6, seed=8)
+        rows, pivots = linalg.rref(m)
+        for i, pc in enumerate(pivots):
+            assert [r[pc] for r in rows] == [int(i == j) for j in range(len(rows))]
+
+    def test_nullspace_matches_batch(self):
+        m = random_matrix(3, 6, seed=4)
+        assert linalg.RowSpace(6, m).nullspace() == linalg.nullspace(m)
