@@ -2,20 +2,23 @@
 
 Each digest is the SHA-256 of a command's ``--no-meta`` standard output, or
 of the comma-joined ``str()`` of every entry of a library result.  They were
-recorded before the contraction and the elimination code were rewritten, so
-any change to an output byte or to an exact value shows here.
+recorded before the contraction, the elimination and the curvature-space
+code were rewritten, so any change to an output byte or to an exact value
+shows here.
 """
 
 import contextlib
 import hashlib
 import io
 
+from fractions import Fraction
+
 import pytest
 
 from hesslab import cli, identities, miner
-from hesslab.curvature import curvature_basis, random_curvature
+from hesslab.curvature import coordinates, curvature_basis, random_curvature
 from hesslab.hessmap import rho_jacobian
-from hesslab.tensor import Sym3Tensor
+from hesslab.tensor import Sym3Tensor, Tensor
 
 COMMANDS = {
     "verify quad n=4": (
@@ -138,6 +141,7 @@ JACOBIANS = {
 BASES = {
     4: "73ebcbbf969929fb1fb03d131d1fa28038cad0d7c2c8c09fd9107b87e31c2402",
     5: "6abfa7a5f0fad778bafff7f3b0f0ae573d06b717eca40b6294843198e70a149a",
+    6: "3a37edd9eb48a243041a46b46067bc59f941cd81ebba22609d7df79b0937e48a",
 }
 
 
@@ -147,8 +151,43 @@ def test_jacobian_entries_are_unchanged(n):
     assert _digest(",".join(str(x) for row in J for x in row)) == JACOBIANS[n]
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_curvature_basis_is_unchanged(n):
     entries = ";".join(",".join(str(x) for x in b.data.flat)
                        for b in curvature_basis(n))
     assert _digest(entries) == BASES[n]
+
+
+# digest of the generic curvature sample the miner draws with seed 1 and
+# bound 5 (the second generic-phase sample of mine(n, 2, seed=0))
+GENERIC_SAMPLES = {
+    4: "362b3794c4c7a40e2cce585e6345fc4a8282867de97d18a09bd2d4c1c4953b63",
+    5: "eadd319f85fa55f66e3d7b6c15d7f553e2d9fff2d216d81808cb4f6c89ea9805",
+}
+
+
+def _mine_samples(n, monkeypatch):
+    """Every sample array mine(n, 2, seed=0) evaluates, and how many are rho samples."""
+    seen = []
+    evaluate = miner._evaluate_rows
+    monkeypatch.setattr(miner, "_evaluate_rows",
+                        lambda patterns, data: seen.append(data) or evaluate(patterns, data))
+    result = miner.mine(n, 2, seed=0, bound=5)
+    return seen, result.rho_samples_used
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_miner_generic_sample_is_unchanged(n, monkeypatch):
+    samples, rho_used = _mine_samples(n, monkeypatch)
+    entries = ",".join(str(x) for x in samples[rho_used + 1].flat)
+    assert _digest(entries) == GENERIC_SAMPLES[n]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_number_types_stay_exact(n, monkeypatch):
+    # the miner contracts Python ints (einsum on Fraction would be slow);
+    # coordinates divides by basis entries, so those must not be ints
+    samples, _ = _mine_samples(n, monkeypatch)
+    assert {type(x) for s in samples for x in s.flat} == {int}
+    assert {type(x) for b in curvature_basis(n) for x in b.data.flat} == {Fraction}
+    assert {type(x) for x in coordinates(Tensor(n, samples[-1]))} == {Fraction}
