@@ -186,6 +186,8 @@ def _cmd_jets(args) -> int:
 
 
 def _cmd_cartan2d(args) -> int:
+    if args.sweep is not None and args.sweep < 1:
+        raise UsageError("--sweep must be at least 1")
     if args.sweep:
         reports = cartan.parameter_sweep(args.sweep, args.seed)
         distinct = {r for r in reports}

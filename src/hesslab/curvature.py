@@ -114,53 +114,73 @@ def scalar_curvature(R: CurvTensor):
 
 
 @lru_cache(maxsize=None)
-def curvature_basis(n: int) -> tuple[Tensor, ...]:
-    """Fixed basis of the Bianchi kernel inside pair-symmetric Lambda^2 (x) Lambda^2.
+def _bianchi_kernel(n: int):
+    """Integer basis of the Bianchi kernel in pair-symmetric coordinates.
 
-    Built once per dimension by exact nullspace of the cyclic-sum operator;
-    the result has exactly curvature_space_dim(n) elements.
+    Coordinate c[ij,kl], with i<j, k<l and (i,j) <= (k,l), is the dense
+    entry R_ijkl.  On such a tensor the cyclic sum vanishes except at
+    i<j<k<l, where it is c[ij,kl] - c[ik,jl] + c[il,jk]; the exact
+    nullspace of those rows has one vector per free column.  A vector
+    weighs the symmetric products e_ij e_kl + e_kl e_ij of 2-forms, so its
+    diagonal coordinates c[ij,ij] count twice in R_ijij.
+
+    Returns, per coordinate, the (vector, integer value) pairs of the
+    kernel that are nonzero there, and for every dense index the coordinate
+    it reads: c, c + C for its negative (C coordinates), or 2C for zero.
     """
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    sym_index = [(a, b) for a in range(len(pairs)) for b in range(a, len(pairs))]
-
-    def materialize(coords) -> Tensor:
-        arr = np.full((n,) * 4, Fraction(0), dtype=object)
-        for c, (a, b) in zip(coords, sym_index):
-            if c == 0:
-                continue
-            (i, j), (k, l) = pairs[a], pairs[b]
-            for (p, q), s1 in (((i, j), 1), ((j, i), -1)):
-                for (r, t), s2 in (((k, l), 1), ((l, k), -1)):
-                    arr[p, q, r, t] += s1 * s2 * c
-                    arr[r, t, p, q] += s1 * s2 * c
-        return Tensor(n, arr)
-
-    quads = list(itertools.combinations(range(n), 4))
+    pairs = list(itertools.combinations(range(n), 2))
+    slots = list(itertools.combinations_with_replacement(pairs, 2))
+    col = {s: c for c, s in enumerate(slots)}
     rows = []
-    for m, _ in enumerate(sym_index):
-        coords = [Fraction(0)] * len(sym_index)
-        coords[m] = Fraction(1)
-        b = cyclic_sum(materialize(coords))
-        rows.append([b.data[q] for q in quads])
-    # the operator's rows are the columns collected above
-    kernel = linalg.nullspace(list(zip(*rows)), cols=len(sym_index))
-    basis = tuple(materialize(v) for v in kernel)
-    if len(basis) != curvature_space_dim(n):
+    for i, j, k, l in itertools.combinations(range(n), 4):
+        row = [0] * len(slots)
+        row[col[(i, j), (k, l)]], row[col[(i, k), (j, l)]], row[col[(i, l), (j, k)]] = 1, -1, 1
+        rows.append(row)
+    kernel = linalg.nullspace(rows, cols=len(slots))
+    if len(kernel) != curvature_space_dim(n):
         raise AssertionError("Bianchi-kernel dimension mismatch")
-    return basis
+    if any(x.denominator != 1 for v in kernel for x in v):
+        raise AssertionError("Bianchi kernel is not integral")
+    terms = tuple(tuple((m, int(v[c]) * (2 if a == b else 1))
+                        for m, v in enumerate(kernel) if v[c])
+                  for c, (a, b) in enumerate(slots))
+    where = np.full((n,) * 4, 2 * len(slots), dtype=np.intp)
+    for c, (ij, kl) in enumerate(slots):
+        for (p, q), (r, t) in itertools.product((ij, ij[::-1]), (kl, kl[::-1])):
+            where[p, q, r, t] = where[r, t, p, q] = c + len(slots) * ((p > q) != (r > t))
+    where.flags.writeable = False  # shared by every caller
+    return terms, where
+
+
+def materialize(n: int, coeffs) -> Tensor:
+    """sum_m coeffs[m] * curvature_basis(n)[m], in the coefficients' number type.
+
+    The integer kernel vectors combine into one set of pair coordinates,
+    which a single gather spreads, with their signs, over the n**4 array.
+    """
+    terms, where = _bianchi_kernel(n)
+    coords = np.array([sum(coeffs[m] * v for m, v in t) for t in terms], dtype=object)
+    # the last entry is a zero of the coefficients' number type; every zero
+    # entry shares it, as a basis tensor's coordinates are mostly zero
+    signed = np.concatenate([coords, -coords, coords[:1] * 0])
+    signed[signed == 0] = signed[-1]
+    return Tensor(n, signed[where])
+
+
+@lru_cache(maxsize=None)
+def curvature_basis(n: int) -> tuple[Tensor, ...]:
+    """Fixed basis of the curvature space: the Bianchi kernel, in Fraction entries."""
+    dim = curvature_space_dim(n)
+    return tuple(materialize(n, [Fraction(int(m == k)) for k in range(dim)])
+                 for m in range(dim))
 
 
 def random_curvature(n: int, seed: int, bound: int = 10,
                      tag: str = "curv") -> CurvTensor:
     """Random rational element of the span of the curvature basis."""
-    basis = curvature_basis(n)
     full_tag = f"{tag}|{n}|{bound}"
-    acc = np.full((n,) * 4, Fraction(0), dtype=object)
-    for i, b in enumerate(basis):
-        c = rng.rational_at(full_tag, seed, i, bound)
-        if c != 0:
-            acc = acc + b.data * c
-    return CurvTensor(Tensor(n, acc))
+    return CurvTensor(materialize(n, [rng.rational_at(full_tag, seed, i, bound)
+                                      for i in range(curvature_space_dim(n))]))
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg, rng
-from .curvature import CurvTensor, curvature_basis
+from .curvature import CurvTensor, curvature_space_dim, materialize
 from .hessmap import rho
 from .tensor import (Sym3Tensor, Tensor, alternating_contraction,
                      alternating_tensor, signed_permutations, sym3_dim)
@@ -334,30 +334,6 @@ def _int_sym3(n: int, seed: int, bound: int) -> Sym3Tensor:
     return Sym3Tensor(n, vals)
 
 
-@lru_cache(maxsize=None)
-def _int_curvature_basis(n: int) -> tuple:
-    scaled = []
-    for b in curvature_basis(n):
-        lcm = 1
-        for x in b.data.flat:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        arr = np.empty(b.data.shape, dtype=object)
-        for idx in np.ndindex(b.data.shape):
-            arr[idx] = int(b.data[idx] * lcm)
-        scaled.append(arr)
-    return tuple(scaled)
-
-
-def _int_generic_curvature(n: int, seed: int, bound: int):
-    basis = _int_curvature_basis(n)
-    acc = np.zeros((n,) * 4, dtype=object)
-    for i, b in enumerate(basis):
-        c = rng.integer_at(f"mine-generic|{n}|{bound}", seed, i, bound)
-        if c:
-            acc = acc + b * c
-    return acc
-
-
 @dataclass
 class MinedIdentityBasis:
     n: int
@@ -444,7 +420,9 @@ def mine(n: int, p: int, rho_samples: int | None = None,
         return rho(A).data
 
     def generic_sample(i):
-        return _int_generic_curvature(n, seed * 1_000_003 + i, bound)
+        coeffs = [rng.integer_at(f"mine-generic|{n}|{bound}", seed * 1_000_003 + i, m, bound)
+                  for m in range(curvature_space_dim(n))]
+        return materialize(n, coeffs).data
 
     # one sample space: N1 is its nullspace after the rho rows, N2 after
     # the generic rows have been added on top

@@ -145,33 +145,36 @@ def _char_poly(r) -> list[Fraction]:
 
 
 def _rational_eigenvalues(rows) -> list[Fraction]:
-    """Exact rational spectrum of a symmetric rational 3x3 matrix.
+    """Exact rational spectrum of a symmetric rational 3x3 matrix, ascending.
 
-    Float eigenvalues are rationalized and verified against the exact
-    characteristic polynomial; raises if the spectrum is irrational.
+    With D the lcm of the characteristic polynomial's denominators, y = D*x
+    turns it into a monic integer cubic, whose rational roots are integers.
+    Integer bisection brackets one real root, deflating by it leaves a
+    quadratic that math.isqrt solves; a root that is not an integer means
+    the spectrum is irrational, and raises.
     """
     c0, c1, c2 = _char_poly(rows)
+    d = math.lcm(c0.denominator, c1.denominator, c2.denominator)
+    b2, b1, b0 = int(c2 * d), int(c1 * d ** 2), int(c0 * d ** 3)
 
-    def p(x):
-        return x ** 3 + c2 * x ** 2 + c1 * x + c0
+    def q(y):
+        return ((y + b2) * y + b1) * y + b0
 
-    approx = np.linalg.eigvalsh(np.array(rows, dtype=float))
-    lams = []
-    for a in approx:
-        for den in (1, 10 ** 3, 10 ** 6, 10 ** 12, 10 ** 15):
-            cand = Fraction(float(a)).limit_denominator(den)
-            if p(cand) == 0:
-                lams.append(cand)
-                break
-        else:
-            raise ValueError("matrix spectrum is not rational; use float mode")
-    # multiset check: the three roots must reconstruct the polynomial
-    e1 = lams[0] + lams[1] + lams[2]
-    e2 = lams[0] * lams[1] + lams[0] * lams[2] + lams[1] * lams[2]
-    e3 = lams[0] * lams[1] * lams[2]
-    if (e1, e2, e3) != (-c2, c1, -c0):
+    # every root lies strictly inside (-bound, bound) (Cauchy), so
+    # q(lo) < 0 <= q(hi) holds throughout and brackets a root in (lo, hi]
+    bound = 1 + max(abs(b2), abs(b1), abs(b0))
+    lo, hi = -bound, bound
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if q(mid) < 0 else (lo, mid)
+    # q(y) = (y - hi) (y^2 + e1 y + e0) when q(hi) == 0
+    e1 = b2 + hi
+    e0 = b1 + hi * e1
+    disc = e1 * e1 - 4 * e0
+    s = math.isqrt(max(disc, 0))
+    if q(hi) != 0 or s * s != disc:
         raise ValueError("matrix spectrum is not rational; use float mode")
-    return lams
+    return sorted(Fraction(y, d) for y in (hi, (-e1 - s) // 2, (-e1 + s) // 2))
 
 
 def _exact_eigenvectors(rows, lams):

@@ -88,17 +88,9 @@ class Tensor:
         return f"Tensor(n={self.n}, order={self.order})"
 
 
-def contract(t: Tensor, axis_a: int, axis_b: int) -> Tensor:
-    """Trace over two slots (metric = identity, so this is g^{ab}-contraction)."""
-    if axis_a == axis_b:
-        raise ValueError("contraction axes must differ")
-    for ax in (axis_a, axis_b):
-        if not 0 <= ax < t.order:
-            raise ValueError(f"axis {ax} out of range for order {t.order}")
-    return Tensor(t.n, np.trace(t.data, axis1=axis_a, axis2=axis_b))
-
-
-def _alternating_sum(t: Tensor, axes: list[int], signed: bool) -> Tensor:
+def antisymmetrize(t: Tensor, axes: list[int]) -> Tensor:
+    """(1/|axes|!) sum of signed permutations over the listed slots."""
+    axes = list(axes)
     if len(set(axes)) != len(axes):
         raise ValueError("axes must be distinct")
     for ax in axes:
@@ -110,18 +102,8 @@ def _alternating_sum(t: Tensor, axes: list[int], signed: bool) -> Tensor:
         for i, ax in enumerate(axes):
             full[ax] = axes[perm[i]]
         term = np.transpose(t.data, full)
-        total = total - term if signed and sign < 0 else total + term
+        total = total - term if sign < 0 else total + term
     return Tensor(t.n, total * Fraction(1, math.factorial(len(axes))))
-
-
-def antisymmetrize(t: Tensor, axes: list[int]) -> Tensor:
-    """(1/|axes|!) sum of signed permutations over the listed slots."""
-    return _alternating_sum(t, list(axes), signed=True)
-
-
-def symmetrize(t: Tensor, axes: list[int]) -> Tensor:
-    """(1/|axes|!) sum of permutations over the listed slots."""
-    return _alternating_sum(t, list(axes), signed=False)
 
 
 @lru_cache(maxsize=None)
@@ -158,18 +140,6 @@ def alternating_tensor(n: int, k: int, values: np.ndarray) -> Tensor:
     arr = np.full((n,) * k, Fraction(0), dtype=object)
     arr[at] = values[:, None] * signs
     return Tensor(n, arr)
-
-
-def random_rational(n: int, order: int, seed: int, bound: int = 10,
-                    tag: str = "tensor") -> Tensor:
-    """Seeded random tensor with i.i.d. uniform rational entries p/q.
-
-    Entries are addressed by flat index, so the result is independent of
-    evaluation order and identical across runs for fixed arguments.
-    """
-    full_tag = f"{tag}|{n}|{order}|{bound}"
-    flat = [rng.rational_at(full_tag, seed, i, bound) for i in range(n ** order)]
-    return Tensor(n, np.array(flat, dtype=object).reshape((n,) * order))
 
 
 # --- packed fully symmetric order-3 storage -------------------------------

@@ -1,0 +1,43 @@
+"""Dense-tensor operations the package does not need, kept as test tools."""
+
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from hesslab import rng
+from hesslab.tensor import Tensor
+
+
+def contract(t: Tensor, axis_a: int, axis_b: int) -> Tensor:
+    """Trace over two slots (metric = identity, so this is g^{ab}-contraction)."""
+    if axis_a == axis_b:
+        raise ValueError("contraction axes must differ")
+    for ax in (axis_a, axis_b):
+        if not 0 <= ax < t.order:
+            raise ValueError(f"axis {ax} out of range for order {t.order}")
+    return Tensor(t.n, np.trace(t.data, axis1=axis_a, axis2=axis_b))
+
+
+def symmetrize(t: Tensor, axes: list[int]) -> Tensor:
+    """(1/|axes|!) sum of permutations over the listed slots."""
+    total = 0
+    for perm in itertools.permutations(axes):
+        full = list(range(t.order))
+        for ax, source in zip(axes, perm):
+            full[ax] = source
+        total = total + np.transpose(t.data, full)
+    return Tensor(t.n, total * Fraction(1, math.factorial(len(axes))))
+
+
+def random_rational(n: int, order: int, seed: int, bound: int = 10,
+                    tag: str = "tensor") -> Tensor:
+    """Seeded random tensor with i.i.d. uniform rational entries p/q.
+
+    Entries are addressed by flat index, so the result is independent of
+    evaluation order and identical across runs for fixed arguments.
+    """
+    full_tag = f"{tag}|{n}|{order}|{bound}"
+    flat = [rng.rational_at(full_tag, seed, i, bound) for i in range(n ** order)]
+    return Tensor(n, np.array(flat, dtype=object).reshape((n,) * order))

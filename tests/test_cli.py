@@ -76,7 +76,7 @@ class TestSubcommands:
         assert stored == rho(A).tensor
 
     def test_rho_rejects_dense_input(self, capsys, tmp_path):
-        from hesslab.tensor import random_rational
+        from tensor_helpers import random_rational
         path = tmp_path / "T.json"
         path.write_text(json.dumps(
             serialize.tensor_to_json(random_rational(2, 2, seed=1))))
@@ -89,6 +89,23 @@ class TestSubcommands:
             {"rows": [["1/1", "0/1", "0/1"],
                       ["0/1", "2/1", "0/1"],
                       ["0/1", "0/1", "3/1"]]}))
+        code, doc, _ = run_json(capsys, "solve3d", "--ricci", str(path))
+        assert code == 0
+        assert doc["verified"] and doc["residual"] == "0"
+
+    @pytest.mark.parametrize("rows", [
+        [["1/12157665459056928801", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]],
+        # the same matrix conjugated by the rotation [[3, -4], [4, 3]] / 5
+        # of the first two axes
+        [["43227254965535746849/33771292941824802225",
+          "-97261323672455430404/101313878825474406675", "0"],
+         ["-97261323672455430404/101313878825474406675",
+          "218837978263024718434/303941636476423220025", "0"],
+         ["0", "0", "3"]],
+    ])
+    def test_solve3d_exact_tiny_rational_eigenvalue(self, capsys, tmp_path, rows):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"rows": rows}))
         code, doc, _ = run_json(capsys, "solve3d", "--ricci", str(path))
         assert code == 0
         assert doc["verified"] and doc["residual"] == "0"
@@ -178,6 +195,13 @@ class TestUsageErrors:
                              "--samples", samples, "--no-meta")
         assert code == 2
         assert "--samples" in err
+
+    @pytest.mark.parametrize("sweep", ("0", "-1"))
+    def test_cartan_rejects_nonpositive_sweep(self, capsys, sweep):
+        # -1 raised IndexError on the empty sweep; 0 ran the single test
+        code, out, err = run(capsys, "cartan2d", "--sweep", sweep, "--no-meta")
+        assert code == 2
+        assert "--sweep" in err
 
     def test_pontryagin_order_above_max_exits_2_before_contracting(self, capsys, monkeypatch):
         # 2p = 8 passes the 2p <= n check at n = 8 but exceeds MAX_ORDER; the

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from hesslab import curvature, linalg
 from hesslab.curvature import (CurvTensor, RicciTensor, coordinates,
                                curvature_basis, curvature_space_dim,
-                               cyclic_sum, random_curvature, ricci,
-                               scalar_curvature, symmetry_failures)
-from hesslab.tensor import Tensor, random_rational
+                               cyclic_sum, materialize, random_curvature,
+                               ricci, scalar_curvature, symmetry_failures)
+from hesslab.tensor import Tensor
+from tensor_helpers import random_rational
 
 
 def constant_curvature(n):
@@ -32,6 +34,45 @@ class TestDimension:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_basis_size_matches_formula(self, n):
         assert len(curvature_basis(n)) == curvature_space_dim(n)
+
+
+def cyclic_sum_basis(n):
+    """The basis built column by column: each pair-symmetric unit tensor is
+    materialized in full and its cyclic sum read at every i<j<k<l."""
+    pairs = list(itertools.combinations(range(n), 2))
+    sym_index = list(itertools.combinations_with_replacement(range(len(pairs)), 2))
+
+    def dense(coords):
+        arr = np.full((n,) * 4, Fraction(0), dtype=object)
+        for c, (a, b) in zip(coords, sym_index):
+            (i, j), (k, l) = pairs[a], pairs[b]
+            for (p, q), s1 in (((i, j), 1), ((j, i), -1)):
+                for (r, t), s2 in (((k, l), 1), ((l, k), -1)):
+                    arr[p, q, r, t] += s1 * s2 * c
+                    arr[r, t, p, q] += s1 * s2 * c
+        return Tensor(n, arr)
+
+    quads = list(itertools.combinations(range(n), 4))
+    cols = [[cyclic_sum(dense([int(m == k) for k in range(len(sym_index))])).data[q]
+             for q in quads] for m in range(len(sym_index))]
+    return [dense(v) for v in linalg.nullspace(list(zip(*cols)), cols=len(sym_index))]
+
+
+class TestBasis:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_the_full_cyclic_sum_construction(self, n):
+        assert list(curvature_basis(n)) == cyclic_sum_basis(n)
+
+    def test_materialize_keeps_the_coefficient_type(self):
+        coeffs = [(-1) ** m * (m % 4) for m in range(curvature_space_dim(4))]
+        got = materialize(4, coeffs)
+        assert {type(x) for x in got.data.flat} == {int}
+        assert got == materialize(4, [Fraction(c) for c in coeffs])
+
+    def test_zero_entries_share_one_object(self):
+        # keeps the cached basis small: its tensors are mostly zero
+        for b in curvature_basis(5):
+            assert len({id(x) for x in b.data.flat if x == 0}) == 1
 
 
 class TestInvariants:

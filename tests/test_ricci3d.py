@@ -158,6 +158,26 @@ class TestSolveFromRicci:
         back = rot @ np.diag(w) @ rot.T
         assert np.allclose(back, sym)
 
+    @pytest.mark.parametrize("lams", [(Fraction(1, 3 ** 40), 2, 3),
+                                      (0, -1, Fraction(1, 4))])
+    def test_rational_spectrum_is_found_exactly(self, lams):
+        # a float eigenvalue rationalized with a small denominator lands on
+        # the wrong root here: 1/3**40 is not found, 1/4 rounds to the root 0
+        Q = quaternion_rotation(1, 2, 3, 4)
+        d = [list(row) for row in diag(*lams).entries]
+        from hesslab import linalg
+        conjugate = linalg.matmul(linalg.matmul(Q, d), [list(row) for row in zip(*Q)])
+        for rows in (d, conjugate):
+            assert ricci3d._rational_eigenvalues(rows) == sorted(map(Fraction, lams))
+            rot, A, residual = ricci3d.solve_from_ricci(rows)
+            assert rho2(A) == diag(*sorted(lams)) and residual == 0
+
+    def test_root_bracketed_next_to_an_integer_is_rejected(self):
+        # bisection stops at 2, next to the root 3 - sqrt(2); dividing by
+        # y - 2 would leave a quadratic with a perfect-square discriminant
+        with pytest.raises(ValueError):
+            ricci3d._rational_eigenvalues([[4, -1, 0], [-1, 2, 0], [0, 0, 4]])
+
     def test_conjugated_rational_spectrum_exact(self):
         Q = quaternion_rotation(1, 2, 3, 4)
         lams = (Fraction(2), Fraction(3), Fraction(5))

@@ -7,7 +7,8 @@ import pytest
 from hesslab import serialize
 from hesslab.serialize import (format_rational, parse_rational,
                                tensor_from_json, tensor_to_json)
-from hesslab.tensor import Sym3Tensor, random_rational
+from hesslab.tensor import Sym3Tensor
+from tensor_helpers import random_rational
 
 
 class TestRationals:

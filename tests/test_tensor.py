@@ -7,9 +7,10 @@ import pytest
 
 from hesslab import rng
 from hesslab.tensor import (Sym3Tensor, Tensor, alternating_contraction,
-                            alternating_tensor, antisymmetrize, contract,
-                            random_rational, signed_permutations, sym3_basis,
-                            sym3_dim, sym3_triples, symmetrize)
+                            alternating_tensor, antisymmetrize,
+                            signed_permutations, sym3_basis, sym3_dim,
+                            sym3_triples)
+from tensor_helpers import contract, random_rational, symmetrize
 
 
 def basis_tensor(n, order, index):
