@@ -2,9 +2,9 @@
 
 Each digest is the SHA-256 of a command's ``--no-meta`` standard output, or
 of the comma-joined ``str()`` of every entry of a library result.  They were
-recorded before the contraction, the elimination and the curvature-space
-code were rewritten, so any change to an output byte or to an exact value
-shows here.
+recorded before the contraction, the elimination, the curvature-space and the
+census code were rewritten, so any change to an output byte or to an exact
+value shows here.
 """
 
 import contextlib
@@ -51,6 +51,23 @@ COMMANDS = {
     "rank-census n=4": (["rank-census", "--dim", "4", "--samples", "1", "--seed", "1"],
                         0,
         "c63844550f3aa0cf4f42f96e50b092d04b3abfcd9601609e5941c17fa9abebcb"),
+    "rank-census n=2": (["rank-census", "--dim", "2", "--samples", "3", "--seed", "1"],
+                        0,
+        "a8d3382dfec53f393755a64a6c06f7305dd14ec8fee9cf91d0ed3de1d8b71aec"),
+    "rank-census n=3": (["rank-census", "--dim", "3", "--samples", "2", "--seed", "1"],
+                        0,
+        "b97f97f774f8ec21c4ef3639e5d99d6d8a4f26c8c415b4cdc68d7ac725784ab2"),
+    "rank-census n=5": (["rank-census", "--dim", "5", "--samples", "2", "--seed", "1"],
+                        0,
+        "5dbc84bf18f1492fe2c7e6a04fb39dfb0d99c285710e67b9bca7db14bb63c676"),
+    "rank-census n=6": (["rank-census", "--dim", "6", "--samples", "1", "--seed", "1"],
+                        0,
+        "7a41d0b7528b6db2f515b8b8a5582cfd9c155a03ad6e15c8443c1759c8e1753d"),
+    # entries this large take the census's Python-int path
+    "rank-census n=4 bound=100000": (
+        ["rank-census", "--dim", "4", "--samples", "1", "--seed", "1", "--bound", "100000"],
+        0,
+        "ca26505054ed9372f5554163c12ea32caf5b96154d2ede62fcb0b943b28396f0"),
     "jets n=3": (["jets", "--dim", "3"], 0,
         "b66480e7cb2e472570ffbadde7e57203408522d54d71b8b4a709ddea2487ce3f"),
     "cartan2d": (["cartan2d"], 0,
@@ -137,6 +154,7 @@ def test_identity_values_are_unchanged(n):
 JACOBIANS = {
     4: "f66889132a60939270b63a26b8b859c2f44ebbdca02ce983f377eb97ebb366cc",
     5: "b4195acdfd9de7bc2515b2d0b9ffd818e30aa3636034dcd58042a7ef600005c4",
+    6: "6ab3a7869ebc9b218107048ffeefd7be4d78b9a3cca4bf0a925ea54ad88e62d1",
 }
 BASES = {
     4: "73ebcbbf969929fb1fb03d131d1fa28038cad0d7c2c8c09fd9107b87e31c2402",
@@ -145,7 +163,7 @@ BASES = {
 }
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_jacobian_entries_are_unchanged(n):
     J = rho_jacobian(Sym3Tensor.random(n, seed=1_000_003))
     assert _digest(",".join(str(x) for row in J for x in row)) == JACOBIANS[n]
