@@ -187,19 +187,24 @@ def random_curvature(n: int, seed: int, bound: int = 10,
 def _coordinate_data(n: int):
     """Flat dense positions and values that read off basis coordinates.
 
-    Each curvature_basis(n) tensor comes from a nullspace vector that is 1
-    at its own free column and 0 at the other free columns, so it is the
-    only basis tensor nonzero at that column's dense index.  The scan takes
-    the first such lone nonzero of each basis tensor, and fails if one has
-    none: the positions are checked, not assumed.
+    Each Bianchi-kernel vector is 1 at its own free column and 0 at the
+    other free columns, so it is the only vector nonzero at that pair
+    coordinate, and curvature_basis(n)[m] is the only basis tensor nonzero
+    at the coordinate's dense index.  The first such lone coordinate of
+    each vector is read from the kernel's terms, and the check fails if a
+    vector has none: the positions are checked, not assumed.
     """
-    stacked = np.array([b.data.ravel() for b in curvature_basis(n)])
-    nonzero = stacked != 0
-    lone = nonzero & (nonzero.sum(axis=0) == 1)
-    if not lone.any(axis=1).all():
-        raise AssertionError("a curvature basis tensor has no lone nonzero entry")
-    positions = lone.argmax(axis=1)
-    return positions, stacked[np.arange(len(positions)), positions]
+    terms, where = _bianchi_kernel(n)
+    lone = {}
+    for c, t in enumerate(terms):
+        if len(t) == 1:
+            lone.setdefault(t[0][0], (c, t[0][1]))
+    if len(lone) != curvature_space_dim(n):
+        raise AssertionError("a Bianchi-kernel vector has no lone nonzero coordinate")
+    cols, values = zip(*(lone[m] for m in range(len(lone))))
+    # where reads coordinate c with a plus sign at its first dense index
+    first = np.unique(where.ravel(), return_index=True)[1]
+    return first[list(cols)], np.array([Fraction(v) for v in values], dtype=object)
 
 
 def coordinates(R: Tensor) -> list[Fraction]:

@@ -3,20 +3,23 @@
 In the orthonormal frame,
     R_{ijkl} = - sum_a A_{ika} A_{jla} + sum_a A_{ila} A_{jka},
 a quadratic equivariant map whose exact Jacobian rank measures the
-dimension of its image.
+dimension of its image.  The Jacobian is built in integers: the derivative
+of a quadratic map is bilinear, and the lcm of A's denominators clears them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
 from . import linalg
-from .curvature import (CurvTensor, RicciTensor, coordinates,
+from .curvature import (CurvTensor, RicciTensor, _coordinate_data,
                         curvature_space_dim, ricci)
-from .tensor import Sym3Tensor, Tensor, sym3_basis, sym3_dim
+from .tensor import Sym3Tensor, Tensor, sym3_dim, sym3_index
 
 
 def rho_raw(A: Sym3Tensor) -> Tensor:
@@ -36,19 +39,61 @@ def rho2(A: Sym3Tensor) -> RicciTensor:
     return ricci(rho(A))
 
 
+@lru_cache(maxsize=None)
+def _unit_stack(n: int) -> np.ndarray:
+    """units[m] is the dense int64 tensor of the m-th packed unit vector."""
+    units = (sym3_index(n) == np.arange(sym3_dim(n))[:, None, None, None]).astype(np.int64)
+    units.flags.writeable = False  # shared by every caller
+    return units
+
+
+def _integer_jacobian(A: Sym3Tensor) -> tuple[np.ndarray, int]:
+    """(X, L) with L the lcm of A's denominators and X[c, m] = L * values[c] * J[c][m].
+
+    J is rho_jacobian(A) and values the dense basis entries of
+    _coordinate_data.  Column m is the derivative along the m-th packed
+    unit vector B, read at coordinate c's dense position ijkl:
+        -(A_ika B_jla + B_ika A_jla) + (A_ila B_jka + B_ila A_jka), summed over a.
+    Each entry is at most 4 n max|L A| in size; below 2**62 the build runs
+    in int64, otherwise in Python ints.
+    """
+    n = A.n
+    fracs = [Fraction(x) for x in A.packed]
+    L = lcm(*(x.denominator for x in fracs))
+    packed = [x.numerator * (L // x.denominator) for x in fracs]
+    dtype = np.int64 if 4 * n * max(map(abs, packed)) < 2**62 else object
+    a = np.array(packed, dtype=dtype)[sym3_index(n)]
+    units = _unit_stack(n).astype(dtype, copy=False)
+    i, j, k, l = np.unravel_index(_coordinate_data(n)[0], (n,) * 4)
+
+    def both(p, q, r, s):  # sum_a A_pqa B_rsa + B_pqa A_rsa, per position and B
+        return (np.einsum("ca,mca->cm", a[p, q], units[:, r, s])
+                + np.einsum("mca,ca->cm", units[:, p, q], a[r, s]))
+
+    return both(i, l, j, k) - both(i, k, j, l), L
+
+
 def rho_jacobian(A: Sym3Tensor) -> list[list[Fraction]]:
     """Exact derivative matrix of rho at A.
 
     Rows are coordinates in the fixed curvature basis, columns the packed
-    symmetric basis.  Since rho is quadratic, the directional derivative is
-    the polarization rho(A+B) - rho(A) - rho(B), exact on basis vectors B.
+    symmetric basis.
     """
-    base = rho_raw(A)
-    cols = []
-    for B in sym3_basis(A.n):
-        d = rho_raw(A + B) - base - rho_raw(B)
-        cols.append(coordinates(d))
-    return [list(row) for row in zip(*cols)]
+    X, L = _integer_jacobian(A)
+    values = _coordinate_data(A.n)[1]
+    return (X.astype(object) / (L * values[:, None])).tolist()
+
+
+def jacobian_rank(A: Sym3Tensor) -> int:
+    """Exact rank of rho_jacobian(A), from its integer form.
+
+    The rank mod linalg.PRIME is at most the rank over the rationals, which
+    is at most min(rows, cols); when it reaches that bound it is the rank.
+    Otherwise exact elimination decides.
+    """
+    X, _ = _integer_jacobian(A)
+    r = linalg.rank_mod_p(X)
+    return r if r == min(X.shape) else linalg.rank(X.tolist())
 
 
 @dataclass
@@ -111,5 +156,5 @@ def image_rank_census(n: int, samples: int, seed: int,
                              seed=seed, samples=samples, bound=bound)
     for i in range(samples):
         A = Sym3Tensor.random(n, seed=seed * 1_000_003 + i, bound=bound)
-        report.ranks.append(linalg.rank(rho_jacobian(A)))
+        report.ranks.append(jacobian_rank(A))
     return report

@@ -4,13 +4,18 @@ Matrices are lists of lists of Fraction (or int, which Fraction arithmetic
 absorbs).  The one elimination routine is RowSpace, which keeps its rows in
 reduced row echelon form.  That form of a row space is unique, so rref,
 rank, nullspace and in_span read it from a RowSpace of the matrix rows,
-whatever order they come in.
+whatever order they come in.  rank_mod_p is the one shortcut: a rank over
+a prime field, which never exceeds the rank over the rationals.
 """
 
 from __future__ import annotations
 
 import bisect
 from fractions import Fraction
+
+import numpy as np
+
+PRIME = 2**31 - 1  # (p - 1)**2 < 2**62, so a product of residues fits in int64
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
@@ -87,6 +92,36 @@ def rref(m) -> tuple[Matrix, list[int]]:
 
 def rank(m) -> int:
     return len(rref(m)[1])
+
+
+def rank_mod_p(m, p: int = PRIME) -> int:
+    """Rank over the integers mod a prime p < 2**31 of an integer matrix.
+
+    A minor that is nonzero mod p is nonzero, so this is at most the rank
+    over the rationals: it proves that rank only when it equals
+    min(rows, cols).  Entries may be int64 or Python ints of any size; they
+    are reduced mod p first, and elimination runs in int64.
+    """
+    if not 2 <= p < 2**31:
+        raise ValueError(f"p must be a prime below 2**31, got {p}")
+    a = np.asarray(m)
+    if a.size == 0:
+        return 0
+    a = (a % p).astype(np.int64)
+    r = 0
+    for c in range(a.shape[1]):
+        nz = np.flatnonzero(a[r:, c])
+        if not nz.size:
+            continue
+        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        below = a[r + 1:]
+        below -= below[:, c, None] * a[r]
+        below %= p
+        r += 1
+        if r == a.shape[0]:
+            break
+    return r
 
 
 def nullspace(m, cols: int | None = None) -> list[Vector]:

@@ -154,6 +154,17 @@ def sym3_triples(n: int) -> list[tuple[int, int, int]]:
     return [(i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)]
 
 
+@lru_cache(maxsize=None)
+def sym3_index(n: int) -> np.ndarray:
+    """index[i, j, k] = position of the multiset {i, j, k} in sym3_triples(n)."""
+    index = np.empty((n,) * 3, dtype=np.intp)
+    for m, ijk in enumerate(sym3_triples(n)):
+        for p in itertools.permutations(ijk):
+            index[p] = m
+    index.flags.writeable = False  # shared by every caller
+    return index
+
+
 @dataclass(frozen=True)
 class Sym3Tensor:
     """Fully symmetric order-3 tensor in packed multiset storage."""
@@ -208,11 +219,7 @@ class Sym3Tensor:
                             for i in range(sym3_dim(n))))
 
     def to_dense(self) -> Tensor:
-        arr = np.empty((self.n,) * 3, dtype=object)
-        for val, (i, j, k) in zip(self.packed, sym3_triples(self.n)):
-            for p in set(itertools.permutations((i, j, k))):
-                arr[p] = val
-        return Tensor(self.n, arr)
+        return Tensor(self.n, np.array(self.packed, dtype=object)[sym3_index(self.n)])
 
     def scale(self, c) -> "Sym3Tensor":
         return Sym3Tensor(self.n, tuple(x * c for x in self.packed))
@@ -226,13 +233,3 @@ class Sym3Tensor:
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.packed)
 
-
-def sym3_basis(n: int) -> list[Sym3Tensor]:
-    """The packed unit vectors, one per multiset index."""
-    d = sym3_dim(n)
-    out = []
-    for i in range(d):
-        packed = [Fraction(0)] * d
-        packed[i] = Fraction(1)
-        out.append(Sym3Tensor(n, tuple(packed)))
-    return out

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from hesslab import rng
-from hesslab.tensor import Tensor
+from hesslab.tensor import Sym3Tensor, Tensor, sym3_dim
 
 
 def contract(t: Tensor, axis_a: int, axis_b: int) -> Tensor:
@@ -41,3 +41,9 @@ def random_rational(n: int, order: int, seed: int, bound: int = 10,
     full_tag = f"{tag}|{n}|{order}|{bound}"
     flat = [rng.rational_at(full_tag, seed, i, bound) for i in range(n ** order)]
     return Tensor(n, np.array(flat, dtype=object).reshape((n,) * order))
+
+
+def sym3_basis(n: int) -> list[Sym3Tensor]:
+    """The packed unit vectors, one per multiset index."""
+    d = sym3_dim(n)
+    return [Sym3Tensor(n, tuple(Fraction(int(i == m)) for i in range(d))) for m in range(d)]

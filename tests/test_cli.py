@@ -49,6 +49,12 @@ class TestSubcommands:
         assert code == 0
         assert doc["max_rank"] == 6
 
+    def test_rank_census_at_the_largest_dimension(self, capsys):
+        code, doc, _ = run_json(capsys, "rank-census", "--dim", "8",
+                                "--samples", "1", "--seed", "1")
+        assert code == 0
+        assert doc["max_rank"] == 120 == doc["dim_s3"]
+
     def test_verify_quad_ok(self, capsys):
         code, doc, _ = run_json(capsys, "verify", "--identity", "quad",
                                 "--dim", "4", "--seeds", "3")
@@ -195,6 +201,12 @@ class TestUsageErrors:
                              "--samples", samples, "--no-meta")
         assert code == 2
         assert "--samples" in err
+
+    def test_rank_census_rejects_zero_bound(self, capsys):
+        code, out, err = run(capsys, "rank-census", "--dim", "4", "--samples", "1",
+                             "--bound", "0", "--no-meta")
+        assert code == 2
+        assert out == "" and "bound" in err
 
     @pytest.mark.parametrize("sweep", ("0", "-1"))
     def test_cartan_rejects_nonpositive_sweep(self, capsys, sweep):

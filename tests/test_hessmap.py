@@ -1,10 +1,26 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hesslab.curvature import curvature_space_dim, ricci, symmetry_failures
-from hesslab.hessmap import image_rank_census, rho, rho2, rho_jacobian, rho_raw
-from hesslab.tensor import Sym3Tensor, sym3_basis, sym3_dim
+from hesslab import curvature, hessmap, linalg
+from hesslab.curvature import coordinates, curvature_space_dim, ricci, symmetry_failures
+from hesslab.hessmap import (image_rank_census, jacobian_rank, rho, rho2, rho_jacobian,
+                             rho_raw)
+from hesslab.tensor import Sym3Tensor, sym3_dim
+from tensor_helpers import sym3_basis
+
+
+def polarized_jacobian(A: Sym3Tensor) -> list[list[Fraction]]:
+    """rho_jacobian by polarization: column m is the coordinates of
+    rho(A + B) - rho(A) - rho(B) for the m-th packed unit vector B."""
+    base = rho_raw(A)
+    cols = [coordinates(rho_raw(A + B) - base - rho_raw(B)) for B in sym3_basis(A.n)]
+    return [list(row) for row in zip(*cols)]
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the certified census took the slow path")
 
 
 def rho_scaling_check(A: Sym3Tensor, c) -> bool:
@@ -78,9 +94,71 @@ class TestJacobian:
         basis = sym3_basis(3)
         B = basis[4]
         col = [row[4] for row in m]
-        from hesslab.curvature import coordinates
         lhs = coordinates(rho_raw(A + B) - rho_raw(A) - rho_raw(B))
         assert lhs == col
+
+    @pytest.mark.parametrize("n, seed, bound", [(n, seed, 10) for n in (2, 3, 4, 5)
+                                                for seed in (0, 1, 2)]
+                             + [(3, 4, 100000), (4, 1_000_003, 100000), (5, 5, 100000)])
+    def test_matches_polarization(self, n, seed, bound):
+        A = Sym3Tensor.random(n, seed=seed, bound=bound)
+        X, _ = hessmap._integer_jacobian(A)
+        # entries this large leave int64 for Python ints
+        assert X.dtype == (object if bound == 100000 else np.int64)
+        m = rho_jacobian(A)
+        assert m == polarized_jacobian(A)
+        assert {type(x) for row in m for x in row} == {Fraction}
+
+
+class TestJacobianRank:
+    @pytest.fixture
+    def exact_ranks(self, monkeypatch):
+        """Matrices handed to the exact linalg.rank, recorded."""
+        seen = []
+        rank = linalg.rank
+        monkeypatch.setattr(linalg, "rank", lambda m: seen.append(m) or rank(m))
+        return seen
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_equals_exact_rank_of_the_jacobian(self, n):
+        for seed in (1, 2):
+            A = Sym3Tensor.random(n, seed=seed)
+            assert jacobian_rank(A) == linalg.rank(rho_jacobian(A))
+
+    def test_zero_point_falls_back_to_exact_rank(self, exact_ranks):
+        assert jacobian_rank(Sym3Tensor.zeros(4)) == 0
+        assert len(exact_ranks) == 1
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_rank_one_cube_falls_back_to_exact_rank(self, n, exact_ranks):
+        A = Sym3Tensor.from_monomials(n, {(0, 0, 0): Fraction(1)})
+        expected = linalg.rank(rho_jacobian(A))
+        exact_ranks.clear()
+        assert jacobian_rank(A) == expected < min(curvature_space_dim(n), sym3_dim(n))
+        assert len(exact_ranks) == 1
+
+    def test_n4_generic_rank_is_exact_not_certified(self, exact_ranks):
+        # 18 < min(20, 20): a rank mod p below the bound proves nothing
+        assert image_rank_census(4, samples=2, seed=1).ranks == [18, 18]
+        assert len(exact_ranks) == 2
+
+    def test_a_rank_drop_mod_p_is_not_reported(self, monkeypatch, exact_ranks):
+        # a prime dividing every maximal minor lowers the rank mod p; the
+        # exact rank then decides
+        monkeypatch.setattr(linalg, "rank_mod_p", lambda m: min(np.shape(m)) - 1)
+        assert jacobian_rank(Sym3Tensor.random(5, seed=1)) == 35
+        assert len(exact_ranks) == 1
+
+    def test_certified_census_needs_no_rho_coordinates_or_exact_rank(self, monkeypatch):
+        monkeypatch.setattr(hessmap, "rho_raw", refuse)
+        monkeypatch.setattr(curvature, "coordinates", refuse)
+        monkeypatch.setattr(linalg, "rank", refuse)
+        assert image_rank_census(5, samples=3, seed=1).ranks == [35, 35, 35]
+
+    @pytest.mark.parametrize("n, rank", [(7, 84), (8, 120)])
+    def test_certified_generic_rank_is_dim_s3(self, n, rank, monkeypatch):
+        monkeypatch.setattr(linalg, "rank", refuse)
+        assert image_rank_census(n, samples=1, seed=1).ranks == [rank] == [sym3_dim(n)]
 
 
 class TestCensus:

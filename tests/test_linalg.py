@@ -1,6 +1,9 @@
 from fractions import Fraction
 
-from hesslab import linalg
+import numpy as np
+import pytest
+
+from hesslab import linalg, rng
 from hesslab.rng import rational_at
 
 
@@ -88,3 +91,51 @@ class TestRowSpace:
     def test_nullspace_matches_batch(self):
         m = random_matrix(3, 6, seed=4)
         assert linalg.RowSpace(6, m).nullspace() == linalg.nullspace(m)
+
+
+class TestRankModP:
+    P = linalg.PRIME
+
+    def integer_matrix(self, rows, cols, seed, bound=50):
+        return [[rng.integer_at("modp", seed, r * cols + c, bound) for c in range(cols)]
+                for r in range(rows)]
+
+    @pytest.mark.parametrize("rows, cols", [(1, 4), (5, 3), (4, 4), (6, 9)])
+    def test_matches_exact_rank(self, rows, cols):
+        for seed in range(5):
+            m = self.integer_matrix(rows, cols, seed)
+            m.append([a - 2 * b for a, b in zip(m[0], m[-1])])  # a dependent row
+            assert linalg.rank_mod_p(m) == linalg.rank(m)
+            assert linalg.rank_mod_p(np.array(m, dtype=np.int64)) == linalg.rank(m)
+
+    def test_dependent_rows(self):
+        m = [[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4]]
+        assert linalg.rank_mod_p(m) == linalg.rank(m) == 2
+
+    def test_rank_can_drop_mod_p_but_never_rise(self):
+        # det = p: singular mod p, so the certificate must not claim rank 2
+        m = [[self.P, 0], [0, 1]]
+        assert linalg.rank_mod_p(m) == 1
+        assert linalg.rank(m) == 2
+
+    def test_python_ints_beyond_int64(self):
+        big = 2 ** 80 + 3
+        m = np.array([[big, 1], [2 * big, 2], [1, -big]], dtype=object)
+        assert linalg.rank_mod_p(m) == linalg.rank(m.tolist()) == 2
+
+    def test_negative_entries_reduce_to_residues(self):
+        assert linalg.rank_mod_p([[-1, 1], [1, -1]]) == 1
+        assert linalg.rank_mod_p([[-1, 1], [1, 1]]) == 2
+
+    def test_zero_and_empty(self):
+        assert linalg.rank_mod_p([[0, 0], [0, 0]]) == 0
+        assert linalg.rank_mod_p([]) == 0
+
+    def test_small_prime(self):
+        assert linalg.rank_mod_p([[1, 2], [3, 4]], p=2) == 1
+        assert linalg.rank_mod_p([[1, 2], [3, 4]], p=5) == 2
+
+    @pytest.mark.parametrize("p", [1, 2 ** 31, 2 ** 61 - 1])
+    def test_prime_must_keep_products_in_int64(self, p):
+        with pytest.raises(ValueError):
+            linalg.rank_mod_p([[1]], p=p)

@@ -8,9 +8,8 @@ import pytest
 from hesslab import rng
 from hesslab.tensor import (Sym3Tensor, Tensor, alternating_contraction,
                             alternating_tensor, antisymmetrize,
-                            signed_permutations, sym3_basis, sym3_dim,
-                            sym3_triples)
-from tensor_helpers import contract, random_rational, symmetrize
+                            signed_permutations, sym3_dim, sym3_triples)
+from tensor_helpers import contract, random_rational, sym3_basis, symmetrize
 
 
 def basis_tensor(n, order, index):
