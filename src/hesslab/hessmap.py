@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 import numpy as np
@@ -39,14 +38,6 @@ def rho2(A: Sym3Tensor) -> RicciTensor:
     return ricci(rho(A))
 
 
-@lru_cache(maxsize=None)
-def _unit_stack(n: int) -> np.ndarray:
-    """units[m] is the dense int64 tensor of the m-th packed unit vector."""
-    units = (sym3_index(n) == np.arange(sym3_dim(n))[:, None, None, None]).astype(np.int64)
-    units.flags.writeable = False  # shared by every caller
-    return units
-
-
 def _integer_jacobian(A: Sym3Tensor) -> tuple[np.ndarray, int]:
     """(X, L) with L the lcm of A's denominators and X[c, m] = L * values[c] * J[c][m].
 
@@ -54,23 +45,25 @@ def _integer_jacobian(A: Sym3Tensor) -> tuple[np.ndarray, int]:
     _coordinate_data.  Column m is the derivative along the m-th packed
     unit vector B, read at coordinate c's dense position ijkl:
         -(A_ika B_jla + B_ika A_jla) + (A_ila B_jka + B_ila A_jka), summed over a.
-    Each entry is at most 4 n max|L A| in size; below 2**62 the build runs
-    in int64, otherwise in Python ints.
+    B_rsa is 1 exactly where sym3_index(n)[r, s, a] == m, so each product
+    adds A's entry into that column.  Each entry is at most 4 n max|L A| in
+    size; below 2**62 the build runs in int64, otherwise in Python ints.
     """
     n = A.n
     fracs = [Fraction(x) for x in A.packed]
     L = lcm(*(x.denominator for x in fracs))
     packed = [x.numerator * (L // x.denominator) for x in fracs]
     dtype = np.int64 if 4 * n * max(map(abs, packed)) < 2**62 else object
-    a = np.array(packed, dtype=dtype)[sym3_index(n)]
-    units = _unit_stack(n).astype(dtype, copy=False)
-    i, j, k, l = np.unravel_index(_coordinate_data(n)[0], (n,) * 4)
-
-    def both(p, q, r, s):  # sum_a A_pqa B_rsa + B_pqa A_rsa, per position and B
-        return (np.einsum("ca,mca->cm", a[p, q], units[:, r, s])
-                + np.einsum("mca,ca->cm", units[:, p, q], a[r, s]))
-
-    return both(i, l, j, k) - both(i, k, j, l), L
+    index = sym3_index(n)
+    a = np.array(packed, dtype=dtype)[index]
+    pos = _coordinate_data(n)[0]
+    i, j, k, l = np.unravel_index(pos, (n,) * 4)
+    rows = np.arange(len(pos))[:, None]
+    X = np.zeros((len(pos), sym3_dim(n)), dtype=dtype)
+    for sign, (p, q, r, s) in ((1, (i, l, j, k)), (-1, (i, k, j, l))):
+        np.add.at(X, (rows, index[r, s]), sign * a[p, q])
+        np.add.at(X, (rows, index[p, q]), sign * a[r, s])
+    return X, L
 
 
 def rho_jacobian(A: Sym3Tensor) -> list[list[Fraction]]:

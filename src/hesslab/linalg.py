@@ -94,30 +94,28 @@ def rank(m) -> int:
     return len(rref(m)[1])
 
 
-def rank_mod_p(m, p: int = PRIME) -> int:
-    """Rank over the integers mod a prime p < 2**31 of an integer matrix.
+def rank_mod_p(m) -> int:
+    """Rank over the integers mod PRIME of an integer matrix.
 
-    A minor that is nonzero mod p is nonzero, so this is at most the rank
-    over the rationals: it proves that rank only when it equals
+    A minor that is nonzero mod PRIME is nonzero, so this is at most the
+    rank over the rationals: it proves that rank only when it equals
     min(rows, cols).  Entries may be int64 or Python ints of any size; they
-    are reduced mod p first, and elimination runs in int64.
+    are reduced mod PRIME first, and elimination runs in int64.
     """
-    if not 2 <= p < 2**31:
-        raise ValueError(f"p must be a prime below 2**31, got {p}")
     a = np.asarray(m)
     if a.size == 0:
         return 0
-    a = (a % p).astype(np.int64)
+    a = (a % PRIME).astype(np.int64)
     r = 0
     for c in range(a.shape[1]):
         nz = np.flatnonzero(a[r:, c])
         if not nz.size:
             continue
         a[[r, r + nz[0]]] = a[[r + nz[0], r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        a[r] = a[r] * pow(int(a[r, c]), -1, PRIME) % PRIME
         below = a[r + 1:]
         below -= below[:, c, None] * a[r]
-        below %= p
+        below %= PRIME
         r += 1
         if r == a.shape[0]:
             break
