@@ -38,10 +38,19 @@ COMMANDS = {
          "--seeds", "2", "--seed", "1"],
         0,
         "b430e095bce9e7caac057aa4bc9bd16a40a19e086bf614ab63dc3425443b8d84"),
+    "verify pontryagin p=2 n=6": (
+        ["verify", "--identity", "pontryagin", "--degree", "2", "--dim", "6",
+         "--seeds", "1", "--seed", "1"],
+        0,
+        "829f7584c49fbdbf1571a0abd2b93e2fc7f5d4058b4068fb7a049fce97531c49"),
     "verify bianchi n=4": (
         ["verify", "--identity", "bianchi", "--dim", "4", "--seeds", "3", "--seed", "1"],
         0,
         "e9d5ad8cb90ddc9dc42df9f1006fcd2dab4a5ebc714d977d9e6f22c1e0e204fc"),
+    "verify bianchi n=6": (
+        ["verify", "--identity", "bianchi", "--dim", "6", "--seeds", "3", "--seed", "1"],
+        0,
+        "23c716b4a2ebe4922e9ea5d12634cd8d1e9f203bb243131693f995997d5fa576"),
     "mine n=4 p=2": (["mine", "--dim", "4", "--degree", "2", "--seed", "1"], 0,
         "1efa3c044386684d26c7949c80b55d73d795cc1a4452825421bc78f053137f3a"),
     "mine n=4 p=3": (["mine", "--dim", "4", "--degree", "3", "--seed", "1"], 0,
@@ -132,6 +141,24 @@ VALUES = {
         "evaluate_pattern 4":
             "bb22dedf967eb433de871cf93bd5c3946633ebaa9b0b13d5a4ff451c0a3b5105",
     },
+    6: {
+        "pontryagin_quadratic":
+            "17b80f410182a816223d04f58cd20962a3e3bbc335b82dcd2546ce9365ec3c8d",
+        "cubic_identity":
+            "fb1b77dc887825a5f06971b628de48c75a6727c427b185bc894a99cabfc8305d",
+        "pontryagin_form p=2":
+            "5ad7868f3dd77e71f8d06f6696497b5ed848dbdde8dfb2114d1b02d84cc91d28",
+        "evaluate_pattern 0":
+            "0f354979812d7f9d988c14c47ca5a030055ee9867ca7cba586af2b39adcb9e9f",
+        "evaluate_pattern 1":
+            "0f354979812d7f9d988c14c47ca5a030055ee9867ca7cba586af2b39adcb9e9f",
+        "evaluate_pattern 2":
+            "39768b09cdb5b705c5db5980c24850c5764e86c445bbae92ae29ad4d6b390b0b",
+        "evaluate_pattern 3":
+            "177f7ed1901571d43d81f4bad6dfa3559b2a67b561b753a7eeefae0fd9388edf",
+        "evaluate_pattern 4":
+            "8079618173db866078b55d4ecf087eb7c746f364bb9cec0d41075199869e389d",
+    },
 }
 
 
@@ -144,9 +171,15 @@ def test_command_output_is_unchanged(name):
     assert (got, _digest(buf.getvalue())) == (code, digest)
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_identity_values_are_unchanged(n):
     assert _values(n) == VALUES[n]
+
+
+def test_pontryagin_six_form_is_unchanged():
+    form = identities.pontryagin_form(random_curvature(6, 1), 3)
+    assert _entries_digest(form) == (
+        "8ae56ee4e180d4c85ba962b426aec36c69063d788c52ca07bfad15185be175ac")
 
 
 # digest of the rho_jacobian entries, row by row, at the first census
