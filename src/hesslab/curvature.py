@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg, rng
-from .tensor import Tensor
+from .tensor import Tensor, integer_form
 
 
 def curvature_space_dim(n: int) -> int:
@@ -24,18 +24,25 @@ def cyclic_sum(t: Tensor) -> Tensor:
     """R_{ijkl} + R_{jkil} + R_{kijl}, the first-Bianchi cyclic sum."""
     if t.order != 4:
         raise ValueError("expected an order-4 tensor")
-    d = t.data
-    return Tensor(t.n, d + d.transpose(2, 0, 1, 3) + d.transpose(1, 2, 0, 3))
+    return Tensor(t.n, _cyclic(t.data))
+
+
+def _cyclic(d: np.ndarray) -> np.ndarray:
+    return d + d.transpose(2, 0, 1, 3) + d.transpose(1, 2, 0, 3)
 
 
 def symmetry_failures(t: Tensor, limit: int = 1) -> list[tuple[str, tuple]]:
-    """First `limit` violated curvature invariants as (name, index) pairs."""
-    d = t.data
+    """First `limit` violated curvature invariants as (name, index) pairs.
+
+    The residuals are taken on integer_form(t.data), whose zeros are those of
+    t: each residual entry sums at most three entries, so it is at most 3 M.
+    """
+    d = integer_form(t.data, lambda M: 3 * M)[0]
     checks = [
         ("pair_antisymmetry_first", d + d.transpose(1, 0, 2, 3)),
         ("pair_antisymmetry_second", d + d.transpose(0, 1, 3, 2)),
         ("pair_exchange", d - d.transpose(2, 3, 0, 1)),
-        ("first_bianchi", cyclic_sum(t).data),
+        ("first_bianchi", _cyclic(d)),
     ]
     failures = []
     for name, resid in checks:

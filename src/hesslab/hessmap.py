@@ -11,21 +11,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
 from . import linalg
 from .curvature import (CurvTensor, RicciTensor, _coordinate_data,
                         curvature_space_dim, ricci)
-from .tensor import Sym3Tensor, Tensor, sym3_dim, sym3_index
+from .tensor import Sym3Tensor, Tensor, integer_form, sym3_dim, sym3_index
 
 
 def rho_raw(A: Sym3Tensor) -> Tensor:
-    """The map as a raw order-4 tensor, before invariant validation."""
-    a = A.to_dense().data
+    """The map as a raw order-4 tensor, before invariant validation.
+
+    It runs on L A, with L the lcm of A's denominators: each entry of the
+    einsum is at most n M**2 in size for M = max|L A|, the difference
+    twice that.  Each entry is divided by L**2 once, at the end.
+    """
+    packed, L, rational = integer_form(A.packed, lambda M: 2 * A.n * M * M)
+    a = packed[sym3_index(A.n)]
     t = np.einsum("ika,jla->ijkl", a, a)
-    return Tensor(A.n, t.transpose(0, 1, 3, 2) - t)
+    raw = (t.transpose(0, 1, 3, 2) - t).ravel().tolist()
+    if rational:
+        raw = [Fraction(v, L * L) for v in raw]
+    return Tensor(A.n, np.array(raw, dtype=object).reshape(t.shape))
 
 
 def rho(A: Sym3Tensor) -> CurvTensor:
@@ -50,16 +58,13 @@ def _integer_jacobian(A: Sym3Tensor) -> tuple[np.ndarray, int]:
     size; below 2**62 the build runs in int64, otherwise in Python ints.
     """
     n = A.n
-    fracs = [Fraction(x) for x in A.packed]
-    L = lcm(*(x.denominator for x in fracs))
-    packed = [x.numerator * (L // x.denominator) for x in fracs]
-    dtype = np.int64 if 4 * n * max(map(abs, packed)) < 2**62 else object
+    packed, L, _ = integer_form(A.packed, lambda M: 4 * n * M)
     index = sym3_index(n)
-    a = np.array(packed, dtype=dtype)[index]
+    a = packed[index]
     pos = _coordinate_data(n)[0]
     i, j, k, l = np.unravel_index(pos, (n,) * 4)
     rows = np.arange(len(pos))[:, None]
-    X = np.zeros((len(pos), sym3_dim(n)), dtype=dtype)
+    X = np.zeros((len(pos), sym3_dim(n)), dtype=a.dtype)
     for sign, (p, q, r, s) in ((1, (i, l, j, k)), (-1, (i, k, j, l))):
         np.add.at(X, (rows, index[r, s]), sign * a[p, q])
         np.add.at(X, (rows, index[p, q]), sign * a[r, s])

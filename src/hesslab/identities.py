@@ -5,7 +5,10 @@ every component is the exact rational zero.  Index placement follows the
 orthonormal frame, so upper and lower positions coincide; the slot maps
 for the cubic identity are pinned here once and cross-checked by the
 dimension-4 vanishing tests.  Each form is a weighted list of einsum specs
-for tensor.alternating_contraction, which works at sorted index tuples only.
+for tensor.alternating_contraction, which works at sorted index tuples only
+and contracts the integer form of R: the lcm of R's denominators times R,
+in int64 under a checked overflow bound, so that only those values become
+Fractions.
 """
 
 from __future__ import annotations

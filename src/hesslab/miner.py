@@ -25,7 +25,8 @@ from . import linalg, rng
 from .curvature import CurvTensor, curvature_space_dim, materialize
 from .hessmap import rho
 from .tensor import (Sym3Tensor, Tensor, alternating_contraction,
-                     alternating_tensor, signed_permutations, sym3_dim)
+                     alternating_tensor, integer_form, signed_permutations,
+                     sym3_dim)
 
 # slot encoding: value >= 0 is the partner slot of a contraction,
 # value -(label+1) marks a free slot carrying label 0..3
@@ -321,9 +322,12 @@ def _evaluate_rows(patterns, data_int):
     """24 x (antisymmetrized pattern values) at the sorted index quadruples, as ints.
 
     data_int is an integer numpy array; the uniform factor 24 clears the
-    antisymmetrizer denominator, which leaves the nullspace unchanged.
+    antisymmetrizer denominator, which leaves the nullspace unchanged.  It
+    is stored as int64 once, where it fits, so that each pattern's
+    contraction only checks its own overflow bound.
     """
-    cols = [alternating_contraction(data_int, [(_einsum_spec(pat), 1)])
+    data = integer_form(data_int, lambda M: M)[0]
+    cols = [alternating_contraction(data, [(_einsum_spec(pat), 1)])
             for pat in patterns]
     return [list(row) for row in zip(*cols)]
 

@@ -5,6 +5,11 @@ Tensors are dense numpy arrays of dtype=object holding exact
 identically; floats appear only in the explicitly requested float
 mode).  The frame is orthonormal throughout, so the metric is the
 identity and every trace is a plain contraction of two slots.
+
+Contractions do not run on ``Fraction`` entries: integer_form clears a
+tensor's denominators once, the products and sums run on integers (int64
+where an a-priori bound rules out overflow, Python ints otherwise), and
+only the few output entries become ``Fraction`` again.
 """
 
 from __future__ import annotations
@@ -106,6 +111,28 @@ def antisymmetrize(t: Tensor, axes: list[int]) -> Tensor:
     return Tensor(t.n, total * Fraction(1, math.factorial(len(axes))))
 
 
+def integer_form(data, bound) -> tuple[np.ndarray, int, bool]:
+    """(X, D, rational): X = D * data in integers, D the lcm of data's denominators.
+
+    bound(M) is the caller's a-priori limit on every intermediate its
+    integer arithmetic on X forms, given M = max|X|.  X is int64 when
+    bound(M) < 2**62 and holds Python ints otherwise.  rational says that
+    data held a Fraction, so results computed from X should be Fractions.
+    """
+    a = np.asarray(data)
+    if a.dtype.kind == "i":
+        ints, D, rational = a, 1, False
+        M = max(int(a.max(initial=0)), -int(a.min(initial=0)))
+    else:
+        flat = a.ravel().tolist()
+        D = math.lcm(*(x.denominator for x in flat))
+        ints = [x.numerator * (D // x.denominator) for x in flat]
+        rational = any(isinstance(x, Fraction) for x in flat)
+        M = max(map(abs, ints), default=0)
+    dtype = np.int64 if bound(M) < 2**62 else object
+    return np.array(ints, dtype=dtype).reshape(a.shape), D, rational
+
+
 @lru_cache(maxsize=None)
 def _alternating_index(n: int, k: int):
     """at[t][r, s] = slot t of sorted k-tuple r under permutation s; their signs."""
@@ -117,20 +144,64 @@ def _alternating_index(n: int, k: int):
     return tuple(at), signs
 
 
+@lru_cache(maxsize=None)
+def _einsum_steps(spec: str, n: int) -> tuple[tuple[tuple[int, ...], str], ...]:
+    """numpy's greedy pairwise plan for spec on n-dimensional slots, made once.
+
+    Each step pops the operands at its positions and appends their
+    contraction by its own two-operand spec, which keeps every letter a
+    later step or the output still needs.
+    """
+    inputs, output = spec.split("->")
+    subs = inputs.split(",")
+    shapes = [np.empty((n,) * len(sub), dtype=np.int8) for sub in subs]
+    steps = []
+    for pos in np.einsum_path(spec, *shapes, optimize="greedy")[0][1:]:
+        pos = tuple(sorted(pos, reverse=True))
+        taken = [subs.pop(p) for p in pos]
+        keep = set("".join(subs) + output)
+        result = "".join(dict.fromkeys(c for c in "".join(taken) if c in keep))
+        subs.append(result if subs else output)
+        steps.append((pos, ",".join(taken) + "->" + subs[-1]))
+    return tuple(steps)
+
+
+def _contract(spec: str, operands: list) -> np.ndarray:
+    """np.einsum(spec, *operands) along the cached plan of _einsum_steps."""
+    for pos, step in _einsum_steps(spec, operands[0].shape[0]):
+        operands.append(np.einsum(step, *[operands.pop(p) for p in pos]))
+    return operands[0]
+
+
+def _term_size(spec: str) -> tuple[int, int]:
+    """(factors, contracted letters) of an einsum spec."""
+    inputs, output = spec.split("->")
+    return inputs.count(",") + 1, len(set(inputs) - set(output) - {","})
+
+
 def alternating_contraction(data, terms) -> np.ndarray:
     """sum_s sign(s) T[q_s(1), ..., q_s(k)] at each sorted k-tuple q of range(n).
 
     T is the sum of weight * einsum(spec, data, ..., data) over the
-    (spec, weight) terms, all with k free slots.  No 1/k! factor.
+    (spec, weight) terms, all with k free slots.  No 1/k! factor.  The
+    values are Fractions for Fraction data and Python ints for integer data.
+
+    The einsums run on integer_form(data): a term of degree deg with s
+    contracted letters has entries at most n**s * M**deg, and its signed
+    sum over k! permutations k! times that, which picks int64 below 2**62.
     """
-    at, signs = _alternating_index(data.shape[0], len(terms[0][0].split("->")[1]))
+    n, k = data.shape[0], len(terms[0][0].split("->")[1])
+    sizes = [_term_size(spec) for spec, _ in terms]
+    X, D, rational = integer_form(data, lambda M: max(
+        math.factorial(k) * n**s * M**deg for deg, s in sizes))
+    at, signs = _alternating_index(n, k)
+    signs = signs.astype(X.dtype)
     total = 0
-    for spec, weight in terms:
-        # a shared size-1 axis Z keeps every intermediate an array: numpy's pairwise
-        # einsum fails on the bare scalar an object-dtype full contraction returns
-        spec = spec.replace(",", "Z,").replace("->", "Z->") + "Z"
-        raw = np.einsum(spec, *[data[..., None]] * (spec.count(",") + 1), optimize=True)
-        total = total + weight * (raw[..., 0][at] * signs).sum(axis=1)
+    for (spec, weight), (deg, _) in zip(terms, sizes):
+        raw = (_contract(spec, [X] * deg)[at] * signs).sum(axis=1).tolist()
+        if rational:
+            raw = [Fraction(v, D**deg) for v in raw]
+        total = total + weight * np.array(raw, dtype=object)
     return total
 
 

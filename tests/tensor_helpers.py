@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from hesslab import rng
-from hesslab.tensor import Sym3Tensor, Tensor, sym3_dim
+from hesslab.tensor import Sym3Tensor, Tensor, signed_permutations, sym3_dim
 
 
 def contract(t: Tensor, axis_a: int, axis_b: int) -> Tensor:
@@ -47,3 +47,38 @@ def sym3_basis(n: int) -> list[Sym3Tensor]:
     """The packed unit vectors, one per multiset index."""
     d = sym3_dim(n)
     return [Sym3Tensor(n, tuple(Fraction(int(i == m)) for i in range(d))) for m in range(d)]
+
+
+def alternating_contraction_reference(data, terms) -> np.ndarray:
+    """tensor.alternating_contraction by einsum on the entries themselves.
+
+    Every product and sum runs in the entries' own number type, over the
+    whole n**k array, before the sorted k-tuples are read.
+    """
+    n, k = data.shape[0], len(terms[0][0].split("->")[1])
+    data = np.asarray(data, dtype=object)
+    tuples = list(itertools.combinations(range(n), k))
+    total = 0
+    for spec, weight in terms:
+        # a shared size-1 axis Z keeps every intermediate an array: numpy's pairwise
+        # einsum fails on the bare scalar an object-dtype full contraction returns
+        spec = spec.replace(",", "Z,").replace("->", "Z->") + "Z"
+        raw = np.einsum(spec, *[data[..., None]] * (spec.count(",") + 1), optimize=True)
+        values = [sum(sign * raw[tuple(q[p] for p in perm) + (0,)]
+                      for perm, sign in signed_permutations(k)) for q in tuples]
+        total = total + weight * np.array(values, dtype=object)
+    return total
+
+
+def integer_form_dtypes(monkeypatch, module) -> list:
+    """Record the dtype of every integer_form result that module asks for."""
+    seen = []
+    original = module.integer_form
+
+    def spy(*args):
+        out = original(*args)
+        seen.append(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(module, "integer_form", spy)
+    return seen

@@ -10,7 +10,7 @@ from hesslab.curvature import (CurvTensor, RicciTensor, coordinates,
                                cyclic_sum, materialize, random_curvature,
                                ricci, scalar_curvature, symmetry_failures)
 from hesslab.tensor import Tensor
-from tensor_helpers import random_rational
+from tensor_helpers import integer_form_dtypes, random_rational
 
 
 def constant_curvature(n):
@@ -87,6 +87,20 @@ class TestInvariants:
         with pytest.raises(ValueError) as err:
             CurvTensor(t)
         assert "index" in str(err.value)
+
+    def test_failures_past_int64(self, monkeypatch):
+        # one entry broken by 2**62 fails all four invariants first at its
+        # own index, and scaling the tensor changes none of the residuals' zeros
+        data = random_curvature(4, seed=1).data.copy()
+        data[0, 1, 2, 3] += 2**62
+        broken = Tensor(4, data)
+        seen = integer_form_dtypes(monkeypatch, curvature)
+        names = ["pair_antisymmetry_first", "pair_antisymmetry_second",
+                 "pair_exchange", "first_bianchi"]
+        for c in (1, Fraction(1, 3), -2**40):
+            assert symmetry_failures(broken.scale(c), limit=4) == [
+                (name, (0, 1, 2, 3)) for name in names]
+        assert seen == [np.dtype(object)] * 3
 
     def test_cyclic_sum_zero_on_curvature(self):
         R = random_curvature(4, seed=3)

@@ -8,7 +8,7 @@ from hesslab.curvature import coordinates, curvature_space_dim, ricci, symmetry_
 from hesslab.hessmap import (image_rank_census, jacobian_rank, rho, rho2, rho_jacobian,
                              rho_raw)
 from hesslab.tensor import Sym3Tensor, sym3_dim
-from tensor_helpers import sym3_basis
+from tensor_helpers import integer_form_dtypes, sym3_basis
 
 
 def polarized_jacobian(A: Sym3Tensor) -> list[list[Fraction]]:
@@ -60,6 +60,13 @@ class TestHomogeneityAndPolarization:
     def test_scaling(self, c):
         A = Sym3Tensor.random(4, seed=1)
         assert rho_scaling_check(A, c)
+
+    @pytest.mark.parametrize("c", [2**31, Fraction(-2**40, 7)])
+    def test_scaling_past_int64(self, c, monkeypatch):
+        # c A fits int64, but the products in rho(c A) do not
+        seen = integer_form_dtypes(monkeypatch, hessmap)
+        assert rho_scaling_check(Sym3Tensor.random(4, seed=1), c)
+        assert seen == [np.dtype(object), np.dtype(np.int64)]
 
     def test_polarization_bilinear_symmetric(self):
         A = Sym3Tensor.random(3, seed=5)

@@ -4,11 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hesslab import tensor
 from hesslab.curvature import CurvTensor, random_curvature
 from hesslab.hessmap import rho
 from hesslab.identities import (bianchi_residual, cubic_identity,
                                 pontryagin_form, pontryagin_quadratic)
 from hesslab.tensor import Sym3Tensor, Tensor, antisymmetrize, signed_permutations
+from tensor_helpers import integer_form_dtypes
 
 
 def pontryagin_form_naive(R: CurvTensor, p: int) -> Tensor:
@@ -84,7 +86,7 @@ class TestPontryaginForm:
     def test_p1_always_zero(self):
         assert pontryagin_form(random_curvature(4, seed=3), 1).is_zero()
 
-    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_vanishes_on_image(self, n):
         for seed in range(3):
             R = rho(Sym3Tensor.random(n, seed=seed, bound=5))
@@ -92,6 +94,9 @@ class TestPontryaginForm:
 
     def test_nonzero_generic(self):
         assert not pontryagin_form(random_curvature(4, seed=1), 2).is_zero()
+
+    def test_nonzero_generic_n8(self):
+        assert not pontryagin_form(random_curvature(8, seed=1), 2).is_zero()
 
     def test_degree_bounds(self):
         R = random_curvature(4, seed=1)
@@ -150,6 +155,20 @@ class TestAgainstFullArrayPath:
         new = cubic_identity(R)
         old = full_array_form(R, [("iajb,kbcd,ldac->ijkl", 1), ("iajb,kcad,ldbc->ijkl", -2)])
         assert [str(x) for x in new.data.flat] == [str(x) for x in old.data.flat]
+
+
+class TestPastInt64:
+    """Scaled so that int64 would overflow, the forms stay homogeneous."""
+
+    @pytest.mark.parametrize("form, degree", [(pontryagin_quadratic, 2), (cubic_identity, 3)])
+    def test_homogeneous(self, form, degree, monkeypatch):
+        seen = integer_form_dtypes(monkeypatch, tensor)
+        R = random_curvature(5, seed=1)
+        c = 2**31  # the scaled entries fit int64, their products do not
+        small, big = form(R), form(CurvTensor(R.tensor.scale(c)))
+        assert not small.is_zero()
+        assert big == small.scale(c**degree)
+        assert seen == [np.dtype(np.int64), np.dtype(object)]
 
 
 class TestBianchiResidual:

@@ -5,11 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hesslab import rng
+from hesslab import rng, tensor
 from hesslab.tensor import (Sym3Tensor, Tensor, alternating_contraction,
                             alternating_tensor, antisymmetrize,
                             signed_permutations, sym3_dim, sym3_triples)
-from tensor_helpers import contract, random_rational, sym3_basis, symmetrize
+from tensor_helpers import (alternating_contraction_reference, contract,
+                            integer_form_dtypes, random_rational, sym3_basis,
+                            symmetrize)
 
 
 def basis_tensor(n, order, index):
@@ -117,6 +119,40 @@ class TestAlternators:
         a = contract(symmetrize(t, [2, 3]), 0, 1)
         b = symmetrize(contract(t, 0, 1), [0, 1])  # axes shift down after trace
         assert a == b
+
+
+# orders k = 2, 3 and 4 up to n = 8; the degree-3 terms stay at small n,
+# where the reference's einsum on the entries themselves is quick
+ORACLE_CASES = [
+    (2, [("ijaa->ij", 1)]),
+    (8, [("ijaa->ij", 1), ("iabc,jcba->ij", -3)]),
+    (3, [("ijka->ijk", 1)]),
+    (8, [("ijab,kabc->ijk", 2)]),
+    (5, [("ijab,kbcd,acdd->ijk", 1)]),
+    (4, [("ijkl->ijkl", 1), ("ijab,klba->ijkl", 5)]),
+    (8, [("ijab,klba->ijkl", 1)]),
+    (5, [("iajb,kbcd,ldac->ijkl", 1), ("iajb,kcad,ldbc->ijkl", -2)]),
+]
+
+
+class TestIntegerContraction:
+    @pytest.mark.parametrize("n, terms", ORACLE_CASES)
+    def test_types_and_values_match_reference(self, n, terms, monkeypatch):
+        seen = integer_form_dtypes(monkeypatch, tensor)
+        rational = random_rational(n, 4, seed=n, bound=3).data
+        ints = np.array([x.numerator for x in rational.flat], dtype=object).reshape(rational.shape)
+        for data, kind in ((rational, Fraction), (ints, int), (ints.astype(np.int64), int)):
+            got = alternating_contraction(data, terms)
+            assert {type(x) for x in got} == {kind}
+            assert list(got) == list(alternating_contraction_reference(data, terms))
+        assert seen == [np.dtype(np.int64)] * 3
+
+    def test_integer_form_clears_denominators(self):
+        X, D, rational = tensor.integer_form([Fraction(1, 6), Fraction(-3, 4), 2], abs)
+        assert (X.tolist(), D, rational, X.dtype) == ([2, -9, 24], 12, True, np.int64)
+        X, D, rational = tensor.integer_form(np.array([2**40, -3]), lambda M: M * M)
+        assert (X.tolist(), D, rational, X.dtype) == ([2**40, -3], 1, False, object)
+        assert {type(x) for x in X} == {int}
 
 
 class TestRandomRational:
