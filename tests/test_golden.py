@@ -10,6 +10,7 @@ value shows here.
 import contextlib
 import hashlib
 import io
+import itertools
 
 from fractions import Fraction
 
@@ -242,3 +243,36 @@ def test_number_types_stay_exact(n, monkeypatch):
     assert {type(x) for s in samples for x in s.flat} == {int}
     assert {type(x) for b in curvature_basis(n) for x in b.data.flat} == {Fraction}
     assert {type(x) for x in coordinates(Tensor(n, samples[-1]))} == {Fraction}
+
+
+def _raw_patterns(p):
+    """Every raw degree-p slot tuple in the miner's sweep order: free slots
+    labelled in slot order, traced and vanishing patterns included."""
+    nslots = 4 * p
+    for free in itertools.combinations(range(nslots), 4):
+        rest = [s for s in range(nslots) if s not in free]
+        for matching in miner._matchings(rest):
+            slots = [None] * nslots
+            for lab, s in enumerate(free):
+                slots[s] = -(lab + 1)
+            for a, b in matching:
+                slots[a], slots[b] = b, a
+            yield tuple(slots)
+
+
+# digest of canonicalize on every raw pattern at p = 2 and on every 31st raw
+# of the p = 3 sweep: the canonical tuple, is_zero, and the sign wherever
+# the pattern does not vanish
+CANONICAL_FORMS = {
+    2: "113e097b9c0d07cd5ba8c154fbc8d477c55f5e8b455cd3136f385f5ed7b29a36",
+    3: "7696c0299f1028cf51d3fcf7d5e026603b9185d4ede3f20a0bfe422be9701f16",
+}
+
+
+@pytest.mark.parametrize("p, stride", [(2, 1), (3, 31)])
+def test_canonical_forms_are_unchanged(p, stride):
+    rows = []
+    for raw in itertools.islice(_raw_patterns(p), 0, None, stride):
+        canon, sign, zero = miner.canonicalize(raw)
+        rows.append(f"{canon}|{zero}|{'' if zero else sign}")
+    assert _digest(";".join(rows)) == CANONICAL_FORMS[p]
