@@ -182,11 +182,10 @@ def curvature_basis(n: int) -> tuple[Tensor, ...]:
                  for m in range(dim))
 
 
-def random_curvature(n: int, seed: int, bound: int = 10,
-                     tag: str = "curv") -> CurvTensor:
+def random_curvature(n: int, seed: int, bound: int = 10) -> CurvTensor:
     """Random rational element of the span of the curvature basis."""
-    full_tag = f"{tag}|{n}|{bound}"
-    return CurvTensor(materialize(n, [rng.rational_at(full_tag, seed, i, bound)
+    tag = f"curv|{n}|{bound}"
+    return CurvTensor(materialize(n, [rng.rational_at(tag, seed, i, bound)
                                       for i in range(curvature_space_dim(n))]))
 
 

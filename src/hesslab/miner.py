@@ -4,8 +4,10 @@ Conditions of degree p are spanned by full contractions of p curvature
 factors with four antisymmetrized free indices.  Patterns are enumerated
 up to the symmetries of the curvature tensor (pair antisymmetries with
 sign, pair exchange), factor reordering, and signed relabeling of the
-free indices; the enumeration canonicalizes one raw pattern per orbit and
-marks the rest of the orbit as done.  Evaluating every pattern (one einsum
+free indices.  One cached group of slot maps (_orbit_maps) serves both
+steps: canonicalize takes the least image of a pattern under all of its
+maps at once, and the enumeration canonicalizes one raw pattern per orbit
+and marks the rest of the orbit as done.  Evaluating every pattern (one einsum
 spec for tensor.alternating_contraction) on random points of the image of
 rho and on random generic curvature tensors turns the search for
 identities into exact nullspace computations.
@@ -25,23 +27,18 @@ from . import linalg, rng
 from .curvature import CurvTensor, curvature_space_dim, materialize
 from .hessmap import rho
 from .tensor import (Sym3Tensor, Tensor, alternating_contraction,
-                     alternating_tensor, integer_form, signed_permutations,
-                     sym3_dim)
+                     alternating_tensor, integer_form, sym3_dim)
 
 # slot encoding: value >= 0 is the partner slot of a contraction,
 # value -(label+1) marks a free slot carrying label 0..3
 _FREE = tuple(-(label + 1) for label in range(4))
 
-_FACTOR_SYMS = []
-for _e in (0, 1):
-    for _a in (0, 1):
-        for _b in (0, 1):
-            base = [2, 3, 0, 1] if _e else [0, 1, 2, 3]
-            if _a:
-                base[0], base[1] = base[1], base[0]
-            if _b:
-                base[2], base[3] = base[3], base[2]
-            _FACTOR_SYMS.append((tuple(base), -1 if (_a + _b) % 2 else 1))
+# the 8 slot symmetries of one curvature factor, as (slot permutation, sign):
+# pair exchange and a swap within either pair, each swap reversing the sign
+_FACTOR_SYMS = (
+    ((0, 1, 2, 3), 1), ((0, 1, 3, 2), -1), ((1, 0, 2, 3), -1), ((1, 0, 3, 2), 1),
+    ((2, 3, 0, 1), 1), ((2, 3, 1, 0), -1), ((3, 2, 0, 1), -1), ((3, 2, 1, 0), 1),
+)
 
 
 class PatternError(ValueError):
@@ -62,7 +59,7 @@ class ContractionPattern:
         if sorted(frees, reverse=True) != list(_FREE):
             raise PatternError("exactly one slot per free label is required")
         for i, s in enumerate(self.slots):
-            if s >= 0 and (s == i or self.slots[s] != i):
+            if s >= 0 and (s == i or s >= len(self.slots) or self.slots[s] != i):
                 raise PatternError(f"slot {i} is not consistently paired")
 
     def slot_names(self) -> list[str]:
@@ -78,82 +75,42 @@ class ContractionPattern:
         return names
 
 
-def _encode(slots, old_of_new, state):
-    """Scan-encode 4 slots of one factor, updating relabeling state in place.
-
-    state = [label_map, edge_map, sign_unused]; returns the 4-symbol chunk.
-    Free labels rename to first-appearance order; edges are numbered by the
-    first scanned endpoint, keyed by their (old) slot pair.
-    """
-    label_map, edge_map = state
-    chunk = []
-    for o in old_of_new:
-        s = slots[o]
-        if s < 0:
-            lab = -s - 1
-            if lab not in label_map:
-                label_map[lab] = len(label_map)
-            chunk.append(1000 + label_map[lab])
-        else:
-            key = (min(o, s), max(o, s))
-            if key not in edge_map:
-                edge_map[key] = len(edge_map)
-            chunk.append(edge_map[key])
-    return tuple(chunk)
-
-
 def canonicalize(slots) -> tuple[tuple, int, bool]:
     """Canonical form of a raw slot tuple.
 
     Returns (canonical_slots, sign, is_zero): sign relates the input pattern
     to its canonical representative; is_zero means some symmetry fixes the
-    pattern with sign -1, so it vanishes identically.
+    pattern with sign -1, so it vanishes identically.  Every map of
+    _orbit_maps moves the pattern at once, and its free labels are renamed
+    in slot order.  Each image is read slot by slot into one integer key: a
+    free slot reads 2p + its rank, a contracted slot the number of
+    contractions opened left of its pair.  The least key wins; its sign is
+    the map's sign times the parity of the free-label renaming.  Raises
+    PatternError when slots is not a pattern.
     """
-    slots = tuple(slots)
+    slots = ContractionPattern(len(slots) // 4, tuple(slots)).slots
     p = len(slots) // 4
-    best = None          # (encoding, canonical slots)
-    best_signs: set = set()
-    for order in itertools.permutations(range(p)):
-        # branch-and-bound over per-factor symmetries, factor by factor
-        cands = [((), {}, {}, 1, [])]  # chunks, label_map, edge_map, sign, old_of_new
-        for fpos in range(p):
-            fac = order[fpos]
-            extended = []
-            for chunks, lmap, emap, sign, oon in cands:
-                for perm, psign in _FACTOR_SYMS:
-                    lm, em = dict(lmap), dict(emap)
-                    old = [4 * fac + q for q in perm]
-                    chunk = _encode(slots, old, [lm, em])
-                    extended.append((chunks + (chunk,), lm, em,
-                                     sign * psign, oon + old))
-            mins = min(e[0] for e in extended)
-            cands = [e for e in extended if e[0] == mins]
-        for chunks, lmap, emap, sign, oon in cands:
-            # account for the signed relabeling of the four free indices
-            lperm = tuple(lmap[i] for i in range(4))
-            total = sign * dict(signed_permutations(4))[lperm]
-            enc = tuple(x for c in chunks for x in c)
-            if best is None or enc < best[0]:
-                best = (enc, _decode(enc))
-                best_signs = {total}
-            elif enc == best[0]:
-                best_signs.add(total)
-    sign = next(iter(best_signs))
-    return best[1], sign, len(best_signs) > 1
-
-
-def _decode(encoding) -> tuple:
-    out = [None] * len(encoding)
-    first: dict = {}
-    for i, sym in enumerate(encoding):
-        if sym >= 1000:
-            out[i] = -(sym - 1000) - 1
-        elif sym in first:
-            out[i] = first[sym]
-            out[first[sym]] = i
-        else:
-            first[sym] = i
-    return tuple(out)
+    maps, signs = _orbit_maps(p)
+    # new slot of each free label, and of both ends of each contraction
+    free = maps[:, [slots.index(-1 - label) for label in range(4)]]
+    ends = [(s, t) for s, t in enumerate(slots) if t > s]
+    a, b = maps[:, [s for s, _ in ends]], maps[:, [t for _, t in ends]]
+    before = free[:, :, None] > free[:, None, :]
+    rank = before.sum(2)
+    opened = np.minimum(a, b)
+    edge = (opened[:, :, None] > opened[:, None, :]).sum(2)
+    place = (2 * p + 4) ** np.arange(4 * p - 1, -1, -1)
+    keys = ((place[free] * (2 * p + rank)).sum(1)
+            + ((place[a] + place[b]) * edge).sum(1))
+    tied = np.flatnonzero(keys == keys.min())
+    total = signs[tied] * (1 - 2 * (np.triu(before[tied], 1).sum((1, 2)) % 2))
+    g = tied[0]
+    canon = [0] * (4 * p)
+    for s, r in zip(free[g].tolist(), rank[g].tolist()):
+        canon[s] = -1 - r
+    for s, t in zip(a[g].tolist(), b[g].tolist()):
+        canon[s], canon[t] = t, s
+    return tuple(canon), int(total[0]), bool((total != total[0]).any())
 
 
 def _matchings(items):
@@ -168,20 +125,27 @@ def _matchings(items):
             yield [(a, b)] + m
 
 
+@lru_cache(maxsize=None)
 def _orbit_maps(p: int):
-    """Slot maps of the group canonicalize minimises over, free labels aside.
+    """The slot-map group of degree-p patterns, free labels aside.
 
-    Each map sends old slot s to map[s]: factor reordering times one
-    _FACTOR_SYMS element per factor, p! * 8**p maps in all.
+    Returns (maps, signs), read-only int8 arrays with one row per map:
+    factor reordering times one _FACTOR_SYMS element per factor, p! * 8**p
+    maps in all.  maps[g] sends old slot s to new slot maps[g, s], and
+    signs[g] is the product of the factor symmetry signs.
     """
+    maps, signs = [], []
     for order in itertools.permutations(range(p)):
-        for perms in itertools.product([perm for perm, _ in _FACTOR_SYMS],
-                                       repeat=p):
+        for syms in itertools.product(_FACTOR_SYMS, repeat=p):
             g = [0] * (4 * p)
-            for fpos, (fac, perm) in enumerate(zip(order, perms)):
+            for fpos, (fac, (perm, _)) in enumerate(zip(order, syms)):
                 for q in range(4):
                     g[4 * fac + perm[q]] = 4 * fpos + q
-            yield g
+            maps.append(g)
+            signs.append(math.prod(sign for _, sign in syms))
+    maps, signs = np.array(maps, dtype=np.int8), np.array(signs, dtype=np.int8)
+    maps.flags.writeable = signs.flags.writeable = False
+    return maps, signs
 
 
 @lru_cache(maxsize=None)
@@ -215,9 +179,8 @@ def enumerate_patterns(p: int) -> tuple[ContractionPattern, ...]:
     key_order = np.argsort(match_keys)
     sorted_keys = match_keys[key_order]
     # images[s] holds the image of slot s under every orbit map
-    count = math.factorial(p) * len(_FACTOR_SYMS) ** p * nslots
-    images = np.fromiter(itertools.chain.from_iterable(_orbit_maps(p)),
-                         dtype=np.int64, count=count).reshape(-1, nslots).T
+    images = _orbit_maps(p)[0].T
+    bit = 1 << np.arange(nslots)
     done = bytearray(len(frees) * len(pos_matchings))
     marks = np.frombuffer(done, dtype=np.uint8)  # writable view of done
     seen: dict[tuple, tuple] = {}
@@ -238,7 +201,7 @@ def enumerate_patterns(p: int) -> tuple[ContractionPattern, ...]:
                 seen.setdefault(canon, canon)
             # mark the whole orbit: rank each image's free-slot set, then
             # its matching by positions within the image's remainder
-            img_fi = free_of_mask[sum(1 << images[s] for s in free)]
+            img_fi = free_of_mask[sum(bit[images[s]] for s in free)]
             key = 0
             for a, b in matching:
                 x, y = pos_of[img_fi, images[a]], pos_of[img_fi, images[b]]

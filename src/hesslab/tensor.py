@@ -283,10 +283,9 @@ class Sym3Tensor:
         return cls(n, tuple(vals[t] for t in triples))
 
     @classmethod
-    def random(cls, n: int, seed: int, bound: int = 10,
-               tag: str = "sym3") -> "Sym3Tensor":
-        full_tag = f"{tag}|{n}|{bound}"
-        return cls(n, tuple(rng.rational_at(full_tag, seed, i, bound)
+    def random(cls, n: int, seed: int, bound: int = 10) -> "Sym3Tensor":
+        tag = f"sym3|{n}|{bound}"
+        return cls(n, tuple(rng.rational_at(tag, seed, i, bound)
                             for i in range(sym3_dim(n))))
 
     def to_dense(self) -> Tensor:

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hesslab import miner
@@ -127,13 +128,20 @@ class TestEnumeration:
     @pytest.mark.parametrize("p, stride", ((2, 1), (3, 61)))
     def test_orbit_marking_is_sound(self, p, stride, patterns2, patterns3):
         pats = {2: patterns2, 3: patterns3}[p]
-        maps = list(miner._orbit_maps(p))
-        assert len(maps) == math.factorial(p) * 8 ** p
-        assert len({tuple(g) for g in maps}) == len(maps)
+        maps = miner._orbit_maps(p)[0].tolist()
         for pat in pats:
             for g in maps[::stride]:
                 canon, _, zero = miner.canonicalize(moved_pattern(pat.slots, g))
                 assert canon == pat.slots and not zero
+
+    @pytest.mark.parametrize("raw", (
+        miner.pattern_from_slot_names(["i", "i", "a", "b", "k", "l", "b", "a"]),
+        miner.pattern_from_slot_names(["i", "j", "a", "a", "k", "l"]),
+        (-1, -2, -3, -4, 5, 4, 8, 6),
+    ))
+    def test_canonicalize_rejects_non_patterns(self, raw):
+        with pytest.raises(miner.PatternError):
+            miner.canonicalize(raw)
 
     def test_unsupported_degree(self):
         with pytest.raises(miner.PatternError):
@@ -202,6 +210,26 @@ class TestEnumeration:
                 classes[key] = classes.get(key, False) or deg
         nondegenerate = sum(1 for d in classes.values() if not d)
         assert nondegenerate == len(patterns2)
+
+
+class TestGroup:
+    @pytest.mark.parametrize("p", (2, 3))
+    def test_maps_are_distinct_slot_permutations(self, p):
+        maps, signs = miner._orbit_maps(p)
+        assert maps.shape == (math.factorial(p) * 8 ** p, 4 * p)
+        assert len({tuple(g) for g in maps.tolist()}) == len(maps)
+        assert (np.sort(maps, axis=1) == np.arange(4 * p)).all()
+        assert set(signs.tolist()) == {-1, 1}
+
+    # every pair at degree 2; at degree 3, every 61st map followed by every map
+    @pytest.mark.parametrize("p, stride", ((2, 1), (3, 61)))
+    def test_signs_multiply_under_composition(self, p, stride):
+        maps, signs = miner._orbit_maps(p)
+        index = {g: i for i, g in enumerate(map(tuple, maps.tolist()))}
+        for g in range(0, len(maps), stride):
+            # row h of maps[:, maps[g]] is g followed by h
+            composed = [index[hg] for hg in map(tuple, maps[:, maps[g]].tolist())]
+            assert (signs[composed] == signs[g] * signs).all()
 
 
 class TestEvaluation:
