@@ -180,7 +180,7 @@ def enumerate_patterns(p: int) -> tuple[ContractionPattern, ...]:
     sorted_keys = match_keys[key_order]
     # images[s] holds the image of slot s under every orbit map
     images = _orbit_maps(p)[0].T
-    bit = 1 << np.arange(nslots)
+    bit = 1 << np.arange(nslots)  # int64: shifting the int8 images would overflow
     done = bytearray(len(frees) * len(pos_matchings))
     marks = np.frombuffer(done, dtype=np.uint8)  # writable view of done
     seen: dict[tuple, tuple] = {}
