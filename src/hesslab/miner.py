@@ -86,10 +86,12 @@ def canonicalize(slots) -> tuple[tuple, int, bool]:
     free slot reads 2p + its rank, a contracted slot the number of
     contractions opened left of its pair.  The least key wins; its sign is
     the map's sign times the parity of the free-label renaming.  Raises
-    PatternError when slots is not a pattern.
+    PatternError when slots is not a pattern of degree at most 4.
     """
     slots = ContractionPattern(len(slots) // 4, tuple(slots)).slots
     p = len(slots) // 4
+    if p > 4:  # the keys below fit in int64 up to degree 4
+        raise PatternError(f"degree {p} not supported (use at most 4)")
     maps, signs = _orbit_maps(p)
     # new slot of each free label, and of both ends of each contraction
     free = maps[:, [slots.index(-1 - label) for label in range(4)]]

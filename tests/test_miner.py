@@ -138,8 +138,9 @@ class TestEnumeration:
         miner.pattern_from_slot_names(["i", "i", "a", "b", "k", "l", "b", "a"]),
         miner.pattern_from_slot_names(["i", "j", "a", "a", "k", "l"]),
         (-1, -2, -3, -4, 5, 4, 8, 6),
+        (-1, -2, -3, -4) + tuple(s ^ 1 for s in range(4, 20)),  # degree 5
     ))
-    def test_canonicalize_rejects_non_patterns(self, raw):
+    def test_canonicalize_rejects_bad_slot_tuples(self, raw):
         with pytest.raises(miner.PatternError):
             miner.canonicalize(raw)
 
