@@ -135,9 +135,7 @@ def _cmd_verify(args) -> int:
 def _cmd_mine(args) -> int:
     if args.dim is None:
         raise UsageError("mine requires --dim")
-    basis = miner.mine(args.dim, args.degree,
-                       rho_samples=args.max_samples,
-                       generic_samples=args.max_samples,
+    basis = miner.mine(args.dim, args.degree, max_samples=args.max_samples,
                        seed=args.seed)
     return _emit(args, "mine", basis.to_json())
 

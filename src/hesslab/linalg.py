@@ -132,8 +132,3 @@ def nullspace(m, cols: int | None = None) -> list[Vector]:
 def in_span(vectors: list[Vector], v: Vector) -> bool:
     """Whether v lies in the span of the given vectors (exact)."""
     return RowSpace(len(v), vectors).contains(v)
-
-
-def matmul(a, b) -> Matrix:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]

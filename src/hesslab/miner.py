@@ -4,13 +4,13 @@ Conditions of degree p are spanned by full contractions of p curvature
 factors with four antisymmetrized free indices.  Patterns are enumerated
 up to the symmetries of the curvature tensor (pair antisymmetries with
 sign, pair exchange), factor reordering, and signed relabeling of the
-free indices.  One cached group of slot maps (_orbit_maps) serves both
-steps: canonicalize takes the least image of a pattern under all of its
-maps at once, and the enumeration canonicalizes one raw pattern per orbit
-and marks the rest of the orbit as done.  Evaluating every pattern (one einsum
-spec for tensor.alternating_contraction) on random points of the image of
-rho and on random generic curvature tensors turns the search for
-identities into exact nullspace computations.
+free indices.  One cached group of slot maps (_orbit_maps) and one integer
+key per pattern (_keys) serve both steps: canonicalize takes the least key
+over a pattern's images, and the enumeration keys every raw pattern,
+canonicalizes one per orbit and marks the rest by their keys.  Evaluating
+every pattern (one einsum spec for tensor.alternating_contraction) on
+random points of the image of rho and on random generic curvature tensors
+turns the search for identities into exact nullspace computations.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ class ContractionPattern:
     def __post_init__(self):
         if len(self.slots) != 4 * self.degree:
             raise PatternError("slot count must be 4 * degree")
+        if not all(isinstance(s, int) for s in self.slots):
+            raise PatternError("slots must be ints")
         frees = [s for s in self.slots if s < 0]
         if sorted(frees, reverse=True) != list(_FREE):
             raise PatternError("exactly one slot per free label is required")
@@ -80,39 +82,59 @@ def canonicalize(slots) -> tuple[tuple, int, bool]:
 
     Returns (canonical_slots, sign, is_zero): sign relates the input pattern
     to its canonical representative; is_zero means some symmetry fixes the
-    pattern with sign -1, so it vanishes identically.  Every map of
-    _orbit_maps moves the pattern at once, and its free labels are renamed
-    in slot order.  Each image is read slot by slot into one integer key: a
-    free slot reads 2p + its rank, a contracted slot the number of
-    contractions opened left of its pair.  The least key wins; its sign is
-    the map's sign times the parity of the free-label renaming.  Raises
+    pattern with sign -1, so it vanishes identically.  The canonical form
+    is the image under _orbit_maps with the least _keys key; its sign is the
+    map's sign times the parity of the free-label renaming.  Raises
     PatternError when slots is not a pattern of degree at most 4.
     """
     slots = ContractionPattern(len(slots) // 4, tuple(slots)).slots
     p = len(slots) // 4
-    if p > 4:  # the keys below fit in int64 up to degree 4
+    if p > 4:  # the keys fit in int64 up to degree 4
         raise PatternError(f"degree {p} not supported (use at most 4)")
-    maps, signs = _orbit_maps(p)
-    # new slot of each free label, and of both ends of each contraction
-    free = maps[:, [slots.index(-1 - label) for label in range(4)]]
+    keys, before = _keys(*_images(slots))
+    tied = np.flatnonzero(keys == keys.min())
+    signs = _orbit_maps(p)[1][tied]
+    total = signs * (1 - 2 * (np.triu(before[tied], 1).sum((1, 2)) % 2))
+    return _pattern(keys[tied[0]], p), int(total[0]), bool((total != total[0]).any())
+
+
+def _images(slots):
+    """(free, a, b): under each map of _orbit_maps, one row of the new slots
+    of free labels 0..3 and of the two ends of each contraction."""
+    maps = _orbit_maps(len(slots) // 4)[0]
     ends = [(s, t) for s, t in enumerate(slots) if t > s]
-    a, b = maps[:, [s for s, _ in ends]], maps[:, [t for _, t in ends]]
+    return (maps[:, [slots.index(-1 - label) for label in range(4)]],
+            maps[:, [s for s, _ in ends]], maps[:, [t for _, t in ends]])
+
+
+def _keys(free, a, b):
+    """One integer key per pattern, its free labels renamed in slot order.
+
+    Row i puts free label l at slot free[i, l] and pairs slot a[i, e] with
+    slot b[i, e].  The key reads the 4p slots left to right as base-(2p + 4)
+    digits: a free slot reads 2p + its rank, a contracted slot the number of
+    contractions opened left of its pair.  Distinct patterns get distinct
+    keys, which fit in int64 up to degree 4.  Also returns before[i, l, k]:
+    free label k sits left of free label l.
+    """
+    p = (free.shape[1] + 2 * a.shape[1]) // 4
     before = free[:, :, None] > free[:, None, :]
-    rank = before.sum(2)
     opened = np.minimum(a, b)
     edge = (opened[:, :, None] > opened[:, None, :]).sum(2)
     place = (2 * p + 4) ** np.arange(4 * p - 1, -1, -1)
-    keys = ((place[free] * (2 * p + rank)).sum(1)
+    keys = ((place[free] * (2 * p + before.sum(2))).sum(1)
             + ((place[a] + place[b]) * edge).sum(1))
-    tied = np.flatnonzero(keys == keys.min())
-    total = signs[tied] * (1 - 2 * (np.triu(before[tied], 1).sum((1, 2)) % 2))
-    g = tied[0]
-    canon = [0] * (4 * p)
-    for s, r in zip(free[g].tolist(), rank[g].tolist()):
-        canon[s] = -1 - r
-    for s, t in zip(a[g].tolist(), b[g].tolist()):
-        canon[s], canon[t] = t, s
-    return tuple(canon), int(total[0]), bool((total != total[0]).any())
+    return keys, before
+
+
+def _pattern(key, p: int) -> tuple:
+    """The slot tuple of degree p whose _keys key is key."""
+    digits = key // (2 * p + 4) ** np.arange(4 * p - 1, -1, -1) % (2 * p + 4)
+    # ordered by digit, the two ends of each contraction sit side by side
+    by_digit = digits.argsort(kind="stable")
+    partner = np.empty_like(by_digit)
+    partner[by_digit] = by_digit[np.arange(4 * p) ^ 1]
+    return tuple(np.where(digits < 2 * p, partner, 2 * p - 1 - digits).tolist())
 
 
 def _matchings(items):
@@ -154,63 +176,44 @@ def _orbit_maps(p: int):
 def enumerate_patterns(p: int) -> tuple[ContractionPattern, ...]:
     """All canonical degree-p patterns with 4 free slots, deterministic order.
 
-    Raw patterns are swept as (free-slot set, matching) pairs; the first raw
-    of each orbit is canonicalized and its whole orbit under _orbit_maps is
-    marked done, so canonicalize runs once per orbit.  Free labels follow
-    slot order, so a free-slot set and a matching fix a raw pattern.
-    Patterns with a contraction inside one antisymmetric index pair, or that
-    vanish identically by a sign-reversing symmetry, are dropped.
+    A raw pattern is a free-slot set, labelled in slot order, and a matching
+    of the other slots.  Every raw is keyed once by _keys; raws with a trace
+    inside one antisymmetric index pair vanish and are dropped.  Until every
+    key is marked, the least unmarked one is read back into its raw, which
+    is canonicalized, and the keys of its images under _orbit_maps mark its
+    whole orbit.  Patterns that vanish by a sign-reversing symmetry go too.
     """
     if p not in (2, 3):
         raise PatternError(f"degree {p} not supported (use 2 or 3)")
-    nslots, m = 4 * p, 4 * p - 4
-    pair_of = [s // 2 for s in range(nslots)]
+    nslots = 4 * p
     frees = list(itertools.combinations(range(nslots), 4))
-    rests = [[s for s in range(nslots) if s not in free] for free in frees]
-    # _matchings(rest) is _matchings of the positions 0..m-1 within rest
-    pos_matchings = list(_matchings(list(range(m))))
-    # an image is ranked by the bit mask of its free slots and by one bit
-    # per matched pair of positions within its remainder
-    free_of_mask = np.zeros(1 << nslots, dtype=np.int64)
-    pos_of = np.zeros((len(frees), nslots), dtype=np.int64)
-    for fi, (free, rest) in enumerate(zip(frees, rests)):
-        free_of_mask[sum(1 << s for s in free)] = fi
-        pos_of[fi, rest] = range(m)
-    match_keys = np.array([sum(1 << (m * x + y) for x, y in pm)
-                           for pm in pos_matchings])
-    key_order = np.argsort(match_keys)
-    sorted_keys = match_keys[key_order]
-    # images[s] holds the image of slot s under every orbit map
-    images = _orbit_maps(p)[0].T
-    bit = 1 << np.arange(nslots)  # int64: shifting the int8 images would overflow
-    done = bytearray(len(frees) * len(pos_matchings))
-    marks = np.frombuffer(done, dtype=np.uint8)  # writable view of done
-    seen: dict[tuple, tuple] = {}
-    for fi, (free, rest) in enumerate(zip(frees, rests)):
-        for mi, pm in enumerate(pos_matchings):
-            if done[fi * len(pos_matchings) + mi]:
-                continue
-            matching = [(rest[x], rest[y]) for x, y in pm]
-            if any(pair_of[a] == pair_of[b] for a, b in matching):
-                continue  # trace inside an antisymmetric pair: identically zero
-            slots = [None] * nslots
-            for lab, s in enumerate(free):
-                slots[s] = -(lab + 1)
-            for a, b in matching:
-                slots[a], slots[b] = b, a
-            canon, _, zero = canonicalize(slots)
-            if not zero:
-                seen.setdefault(canon, canon)
-            # mark the whole orbit: rank each image's free-slot set, then
-            # its matching by positions within the image's remainder
-            img_fi = free_of_mask[sum(bit[images[s]] for s in free)]
-            key = 0
-            for a, b in matching:
-                x, y = pos_of[img_fi, images[a]], pos_of[img_fi, images[b]]
-                key = key | 1 << (m * np.minimum(x, y) + np.maximum(x, y))
-            img_mi = key_order[np.searchsorted(sorted_keys, key)]
-            marks[img_fi * len(pos_matchings) + img_mi] = 1
-    return tuple(ContractionPattern(p, c) for c in sorted(seen))
+    rests = np.array([[s for s in range(nslots) if s not in free] for free in frees],
+                     dtype=np.int8)
+    frees = np.array(frees, dtype=np.int8)
+    # a matching pairs positions within a free set's remaining slots
+    matchings = np.array(list(_matchings(list(range(nslots - 4)))), dtype=np.int8)
+    keys, n = np.empty(len(frees) * len(matchings), dtype=np.int64), 0
+    # chunks no larger than the group keep _keys's temporaries small
+    step = max(1, len(_orbit_maps(p)[0]) // len(matchings))
+    for lo in range(0, len(frees), step):
+        ends = rests[lo:lo + step, matchings].reshape((-1,) + matchings.shape[1:])
+        a, b = ends[..., 0], ends[..., 1]
+        free = np.repeat(frees[lo:lo + step], len(matchings), axis=0)
+        # a trace inside an antisymmetric index pair is identically zero
+        kept = _keys(free, a, b)[0][(a // 2 != b // 2).all(1)]
+        keys[n:n + len(kept)] = kept
+        n += len(kept)
+    keys = keys[:n]
+    keys.sort()
+    marked = np.zeros(n, dtype=bool)
+    canons = []
+    while not marked.all():
+        raw = _pattern(keys[marked.argmin()], p)
+        canon, _, zero = canonicalize(raw)
+        if not zero:
+            canons.append(canon)
+        marked[np.searchsorted(keys, _keys(*_images(raw))[0])] = True
+    return tuple(ContractionPattern(p, c) for c in sorted(canons))
 
 
 def pattern_from_slot_names(names) -> tuple:
@@ -350,29 +353,25 @@ class StabilizationError(RuntimeError):
 _STABLE_RUN = 5
 
 
-def mine(n: int, p: int, rho_samples: int | None = None,
-         generic_samples: int | None = None, seed: int = 0,
+def mine(n: int, p: int, max_samples: int | None = None, seed: int = 0,
          bound: int = 5) -> MinedIdentityBasis:
     """Separate image-of-rho identities from universal curvature identities.
 
     Evaluation rows are added sample by sample until the matrix rank is
-    stable for 5 consecutive additions (the sample-count arguments are
-    caps).  N1 is the exact nullspace of the rho-sample rows; N2 is that of
-    the same row space with the generic-curvature rows added on top, so
-    universal identities are, by construction, a subspace of the image
-    identities.
+    stable for 5 consecutive additions, at most max_samples per phase
+    (default: pattern count + 40).  N1 is the exact nullspace of the
+    rho-sample rows; N2 is that of the same row space with the
+    generic-curvature rows added on top, so universal identities are, by
+    construction, a subspace of the image identities.
     """
     if n < 4:
         raise ValueError("mining needs n >= 4")
     patterns = enumerate_patterns(p)
-    cap_default = len(patterns) + 40
-    rho_cap = cap_default if rho_samples is None else rho_samples
-    gen_cap = cap_default if generic_samples is None else generic_samples
-    for name, cap in (("rho_samples", rho_cap), ("generic_samples", gen_cap)):
-        if cap < len(patterns) + 5:
-            raise ValueError(f"{name} cap must be >= pattern count + 5")
+    cap = len(patterns) + 40 if max_samples is None else max_samples
+    if cap < len(patterns) + 5:
+        raise ValueError("max_samples must be >= pattern count + 5")
 
-    def collect(make_sample, cap):
+    def collect(make_sample):
         used, stable = 0, 0
         while used < cap:
             new = _evaluate_rows(patterns, make_sample(used))
@@ -396,9 +395,9 @@ def mine(n: int, p: int, rho_samples: int | None = None,
     # one sample space: N1 is its nullspace after the rho rows, N2 after
     # the generic rows have been added on top
     space = linalg.RowSpace(len(patterns))
-    rho_used = collect(rho_sample, rho_cap)
+    rho_used = collect(rho_sample)
     n1 = space.nullspace()
-    gen_used = collect(generic_sample, gen_cap)
+    gen_used = collect(generic_sample)
     n2 = space.nullspace()
     # greedily pick an exact complement of N2 in N1: keep each N1 vector
     # that grows the span of N2 and the vectors kept so far

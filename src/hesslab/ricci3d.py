@@ -235,8 +235,8 @@ def solve_from_ricci(r, mode: str = "exact", tol: float = 1e-9):
     V = _exact_eigenvectors(rows, lams)
     # exact round-trip: V diag(lam_i / |v_i|^2) V^T == r
     norms = [sum(V[i][j] ** 2 for i in range(3)) for j in range(3)]
-    scaled = [[V[i][j] * lams[j] / norms[j] for j in range(3)] for i in range(3)]
-    back = linalg.matmul(scaled, [list(row) for row in zip(*V)])
+    back = [[sum(V[i][k] * lams[k] / norms[k] * V[j][k] for k in range(3))
+             for j in range(3)] for i in range(3)]
     if any(back[i][j] != Fraction(rows[i][j]) for i in range(3) for j in range(3)):
         raise VerificationError("exact eigendecomposition round-trip failed")
     A = solve_from_eigenvalues(*lams)

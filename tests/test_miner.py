@@ -139,6 +139,9 @@ class TestEnumeration:
         miner.pattern_from_slot_names(["i", "j", "a", "a", "k", "l"]),
         (-1, -2, -3, -4, 5, 4, 8, 6),
         (-1, -2, -3, -4) + tuple(s ^ 1 for s in range(4, 20)),  # degree 5
+        (None,) * 8,
+        (2.0, 3, 0, 1, -1, -2, -3, -4),
+        tuple("ijabklba"),
     ))
     def test_canonicalize_rejects_bad_slot_tuples(self, raw):
         with pytest.raises(miner.PatternError):
@@ -211,6 +214,66 @@ class TestEnumeration:
                 classes[key] = classes.get(key, False) or deg
         nondegenerate = sum(1 for d in classes.values() if not d)
         assert nondegenerate == len(patterns2)
+
+
+def raw_rows(p):
+    """(free, a, b) int8 rows of every raw degree-p pattern, traced ones too:
+    the free slots in label order, then both ends of each contraction."""
+    free, a, b = [], [], []
+    for fr in itertools.combinations(range(4 * p), 4):
+        rest = [s for s in range(4 * p) if s not in fr]
+        for matching in miner._matchings(rest):
+            free.append(fr)
+            a.append([s for s, _ in matching])
+            b.append([t for _, t in matching])
+    return tuple(np.array(x, dtype=np.int8) for x in (free, a, b))
+
+
+@pytest.fixture(scope="module", params=(2, 3))
+def raws(request):
+    p = request.param
+    free, a, b = raw_rows(p)
+    return p, (free, a, b), miner._keys(free, a, b)[0]
+
+
+class TestKeys:
+    def test_raw_keys_are_distinct(self, raws):
+        p, _, keys = raws
+        assert len(np.unique(keys)) == len(keys) == {2: 210, 3: 51_975}[p]
+
+    def test_keys_read_back_to_their_raws(self, raws):
+        p, (free, a, b), keys = raws
+        for r in range(0, len(keys), 1 if p == 2 else 97):
+            raw = [None] * (4 * p)
+            for label, s in enumerate(free[r].tolist()):
+                raw[s] = -1 - label
+            for s, t in zip(a[r].tolist(), b[r].tolist()):
+                raw[s], raw[t] = t, s
+            assert miner._pattern(keys[r], p) == tuple(raw)
+
+    def test_orbit_keys_are_raw_keys_and_canonical_key_is_least(self, raws):
+        p, _, keys = raws
+        for slots in PINNED_PATTERNS[p]:
+            orbit = miner._keys(*miner._images(slots))[0]
+            assert np.isin(orbit, keys).all()
+            own = (
+                np.array([[slots.index(-1 - label) for label in range(4)]]),
+                np.array([[s for s, t in enumerate(slots) if t > s]]),
+                np.array([[t for s, t in enumerate(slots) if t > s]]))
+            assert miner._keys(*own)[0][0] == orbit.min()
+
+    @pytest.mark.parametrize("p, calls", ((2, 6), (3, 42)))
+    def test_canonicalize_runs_once_per_orbit(self, p, calls, monkeypatch):
+        count, canonicalize = [], miner.canonicalize
+
+        def counted(slots):
+            count.append(slots)
+            return canonicalize(slots)
+
+        monkeypatch.setattr(miner, "canonicalize", counted)
+        pats = miner.enumerate_patterns.__wrapped__(p)  # bypass the cache
+        assert tuple(pat.slots for pat in pats) == PINNED_PATTERNS[p]
+        assert len(count) == calls
 
 
 class TestGroup:
@@ -347,7 +410,7 @@ class TestMine:
 
     def test_sample_cap_precondition(self):
         with pytest.raises(ValueError):
-            miner.mine(4, 2, rho_samples=3, seed=0)
+            miner.mine(4, 2, max_samples=3, seed=0)
 
     def test_json_round_trippable(self, mined42):
         import json

@@ -116,6 +116,12 @@ def quaternion_rotation(a, b, c, d):
     ]
 
 
+def conjugated(Q, d):
+    """The exact 3x3 product Q d Q^T."""
+    return [[sum(Q[i][k] * d[k][m] * Q[j][m] for k in range(3) for m in range(3))
+             for j in range(3)] for i in range(3)]
+
+
 class TestSolveFromRicci:
     def test_diagonal_input_identity_rotation(self):
         rot, A, _ = ricci3d.solve_from_ricci(diag(1, 2, 3))
@@ -165,8 +171,7 @@ class TestSolveFromRicci:
         # the wrong root here: 1/3**40 is not found, 1/4 rounds to the root 0
         Q = quaternion_rotation(1, 2, 3, 4)
         d = [list(row) for row in diag(*lams).entries]
-        from hesslab import linalg
-        conjugate = linalg.matmul(linalg.matmul(Q, d), [list(row) for row in zip(*Q)])
+        conjugate = conjugated(Q, d)
         for rows in (d, conjugate):
             assert ricci3d._rational_eigenvalues(rows) == sorted(map(Fraction, lams))
             rot, A, residual = ricci3d.solve_from_ricci(rows)
@@ -183,8 +188,7 @@ class TestSolveFromRicci:
         lams = (Fraction(2), Fraction(3), Fraction(5))
         d = [[lams[i] if i == j else Fraction(0) for j in range(3)]
              for i in range(3)]
-        from hesslab import linalg
-        r = linalg.matmul(linalg.matmul(Q, d), [list(row) for row in zip(*Q)])
+        r = conjugated(Q, d)
         rot, A, _ = ricci3d.solve_from_ricci(r)  # internal exact round-trip oracle
         back = rot @ np.diag(sorted(float(x) for x in lams)) @ rot.T
         assert np.allclose(back, np.array(r, dtype=float))
