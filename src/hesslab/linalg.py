@@ -1,16 +1,21 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction (or int, which Fraction arithmetic
-absorbs).  The one elimination routine is RowSpace, which keeps its rows in
-reduced row echelon form.  That form of a row space is unique, so rref,
-rank, nullspace and in_span read it from a RowSpace of the matrix rows,
-whatever order they come in.  rank_mod_p is the one shortcut: a rank over
-a prime field, which never exceeds the rank over the rationals.
+Matrix entries may be ints of any size, numpy integers or Fractions;
+results come back as Fractions.  The one elimination routine is RowSpace.
+It keeps its rows in reduced row echelon form, stored as integer rows over
+one common denominator, so elimination is integer arithmetic with exact
+divisions (fraction-free Gauss-Jordan elimination, Bareiss 1968).  The
+reduced form of a row space is unique, so rref, rank, nullspace and
+in_span read it from a RowSpace of the matrix rows, whatever order they
+come in.  rank_mod_p is the one shortcut: a rank over a prime field,
+which never exceeds the rank over the rationals.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -24,62 +29,87 @@ Vector = list[Fraction]
 class RowSpace:
     """Row space kept in reduced row echelon form, one row at a time.
 
-    `rows` holds the nonzero rows in order of their pivot columns `pivots`;
-    each pivot entry is 1 and the only nonzero entry of its column.
+    The form is held as integer rows over one denominator D, in order of
+    their pivot columns `pivots`: each row holds D at its own pivot column
+    and every other row holds 0 there.  `rows`, the form itself, divides
+    them by D into Fractions.  Up to sign, D is the determinant of the
+    rows that grew the rank (each cleared of denominators and divided by
+    its content) at the pivot columns, and every stored entry is a minor of
+    those rows too; by Sylvester's identity, then, the division by the old
+    D in an update is exact.  A row that adds nothing is found without any
+    division.
     """
 
     def __init__(self, cols: int, rows=()):
         self.cols = cols
-        self.rows: Matrix = []
         self.pivots: list[int] = []
+        self._rows: list[list[int]] = []
+        self._den = 1
         for row in rows:
             self.add(row)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
-    def _reduce(self, row) -> Vector:
-        """row minus its part in the space: zero at every pivot column."""
-        v = [Fraction(x) for x in row]
-        for r, pc in zip(self.rows, self.pivots):
+    @property
+    def rows(self) -> Matrix:
+        """The nonzero rows of the reduced row echelon form."""
+        d = self._den
+        return [[Fraction(x, d) for x in r] for r in self._rows]
+
+    def _integer_row(self, row) -> list[int]:
+        """row times the lcm of its denominators, divided by its content."""
+        if len(row) != self.cols:
+            raise ValueError(f"row has {len(row)} entries, expected {self.cols}")
+        try:
+            v = [operator.index(x) for x in row]
+        except TypeError:  # not all integers
+            q = [Fraction(x) for x in row]
+            m = math.lcm(*(x.denominator for x in q))
+            v = [x.numerator * (m // x.denominator) for x in q]
+        g = math.gcd(*v)
+        return [x // g for x in v] if g > 1 else v
+
+    def _reduce(self, v: list[int]) -> list[int]:
+        """D times (v minus its part in the space): zero at every pivot column."""
+        d = self._den
+        w = [d * x for x in v]
+        for r, pc in zip(self._rows, self.pivots):
             f = v[pc]
-            if f != 0:  # r is zero left of pc
-                v[pc:] = [x - f * y for x, y in zip(v[pc:], r[pc:])]
-        return v
+            if f:  # r is zero left of pc
+                w[pc:] = [x - f * y for x, y in zip(w[pc:], r[pc:])]
+        return w
 
     def contains(self, row) -> bool:
         """Whether row lies in the space (exact), without adding it."""
-        return not any(self._reduce(row))
+        return not any(self._reduce(self._integer_row(row)))
 
     def add(self, row) -> bool:
         """Insert a row; returns True if the rank grew."""
-        v = self._reduce(row)
-        pc = next((c for c, x in enumerate(v) if x != 0), None)
+        w = self._reduce(self._integer_row(row))
+        pc = next((c for c, x in enumerate(w) if x), None)
         if pc is None:
             return False
-        inv = 1 / v[pc]
-        v[pc:] = [x * inv for x in v[pc:]]
-        # clear the new pivot column from the stored rows; rows pivoting
-        # right of pc are already zero there
+        e, d = w[pc], self._den  # e becomes the denominator
+        self._rows = [[(e * x - r[pc] * y) // d for x, y in zip(r, w)]
+                      for r in self._rows]
         pos = bisect.bisect(self.pivots, pc)
-        for r in self.rows[:pos]:
-            f = r[pc]
-            if f != 0:
-                r[pc:] = [x - f * y for x, y in zip(r[pc:], v[pc:])]
-        self.rows.insert(pos, v)
+        self._rows.insert(pos, w)
         self.pivots.insert(pos, pc)
+        self._den = e
         return True
 
     def nullspace(self) -> list[Vector]:
         """Right nullspace basis: one vector per free column, which is 1
         there and 0 at every other free column."""
+        d = self._den
         basis = []
         for fc in sorted(set(range(self.cols)) - set(self.pivots)):
             v = [Fraction(0)] * self.cols
             v[fc] = Fraction(1)
-            for r, pc in zip(self.rows, self.pivots):
-                v[pc] = -r[fc]
+            for r, pc in zip(self._rows, self.pivots):
+                v[pc] = Fraction(-r[fc], d)
             basis.append(v)
         return basis
 

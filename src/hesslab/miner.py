@@ -330,7 +330,7 @@ class MinedIdentityBasis:
 
     def to_json(self) -> dict:
         def fr(v):
-            return [f"{Fraction(x).numerator}/{Fraction(x).denominator}" for x in v]
+            return [f"{q.numerator}/{q.denominator}" for q in map(Fraction, v)]
         return {
             "n": self.n,
             "degree": self.degree,

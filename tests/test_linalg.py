@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hesslab import linalg, rng
 from hesslab.rng import rational_at
+from linalg_reference import FractionRowSpace
 
 
 def random_matrix(rows, cols, seed, tag="lin"):
@@ -91,6 +94,101 @@ class TestRowSpace:
     def test_nullspace_matches_batch(self):
         m = random_matrix(3, 6, seed=4)
         assert linalg.RowSpace(6, m).nullspace() == linalg.nullspace(m)
+
+
+class TestRaggedRows:
+    def test_add_rejects_a_short_row(self):
+        with pytest.raises(ValueError, match="2 entries, expected 3"):
+            linalg.RowSpace(3).add([1, 2])
+
+    def test_contains_rejects_a_long_row(self):
+        with pytest.raises(ValueError):
+            linalg.RowSpace(2, [[1, 0]]).contains([1, 0, 5])
+
+    def test_rank_rejects_a_ragged_matrix(self):
+        with pytest.raises(ValueError):
+            linalg.rank([[1, 2], [3]])
+        with pytest.raises(ValueError):
+            linalg.nullspace([[1, 2], [3]])
+
+    def test_in_span_rejects_a_vector_of_another_length(self):
+        with pytest.raises(ValueError):
+            linalg.in_span([[1, 0]], [1, 0, 5])
+
+
+class TestIntegerElimination:
+    def test_integer_rows_build_no_fraction(self, monkeypatch):
+        big = 2 ** 70 + 1
+        rows = [[big, 3, -4, 0], [1, 0, 2, 5], np.array([4, 1, 1, 1], dtype=np.int64),
+                [big + 1, 3, -2, 5], [2, 0, 4, 10]]
+
+        def refuse(*args):
+            raise AssertionError("Fraction built on an integer row")
+
+        space = linalg.RowSpace(4)
+        monkeypatch.setattr(linalg, "Fraction", refuse)
+        grew = [space.add(r) for r in rows]
+        inside = [space.contains(r) for r in ([0, 0, 0, 0], [big + 1, 3, -2, 5], [0, 0, 0, 1])]
+        monkeypatch.undo()
+        assert grew == [True, True, True, False, False]
+        assert inside == [True, True, False]
+        reference = FractionRowSpace(4, [[int(x) for x in r] for r in rows])
+        assert (space.rows, space.pivots) == (reference.rows, reference.pivots)
+
+
+# entries of every kind RowSpace takes: small ints, Fractions, and Python
+# ints beyond int64
+ENTRIES = st.one_of(st.integers(-6, 6),
+                    st.fractions(min_value=-6, max_value=6, max_denominator=7),
+                    st.integers(2 ** 63, 2 ** 90), st.integers(-(2 ** 90), -(2 ** 63)))
+COEFFS = st.one_of(st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=4),
+                   st.integers(2 ** 63, 2 ** 70))
+
+
+@st.composite
+def row_sequences(draw):
+    """(cols, rows, probes): random rows with planted zero rows, scaled
+    duplicates and combinations of earlier rows, and vectors to test for
+    membership, some of them in the span."""
+    cols = draw(st.integers(1, 6))
+    vector = st.lists(ENTRIES, min_size=cols, max_size=cols)
+    rows = draw(st.lists(vector, max_size=6))
+
+    def combination(sources):
+        used = draw(st.lists(st.sampled_from(sources), min_size=1, max_size=3))
+        weights = [draw(COEFFS) for _ in used]
+        return [sum(w * r[c] for w, r in zip(weights, used)) for c in range(cols)]
+
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["zero", "scaled", "combination"]))
+        if kind == "zero" or not rows:
+            planted = [0] * cols
+        elif kind == "scaled":
+            c = draw(COEFFS.filter(bool))
+            planted = [c * x for x in draw(st.sampled_from(rows))]
+        else:
+            planted = combination(rows)
+        rows.insert(draw(st.integers(0, len(rows))), planted)
+    probes = draw(st.lists(vector, max_size=2))
+    if rows:
+        probes.append(combination(rows))
+    return cols, rows, probes
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(row_sequences())
+def test_rowspace_matches_the_fraction_reference(case):
+    cols, rows, probes = case
+    space, reference = linalg.RowSpace(cols), FractionRowSpace(cols)
+    for row in rows:
+        assert space.add(row) == reference.add(row)
+        assert (space.rows, space.pivots, space.rank) == \
+            (reference.rows, reference.pivots, reference.rank)
+    for v in probes:
+        assert space.contains(v) == reference.contains(v)
+    kernel = space.nullspace()
+    assert kernel == reference.nullspace()
+    assert all(type(x) is Fraction for m in (space.rows, kernel) for v in m for x in v)
 
 
 class TestRankModP:
