@@ -14,6 +14,7 @@ import itertools
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hesslab import cli, identities, miner
@@ -276,3 +277,22 @@ def test_canonical_forms_are_unchanged(p, stride):
         canon, sign, zero = miner.canonicalize(raw)
         rows.append(f"{canon}|{zero}|{'' if zero else sign}")
     assert _digest(";".join(rows)) == CANONICAL_FORMS[p]
+
+
+# SHA-256 of maps.tobytes() and signs.tobytes() of the slot-map group
+ORBIT_MAPS = {
+    2: ("5406b00629bc3371e9beff1c1dc9c76946feb4c4eb28965720415471bb84f1c1",
+        "c2db70b845e609a4828afae64852137670d1faefe53d6615c8fa95dc9eb72403"),
+    3: ("384f7b734ae7ff4c0fb854d94a73b03819a6ebc2dcb2fc48fa70e84d1db9590e",
+        "fb75c84fce69f1063e337c6a6869d965bc8dd26b991fa8a6f592a7cde04830ab"),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_orbit_maps_are_unchanged(p):
+    maps, signs = miner._orbit_maps.__wrapped__(p)  # build afresh, not the cached pair
+    assert maps.shape == ({2: 128, 3: 3072}[p], 4 * p) and signs.shape == maps.shape[:1]
+    assert maps.dtype == signs.dtype == np.int8
+    assert not maps.flags.writeable and not signs.flags.writeable
+    assert (hashlib.sha256(maps.tobytes()).hexdigest(),
+            hashlib.sha256(signs.tobytes()).hexdigest()) == ORBIT_MAPS[p]
