@@ -121,7 +121,7 @@ def rref(m) -> tuple[Matrix, list[int]]:
 
 
 def rank(m) -> int:
-    return len(rref(m)[1])
+    return RowSpace(len(m[0]) if m else 0, m).rank
 
 
 def rank_mod_p(m) -> int:

@@ -7,16 +7,17 @@ sign, pair exchange), factor reordering, and signed relabeling of the
 free indices.  One cached group of slot maps (_orbit_maps) and one integer
 key per pattern (_keys) serve both steps: canonicalize takes the least key
 over a pattern's images, and the enumeration keys every raw pattern,
-canonicalizes one per orbit and marks the rest by their keys.  Evaluating
-every pattern (one einsum spec for tensor.alternating_contraction) on
-random points of the image of rho and on random generic curvature tensors
-turns the search for identities into exact nullspace computations.
+canonicalizes one per orbit and marks the rest by the image keys
+canonicalize computed (_orbit_keys), so each orbit is keyed once.
+Evaluating every pattern on random points of the image of rho and on
+random generic curvature tensors, one tensor.alternating_rows call per
+sample with one einsum spec per pattern, turns the search for identities
+into exact nullspace computations.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -26,8 +27,8 @@ import numpy as np
 from . import linalg, rng
 from .curvature import CurvTensor, curvature_space_dim, materialize
 from .hessmap import rho
-from .tensor import (Sym3Tensor, Tensor, alternating_contraction,
-                     alternating_tensor, integer_form, sym3_dim)
+from .tensor import (Sym3Tensor, Tensor, alternating_contraction, alternating_rows,
+                     alternating_tensor, sym3_dim)
 
 # slot encoding: value >= 0 is the partner slot of a contraction,
 # value -(label+1) marks a free slot carrying label 0..3
@@ -91,7 +92,7 @@ def canonicalize(slots) -> tuple[tuple, int, bool]:
     p = len(slots) // 4
     if p > 4:  # the keys fit in int64 up to degree 4
         raise PatternError(f"degree {p} not supported (use at most 4)")
-    keys, before = _keys(*_images(slots))
+    keys, before = _orbit_keys(slots)
     tied = np.flatnonzero(keys == keys.min())
     signs = _orbit_maps(p)[1][tied]
     total = signs * (1 - 2 * (np.triu(before[tied], 1).sum((1, 2)) % 2))
@@ -105,6 +106,15 @@ def _images(slots):
     ends = [(s, t) for s, t in enumerate(slots) if t > s]
     return (maps[:, [slots.index(-1 - label) for label in range(4)]],
             maps[:, [s for s, _ in ends]], maps[:, [t for _, t in ends]])
+
+
+@lru_cache(maxsize=1)
+def _orbit_keys(slots: tuple):
+    """_keys of the images of slots, read-only; kept for the last slots
+    asked, so that enumerate_patterns marks the orbit canonicalize keyed."""
+    keys, before = _keys(*_images(slots))
+    keys.flags.writeable = before.flags.writeable = False
+    return keys, before
 
 
 def _keys(free, a, b):
@@ -158,16 +168,13 @@ def _orbit_maps(p: int):
     maps in all.  maps[g] sends old slot s to new slot maps[g, s], and
     signs[g] is the product of the factor symmetry signs.
     """
-    maps, signs = [], []
-    for order in itertools.permutations(range(p)):
-        for syms in itertools.product(_FACTOR_SYMS, repeat=p):
-            g = [0] * (4 * p)
-            for fpos, (fac, (perm, _)) in enumerate(zip(order, syms)):
-                for q in range(4):
-                    g[4 * fac + perm[q]] = 4 * fpos + q
-            maps.append(g)
-            signs.append(math.prod(sign for _, sign in syms))
-    maps, signs = np.array(maps, dtype=np.int8), np.array(signs, dtype=np.int8)
+    perms, signs = (np.array(x, dtype=np.int8) for x in zip(*_FACTOR_SYMS))
+    # factor order (outer) times one symmetry per factor position (inner)
+    order = np.array(list(itertools.permutations(range(p))), dtype=np.int8)[:, None, :, None]
+    syms = np.indices((8,) * p, dtype=np.int8).reshape(p, -1).T
+    # new slot 4 * f + q is old slot 4 * order[f] + perm[q], perm that of syms[f]
+    maps = (4 * order + perms[syms]).reshape(-1, 4 * p).argsort(axis=1).astype(np.int8)
+    signs = np.tile(signs[syms].prod(1), len(order)).astype(np.int8)
     maps.flags.writeable = signs.flags.writeable = False
     return maps, signs
 
@@ -180,8 +187,9 @@ def enumerate_patterns(p: int) -> tuple[ContractionPattern, ...]:
     of the other slots.  Every raw is keyed once by _keys; raws with a trace
     inside one antisymmetric index pair vanish and are dropped.  Until every
     key is marked, the least unmarked one is read back into its raw, which
-    is canonicalized, and the keys of its images under _orbit_maps mark its
-    whole orbit.  Patterns that vanish by a sign-reversing symmetry go too.
+    is canonicalized, and the keys of its images under _orbit_maps, which
+    _orbit_keys kept from canonicalize, mark its whole orbit.  Patterns that
+    vanish by a sign-reversing symmetry go too.
     """
     if p not in (2, 3):
         raise PatternError(f"degree {p} not supported (use 2 or 3)")
@@ -212,7 +220,7 @@ def enumerate_patterns(p: int) -> tuple[ContractionPattern, ...]:
         canon, _, zero = canonicalize(raw)
         if not zero:
             canons.append(canon)
-        marked[np.searchsorted(keys, _keys(*_images(raw))[0])] = True
+        marked[np.searchsorted(keys, _orbit_keys(raw)[0])] = True
     return tuple(ContractionPattern(p, c) for c in sorted(canons))
 
 
@@ -262,6 +270,7 @@ def coefficient_vector(patterns, combination) -> list[Fraction]:
     return vec
 
 
+@lru_cache(maxsize=None)
 def _einsum_spec(pat: ContractionPattern) -> str:
     letters = "abcdefgh"
     subs = [""] * (4 * pat.degree)
@@ -290,14 +299,10 @@ def _evaluate_rows(patterns, data_int):
     """24 x (antisymmetrized pattern values) at the sorted index quadruples, as ints.
 
     data_int is an integer numpy array; the uniform factor 24 clears the
-    antisymmetrizer denominator, which leaves the nullspace unchanged.  It
-    is stored as int64 once, where it fits, so that each pattern's
-    contraction only checks its own overflow bound.
+    antisymmetrizer denominator, which leaves the nullspace unchanged.  One
+    alternating_rows call evaluates every pattern, one row per pattern.
     """
-    data = integer_form(data_int, lambda M: M)[0]
-    cols = [alternating_contraction(data, [(_einsum_spec(pat), 1)])
-            for pat in patterns]
-    return [list(row) for row in zip(*cols)]
+    return alternating_rows(data_int, [_einsum_spec(pat) for pat in patterns]).T.tolist()
 
 
 def _int_sym3(n: int, seed: int, bound: int) -> Sym3Tensor:

@@ -9,7 +9,10 @@ identity and every trace is a plain contraction of two slots.
 Contractions do not run on ``Fraction`` entries: integer_form clears a
 tensor's denominators once, the products and sums run on integers (int64
 where an a-priori bound rules out overflow, Python ints otherwise), and
-only the few output entries become ``Fraction`` again.
+only the few output entries become ``Fraction`` again.  The one evaluator,
+alternating_rows, runs a list of einsum specs on one integer form and reads
+them at the sorted index tuples in one gather; alternating_contraction is
+the weighted sum of its rows.
 """
 
 from __future__ import annotations
@@ -179,30 +182,37 @@ def _term_size(spec: str) -> tuple[int, int]:
     return inputs.count(",") + 1, len(set(inputs) - set(output) - {","})
 
 
+def alternating_rows(data, specs) -> np.ndarray:
+    """Row r: sum_s sign(s) T_r[q_s(1), ..., q_s(k)] at each sorted k-tuple q.
+
+    T_r = einsum(specs[r], data, ..., data); every spec has k free slots.
+    No 1/k! factor.  Returns a (len(specs), C(n, k)) object array of
+    Fractions for Fraction data and of Python ints for integer data.
+
+    All specs run on one integer_form(data): a spec of degree deg with s
+    contracted letters has entries at most n**s * M**deg, and its signed
+    sum over k! permutations k! times that, which picks int64 below 2**62.
+    """
+    n, k = data.shape[0], len(specs[0].split("->")[1])
+    sizes = [_term_size(spec) for spec in specs]
+    X, D, rational = integer_form(data, lambda M: max(
+        math.factorial(k) * n**s * M**deg for deg, s in sizes))
+    at, signs = _alternating_index(n, k)
+    full = np.stack([_contract(spec, [X] * deg) for spec, (deg, _) in zip(specs, sizes)])
+    rows = (full[(slice(None),) + at] * signs.astype(X.dtype)).sum(axis=2).tolist()
+    if rational:
+        rows = [[Fraction(v, D**deg) for v in row] for row, (deg, _) in zip(rows, sizes)]
+    return np.array(rows, dtype=object)
+
+
 def alternating_contraction(data, terms) -> np.ndarray:
     """sum_s sign(s) T[q_s(1), ..., q_s(k)] at each sorted k-tuple q of range(n).
 
     T is the sum of weight * einsum(spec, data, ..., data) over the
-    (spec, weight) terms, all with k free slots.  No 1/k! factor.  The
-    values are Fractions for Fraction data and Python ints for integer data.
-
-    The einsums run on integer_form(data): a term of degree deg with s
-    contracted letters has entries at most n**s * M**deg, and its signed
-    sum over k! permutations k! times that, which picks int64 below 2**62.
+    (spec, weight) terms: the weighted sum of their alternating_rows.
     """
-    n, k = data.shape[0], len(terms[0][0].split("->")[1])
-    sizes = [_term_size(spec) for spec, _ in terms]
-    X, D, rational = integer_form(data, lambda M: max(
-        math.factorial(k) * n**s * M**deg for deg, s in sizes))
-    at, signs = _alternating_index(n, k)
-    signs = signs.astype(X.dtype)
-    total = 0
-    for (spec, weight), (deg, _) in zip(terms, sizes):
-        raw = (_contract(spec, [X] * deg)[at] * signs).sum(axis=1).tolist()
-        if rational:
-            raw = [Fraction(v, D**deg) for v in raw]
-        total = total + weight * np.array(raw, dtype=object)
-    return total
+    rows = alternating_rows(data, [spec for spec, _ in terms])
+    return sum(weight * row for (_, weight), row in zip(terms, rows))
 
 
 def alternating_tensor(n: int, k: int, values: np.ndarray) -> Tensor:

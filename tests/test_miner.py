@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hesslab import miner
-from hesslab.curvature import random_curvature
+from hesslab.curvature import curvature_space_dim, materialize, random_curvature
 from hesslab.hessmap import rho
 from hesslab.tensor import Sym3Tensor, Tensor, signed_permutations
 
@@ -275,6 +275,27 @@ class TestKeys:
         assert tuple(pat.slots for pat in pats) == PINNED_PATTERNS[p]
         assert len(count) == calls
 
+    # one _keys call per sweep chunk and one per orbit (6 at p = 2, 42 at
+    # p = 3), shared by canonicalize and the marking
+    @pytest.mark.parametrize("p, chunks, orbits", ((2, 2, 6), (3, 18, 42)))
+    def test_each_orbit_is_keyed_once(self, p, chunks, orbits, monkeypatch):
+        rows, keys = [], miner._keys
+
+        def counted(*args):
+            rows.append(len(args[0]))
+            return keys(*args)
+
+        monkeypatch.setattr(miner, "_keys", counted)
+        miner._orbit_keys.cache_clear()
+        pats = miner.enumerate_patterns.__wrapped__(p)  # bypass the cache
+        assert tuple(pat.slots for pat in pats) == PINNED_PATTERNS[p]
+        assert len(rows) == chunks + orbits
+        assert rows.count(len(miner._orbit_maps(p)[0])) == orbits
+
+    def test_orbit_keys_are_read_only(self):
+        keys, before = miner._orbit_keys(PINNED_PATTERNS[3][0])
+        assert not keys.flags.writeable and not before.flags.writeable
+
 
 class TestGroup:
     @pytest.mark.parametrize("p", (2, 3))
@@ -337,13 +358,16 @@ class TestEvaluation:
             old = antisymmetrize(Tensor(n, raw), [0, 1, 2, 3])
             assert miner.evaluate_pattern(pat, R) == old
 
-    def test_integer_rows_are_24_times_pattern_values(self, patterns3):
-        data = rho(miner._int_sym3(5, 2, 5)).data
-        rows = miner._evaluate_rows(patterns3, data)
-        quads = list(itertools.combinations(range(5), 4))
-        vals = [miner.evaluate_pattern(pat, data) for pat in patterns3]
-        assert rows == [[24 * v.data[q] for v in vals] for q in quads]
-        assert all(type(x) is int for row in rows for x in row)
+    @pytest.mark.parametrize("n, p", [(4, 2), (4, 3), (5, 2), (5, 3)])
+    def test_integer_rows_are_24_times_pattern_values(self, n, p):
+        pats = miner.enumerate_patterns(p)
+        quads = list(itertools.combinations(range(n), 4))
+        generic = materialize(n, list(range(-3, curvature_space_dim(n) - 3))).data
+        for data in (rho(miner._int_sym3(n, 2, 5)).data, generic):
+            rows = miner._evaluate_rows(pats, data)
+            vals = [miner.evaluate_pattern(pat, data) for pat in pats]
+            assert rows == [[24 * v.data[q] for v in vals] for q in quads]
+            assert all(type(x) is int for row in rows for x in row)
 
     def test_bilinearity_degree2(self, patterns2):
         R1 = random_curvature(4, seed=9)

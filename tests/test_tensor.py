@@ -7,7 +7,7 @@ import pytest
 
 from hesslab import rng, tensor
 from hesslab.tensor import (Sym3Tensor, Tensor, alternating_contraction,
-                            alternating_tensor, antisymmetrize,
+                            alternating_rows, alternating_tensor, antisymmetrize,
                             signed_permutations, sym3_dim, sym3_triples)
 from tensor_helpers import (alternating_contraction_reference, contract,
                             integer_form_dtypes, random_rational, sym3_basis,
@@ -153,6 +153,41 @@ class TestIntegerContraction:
         X, D, rational = tensor.integer_form(np.array([2**40, -3]), lambda M: M * M)
         assert (X.tolist(), D, rational, X.dtype) == ([2**40, -3], 1, False, object)
         assert {type(x) for x in X} == {int}
+
+
+# degrees 1, 2 and 3 in one call, so each row needs its own D**deg
+MIXED_SPECS = ["ijkl->ijkl", "ijab,klba->ijkl", "iajb,kbcd,ldac->ijkl", "iajb,kcad,ldbc->ijkl"]
+
+
+def numerators(data):
+    return np.array([x.numerator for x in data.flat], dtype=object).reshape(data.shape)
+
+
+class TestAlternatingRows:
+    def check_rows(self, data, kind):
+        rows = alternating_rows(data, MIXED_SPECS)
+        assert rows.shape == (len(MIXED_SPECS), math.comb(data.shape[0], 4))
+        assert {type(x) for x in rows.flat} == {kind}
+        assert all(any(row) for row in rows)
+        for spec, row in zip(MIXED_SPECS, rows):
+            assert list(row) == list(alternating_contraction_reference(data, [(spec, 1)]))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_each_row_is_its_spec_alone(self, n, monkeypatch):
+        seen = integer_form_dtypes(monkeypatch, tensor)
+        rational = random_rational(n, 4, seed=n, bound=3).data
+        ints = numerators(rational)
+        for data, kind in ((rational, Fraction), (ints, int), (ints.astype(np.int64), int)):
+            self.check_rows(data, kind)
+        # one integer_form per evaluation, whatever the number of specs
+        assert seen == [np.dtype(np.int64)] * 3
+
+    def test_large_entries_take_the_object_path(self, monkeypatch):
+        seen = integer_form_dtypes(monkeypatch, tensor)
+        rational = random_rational(4, 4, seed=2, bound=3).data * (2**31 + 1)
+        for data, kind in ((rational, Fraction), (numerators(rational), int)):
+            self.check_rows(data, kind)
+        assert seen == [np.dtype(object)] * 2
 
 
 class TestRandomRational:
