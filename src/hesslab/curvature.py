@@ -24,7 +24,8 @@ def cyclic_sum(t: Tensor) -> Tensor:
     """R_{ijkl} + R_{jkil} + R_{kijl}, the first-Bianchi cyclic sum."""
     if t.order != 4:
         raise ValueError("expected an order-4 tensor")
-    return Tensor(t.n, _cyclic(t.data))
+    X, D, rational = integer_form(t, lambda M: 3 * M)
+    return Tensor.from_integers(_cyclic(X), D, rational)
 
 
 def _cyclic(d: np.ndarray) -> np.ndarray:
@@ -34,10 +35,10 @@ def _cyclic(d: np.ndarray) -> np.ndarray:
 def symmetry_failures(t: Tensor, limit: int = 1) -> list[tuple[str, tuple]]:
     """First `limit` violated curvature invariants as (name, index) pairs.
 
-    The residuals are taken on integer_form(t.data), whose zeros are those of
-    t: each residual entry sums at most three entries, so it is at most 3 M.
+    The residuals are taken on integer_form(t), whose zeros are those of t:
+    each residual entry sums at most three entries, so it is at most 3 M.
     """
-    d = integer_form(t.data, lambda M: 3 * M)[0]
+    d = integer_form(t, lambda M: 3 * M)[0]
     checks = [
         ("pair_antisymmetry_first", d + d.transpose(1, 0, 2, 3)),
         ("pair_antisymmetry_second", d + d.transpose(0, 1, 3, 2)),
@@ -143,13 +144,15 @@ def _bianchi_kernel(n: int):
         row = [0] * len(slots)
         row[col[(i, j), (k, l)]], row[col[(i, k), (j, l)]], row[col[(i, l), (j, k)]] = 1, -1, 1
         rows.append(row)
-    kernel = linalg.nullspace(rows, cols=len(slots))
+    kernel, d = linalg.RowSpace(len(slots), rows).integer_nullspace()
     if len(kernel) != curvature_space_dim(n):
         raise AssertionError("Bianchi-kernel dimension mismatch")
-    if any(x.denominator != 1 for v in kernel for x in v):
+    kernel = np.array(kernel)
+    if (kernel % d).any():
         raise AssertionError("Bianchi kernel is not integral")
-    terms = tuple(tuple((m, int(v[c]) * (2 if a == b else 1))
-                        for m, v in enumerate(kernel) if v[c])
+    kernel //= d
+    terms = tuple(tuple((int(m), int(kernel[m, c]) * (2 if a == b else 1))
+                        for m in np.flatnonzero(kernel[:, c]))
                   for c, (a, b) in enumerate(slots))
     where = np.full((n,) * 4, 2 * len(slots), dtype=np.intp)
     for c, (ij, kl) in enumerate(slots):
@@ -162,21 +165,21 @@ def _bianchi_kernel(n: int):
 def materialize(n: int, coeffs) -> Tensor:
     """sum_m coeffs[m] * curvature_basis(n)[m], in the coefficients' number type.
 
-    The integer kernel vectors combine into one set of pair coordinates,
-    which a single gather spreads, with their signs, over the n**4 array.
+    The integer kernel vectors combine the coefficients, cleared once by
+    the lcm L of their denominators, into integer pair coordinates; one
+    gather spreads them, with their signs, over the n**4 array, held over L.
     """
     terms, where = _bianchi_kernel(n)
-    coords = np.array([sum(coeffs[m] * v for m, v in t) for t in terms], dtype=object)
-    # the last entry is a zero of the coefficients' number type; every zero
-    # entry shares it, as a basis tensor's coordinates are mostly zero
-    signed = np.concatenate([coords, -coords, coords[:1] * 0])
-    signed[signed == 0] = signed[-1]
-    return Tensor(n, signed[where])
+    c, L, rational = integer_form(coeffs, lambda M: M)
+    c = c.tolist()  # the coordinate sums run on Python ints
+    coords = np.array([sum(c[m] * v for m, v in t) for t in terms])
+    return Tensor.from_integers(np.concatenate([coords, -coords, [0]])[where], L, rational)
 
 
 @lru_cache(maxsize=None)
 def curvature_basis(n: int) -> tuple[Tensor, ...]:
-    """Fixed basis of the curvature space: the Bianchi kernel, in Fraction entries."""
+    """Fixed basis of the curvature space: the Bianchi kernel, in Fraction
+    entries made, with one shared zero, when a tensor's data is first read."""
     dim = curvature_space_dim(n)
     return tuple(materialize(n, [Fraction(int(m == k)) for k in range(dim)])
                  for m in range(dim))

@@ -25,15 +25,13 @@ def rho_raw(A: Sym3Tensor) -> Tensor:
 
     It runs on L A, with L the lcm of A's denominators: each entry of the
     einsum is at most n M**2 in size for M = max|L A|, the difference
-    twice that.  Each entry is divided by L**2 once, at the end.
+    twice that.  The tensor is held as that integer array over L**2; its
+    entries, Fractions for rational A, are formed only if they are read.
     """
     packed, L, rational = integer_form(A.packed, lambda M: 2 * A.n * M * M)
     a = packed[sym3_index(A.n)]
     t = np.einsum("ika,jla->ijkl", a, a)
-    raw = (t.transpose(0, 1, 3, 2) - t).ravel().tolist()
-    if rational:
-        raw = [Fraction(v, L * L) for v in raw]
-    return Tensor(A.n, np.array(raw, dtype=object).reshape(t.shape))
+    return Tensor.from_integers(t.transpose(0, 1, 3, 2) - t, L * L, rational)
 
 
 def rho(A: Sym3Tensor) -> CurvTensor:

@@ -27,7 +27,7 @@ def _require_min_dim(R: CurvTensor, k: int) -> None:
 
 def _antisymmetrized(R: CurvTensor, terms) -> Tensor:
     """(1/4!) signed-permutation sum over the four free slots of the terms."""
-    values = alternating_contraction(R.data, terms) * Fraction(1, 24)
+    values = alternating_contraction(R.tensor, terms) * Fraction(1, 24)
     return alternating_tensor(R.n, 4, values)
 
 
@@ -64,7 +64,7 @@ def pontryagin_form(R: CurvTensor, p: int) -> Tensor:
     free, inner = "ijklmn", "abc"
     factors = [free[2 * f:2 * f + 2] + inner[f] + inner[(f + 1) % p] for f in range(p)]
     spec = ",".join(factors) + "->" + free[:2 * p]
-    return alternating_tensor(R.n, 2 * p, alternating_contraction(R.data, [(spec, 1)]))
+    return alternating_tensor(R.n, 2 * p, alternating_contraction(R.tensor, [(spec, 1)]))
 
 
 def bianchi_residual(R: Tensor) -> Tensor:

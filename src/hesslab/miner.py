@@ -298,7 +298,7 @@ def evaluate_pattern(pat: ContractionPattern, R) -> Tensor:
 def _evaluate_rows(patterns, data_int):
     """24 x (antisymmetrized pattern values) at the sorted index quadruples, as ints.
 
-    data_int is an integer numpy array; the uniform factor 24 clears the
+    data_int is an integer Tensor or array; the uniform factor 24 clears the
     antisymmetrizer denominator, which leaves the nullspace unchanged.  One
     alternating_rows call evaluates every pattern, one row per pattern.
     """
@@ -390,12 +390,12 @@ def mine(n: int, p: int, max_samples: int | None = None, seed: int = 0,
 
     def rho_sample(i):
         A = _int_sym3(n, seed * 1_000_003 + i, bound)
-        return rho(A).data
+        return rho(A).tensor
 
     def generic_sample(i):
         coeffs = [rng.integer_at(f"mine-generic|{n}|{bound}", seed * 1_000_003 + i, m, bound)
                   for m in range(curvature_space_dim(n))]
-        return materialize(n, coeffs).data
+        return materialize(n, coeffs)
 
     # one sample space: N1 is its nullspace after the rho rows, N2 after
     # the generic rows have been added on top

@@ -1,18 +1,18 @@
 """Dense tensor arithmetic in a fixed orthonormal frame.
 
-Tensors are dense numpy arrays of dtype=object holding exact
-``fractions.Fraction`` entries (Python ints are accepted and behave
-identically; floats appear only in the explicitly requested float
-mode).  The frame is orthonormal throughout, so the metric is the
-identity and every trace is a plain contraction of two slots.
+Entries are exact, ``fractions.Fraction`` or Python ints, in numpy object
+arrays.  The frame is orthonormal, so the metric is the identity and every
+trace is a plain contraction of two slots.
 
-Contractions do not run on ``Fraction`` entries: integer_form clears a
-tensor's denominators once, the products and sums run on integers (int64
-where an a-priori bound rules out overflow, Python ints otherwise), and
-only the few output entries become ``Fraction`` again.  The one evaluator,
-alternating_rows, runs a list of einsum specs on one integer form and reads
-them at the sorted index tuples in one gather; alternating_contraction is
-the weighted sum of its rows.
+Arithmetic runs on integers, not on ``Fraction`` entries.  rho_raw,
+materialize and cyclic_sum build a tensor from its integer form: an
+integer array X and one denominator D, the tensor being X / D; its entries
+are made only if ``data`` is read.  integer_form hands that form over
+(int64 where the caller's a-priori bound rules out overflow, Python ints
+otherwise), or clears the denominators of given entries.  The one
+evaluator, alternating_rows, runs a list of einsum specs on one integer
+form and reads them at the sorted index tuples in one gather; only those
+values become ``Fraction``.  alternating_contraction weighs its rows.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ def signed_permutations(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 class Tensor:
-    """Dense order-k tensor on an n-dimensional space."""
+    """Dense order-k tensor on an n-dimensional space, from given entries."""
 
-    __slots__ = ("n", "order", "data")
+    __slots__ = ("n", "order", "_data", "_int")
 
     def __init__(self, n: int, data):
         if not 2 <= n <= MAX_DIM:
@@ -52,9 +52,25 @@ class Tensor:
         if arr.shape != (n,) * arr.ndim:
             raise ValueError(f"expected shape {(n,) * arr.ndim}, got {arr.shape}")
         arr.flags.writeable = False
-        self.n = n
-        self.order = arr.ndim
-        self.data = arr
+        self.n, self.order, self._data, self._int = n, arr.ndim, arr, None
+
+    @classmethod
+    def from_integers(cls, X: np.ndarray, D: int, rational: bool) -> "Tensor":
+        """X / D, held as X and D over their gcd; rational: Fraction entries, not ints."""
+        g = math.gcd(D, int(np.gcd.reduce(X, axis=None)))
+        if g > 1:
+            X, D = X // g, D // g
+        X.flags.writeable = False
+        t = cls.__new__(cls)
+        t.n, t.order, t._data, t._int = X.shape[0], X.ndim, None, (X, D, rational)
+        return t
+
+    @property
+    def data(self) -> np.ndarray:
+        """The read-only object array of entries, built on first read."""
+        if self._data is None:
+            self._data = _entries(*self._int)
+        return self._data
 
     @classmethod
     def zeros(cls, n: int, order: int) -> "Tensor":
@@ -86,6 +102,8 @@ class Tensor:
         return self.data[idx]
 
     def is_zero(self) -> bool:
+        if self._int is not None:
+            return not self._int[0].any()
         return bool(np.all(self.data == 0))
 
     def _check_like(self, other: "Tensor") -> None:
@@ -114,26 +132,38 @@ def antisymmetrize(t: Tensor, axes: list[int]) -> Tensor:
     return Tensor(t.n, total * Fraction(1, math.factorial(len(axes))))
 
 
+def _entries(X: np.ndarray, D: int, rational: bool) -> np.ndarray:
+    """X / D, read-only: Fractions if rational, else ints; zeros share one object."""
+    zero = Fraction(0) if rational else 0
+    flat = [Fraction(v, D) if rational and v else v or zero for v in X.ravel().tolist()]
+    arr = np.array(flat, dtype=object).reshape(X.shape)
+    arr.flags.writeable = False
+    return arr
+
+
 def integer_form(data, bound) -> tuple[np.ndarray, int, bool]:
     """(X, D, rational): X = D * data in integers, D the lcm of data's denominators.
 
-    bound(M) is the caller's a-priori limit on every intermediate its
-    integer arithmetic on X forms, given M = max|X|.  X is int64 when
-    bound(M) < 2**62 and holds Python ints otherwise.  rational says that
-    data held a Fraction, so results computed from X should be Fractions.
+    data is a Tensor or an array.  A tensor built from integers hands over
+    its stored form without reading an entry.  bound(M) is the caller's
+    a-priori limit on every intermediate its integer arithmetic on X
+    forms, given M = max|X|.  X is int64 when bound(M) < 2**62 and holds
+    Python ints otherwise.  rational says that data held a Fraction, so
+    results computed from X should be Fractions.
     """
-    a = np.asarray(data)
-    if a.dtype.kind == "i":
-        ints, D, rational = a, 1, False
-        M = max(int(a.max(initial=0)), -int(a.min(initial=0)))
+    if isinstance(data, Tensor) and data._int is not None:
+        X, D, rational = data._int
     else:
-        flat = a.ravel().tolist()
-        D = math.lcm(*(x.denominator for x in flat))
-        ints = [x.numerator * (D // x.denominator) for x in flat]
-        rational = any(isinstance(x, Fraction) for x in flat)
-        M = max(map(abs, ints), default=0)
-    dtype = np.int64 if bound(M) < 2**62 else object
-    return np.array(ints, dtype=dtype).reshape(a.shape), D, rational
+        a = np.asarray(data.data if isinstance(data, Tensor) else data)
+        if a.dtype.kind == "i":
+            X, D, rational = a, 1, False
+        else:
+            flat = a.ravel().tolist()
+            D = math.lcm(*(x.denominator for x in flat))
+            X = np.array([x.numerator * (D // x.denominator) for x in flat], dtype=object)
+            X, rational = X.reshape(a.shape), any(isinstance(x, Fraction) for x in flat)
+    M = max(int(X.max(initial=0)), -int(X.min(initial=0)))
+    return X.astype(np.int64 if bound(M) < 2**62 else object, copy=False), D, rational
 
 
 @lru_cache(maxsize=None)
@@ -185,15 +215,17 @@ def _term_size(spec: str) -> tuple[int, int]:
 def alternating_rows(data, specs) -> np.ndarray:
     """Row r: sum_s sign(s) T_r[q_s(1), ..., q_s(k)] at each sorted k-tuple q.
 
-    T_r = einsum(specs[r], data, ..., data); every spec has k free slots.
-    No 1/k! factor.  Returns a (len(specs), C(n, k)) object array of
-    Fractions for Fraction data and of Python ints for integer data.
+    T_r = einsum(specs[r], data, ..., data); every spec has k free slots,
+    and data is a Tensor or an array.  No 1/k! factor.  Returns a
+    (len(specs), C(n, k)) object array of Fractions for Fraction data and
+    of Python ints for integer data.
 
     All specs run on one integer_form(data): a spec of degree deg with s
     contracted letters has entries at most n**s * M**deg, and its signed
     sum over k! permutations k! times that, which picks int64 below 2**62.
     """
-    n, k = data.shape[0], len(specs[0].split("->")[1])
+    n = data.n if isinstance(data, Tensor) else data.shape[0]
+    k = len(specs[0].split("->")[1])
     sizes = [_term_size(spec) for spec in specs]
     X, D, rational = integer_form(data, lambda M: max(
         math.factorial(k) * n**s * M**deg for deg, s in sizes))

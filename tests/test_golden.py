@@ -220,11 +220,15 @@ GENERIC_SAMPLES = {
 
 
 def _mine_samples(n, monkeypatch):
-    """Every sample array mine(n, 2, seed=0) evaluates, and how many are rho samples."""
+    """Every sample array mine(n, 2, seed=0) evaluates, and how many are rho samples.
+
+    The miner hands _evaluate_rows integer-backed tensors; their entries are
+    read here only to pin them.
+    """
     seen = []
     evaluate = miner._evaluate_rows
     monkeypatch.setattr(miner, "_evaluate_rows",
-                        lambda patterns, data: seen.append(data) or evaluate(patterns, data))
+                        lambda patterns, t: seen.append(t.data) or evaluate(patterns, t))
     result = miner.mine(n, 2, seed=0, bound=5)
     return seen, result.rho_samples_used
 

@@ -171,6 +171,17 @@ class TestPastInt64:
         assert seen == [np.dtype(np.int64), np.dtype(object)]
 
 
+class TestOddDegree:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_odd_p_vanishes_on_generic_curvature(self, seed):
+        """The curvature 2-form Omega is antisymmetric as a matrix, so
+        tr Omega^p = tr (Omega^T)^p = (-1)^p tr Omega^p and the form vanishes
+        at odd p on every curvature tensor: p = 3 is never evidence."""
+        R = random_curvature(6, seed)
+        assert pontryagin_form(R, 3).is_zero()
+        assert not pontryagin_form(R, 2).is_zero()  # R is generic
+
+
 class TestBianchiResidual:
     def test_zero_on_curvature(self):
         assert bianchi_residual(random_curvature(4, seed=6).tensor).is_zero()
