@@ -147,13 +147,10 @@ def _bianchi_kernel(n: int):
     kernel, d = linalg.RowSpace(len(slots), rows).integer_nullspace()
     if len(kernel) != curvature_space_dim(n):
         raise AssertionError("Bianchi-kernel dimension mismatch")
-    kernel = np.array(kernel)
-    if (kernel % d).any():
+    if any(x % d for v in kernel for x in v):
         raise AssertionError("Bianchi kernel is not integral")
-    kernel //= d
-    terms = tuple(tuple((int(m), int(kernel[m, c]) * (2 if a == b else 1))
-                        for m in np.flatnonzero(kernel[:, c]))
-                  for c, (a, b) in enumerate(slots))
+    terms = tuple(tuple((m, x // d * (2 if a == b else 1)) for m, x in enumerate(column) if x)
+                  for column, (a, b) in zip(zip(*kernel), slots))
     where = np.full((n,) * 4, 2 * len(slots), dtype=np.intp)
     for c, (ij, kl) in enumerate(slots):
         for (p, q), (r, t) in itertools.product((ij, ij[::-1]), (kl, kl[::-1])):

@@ -15,10 +15,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hesslab import cli, curvature, linalg, rng, tensor
+from hesslab import cli, curvature, linalg, miner, tensor
 from hesslab.curvature import curvature_space_dim, cyclic_sum, materialize
 from hesslab.hessmap import rho_raw
-from hesslab.tensor import Sym3Tensor, integer_form, sym3_dim
+from hesslab.tensor import Sym3Tensor, integer_form
 from tensor_helpers import random_rational
 
 # the second bound is past 2**62 for every M, so it forces the object path
@@ -60,17 +60,12 @@ def check_against(t, reference):
     assert t.is_zero() == (not any(data.flat))
 
 
-def int_sym3(n, seed, bound=5):
-    return Sym3Tensor(n, tuple(rng.integer_at("int-tensor", seed, i, bound)
-                               for i in range(sym3_dim(n))))
-
-
 @pytest.mark.parametrize("n", [4, 5, 6])
 class TestEquivalence:
     def test_rho_raw(self, n):
         A = Sym3Tensor.random(n, seed=n)
         # scaled by 2**31, the einsum itself runs on Python ints
-        for B in (A, int_sym3(n, n), A.scale(2**31)):
+        for B in (A, miner._int_sym3(n, n, 5), A.scale(2**31)):
             check_against(rho_raw(B), rho_raw_reference(B))
 
     def test_materialize(self, n):
