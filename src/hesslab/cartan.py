@@ -45,8 +45,8 @@ class TwoDSym3:
     def from_sym3(cls, A: Sym3Tensor) -> "TwoDSym3":
         if A.n != 2:
             raise ValueError("expected a planar symmetric 3-tensor")
-        d = A.to_dense().data
-        return cls(d[0, 0, 0], 3 * d[0, 0, 1], 3 * d[0, 1, 1], d[1, 1, 1])
+        a, b, c, d = A.packed  # the sorted triples 000, 001, 011, 111
+        return cls(a, 3 * b, 3 * c, d)
 
 
 def display_polynomial(t: TwoDSym3) -> Fraction:

@@ -121,6 +121,8 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"--identity must be one of {_IDENTITIES}")
     if args.dim is None:
         raise UsageError("verify requires --dim")
+    if args.seeds < 1:
+        raise UsageError("--seeds must be at least 1")
     failures = []
     for i in range(args.seeds):
         seed = args.seed * 1_000_003 + i

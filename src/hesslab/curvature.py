@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import linalg, rng
+from . import rng
 from .tensor import Tensor, integer_form
 
 
@@ -127,10 +127,15 @@ def _bianchi_kernel(n: int):
 
     Coordinate c[ij,kl], with i<j, k<l and (i,j) <= (k,l), is the dense
     entry R_ijkl.  On such a tensor the cyclic sum vanishes except at
-    i<j<k<l, where it is c[ij,kl] - c[ik,jl] + c[il,jk]; the exact
-    nullspace of those rows has one vector per free column.  A vector
-    weighs the symmetric products e_ij e_kl + e_kl e_ij of 2-forms, so its
-    diagonal coordinates c[ij,ij] count twice in R_ijij.
+    i<j<k<l, where it is c[ij,kl] - c[ik,jl] + c[il,jk].  Each such row
+    has its least column ij|kl to itself and shares none of its three
+    columns with another row, so the rows are their own reduced row
+    echelon form, with pivot entries 1, and the kernel is written down
+    with no elimination: one vector per free column (any column that is
+    no ij|kl), 1 there and 0 at the other free columns, and at ij|kl +1
+    for the free column ik|jl and -1 for il|jk.  A vector weighs the
+    symmetric products e_ij e_kl + e_kl e_ij of 2-forms, so its diagonal
+    coordinates c[ij,ij] count twice in R_ijij.
 
     Returns, per coordinate, the (vector, integer value) pairs of the
     kernel that are nonzero there, and for every dense index the coordinate
@@ -138,19 +143,13 @@ def _bianchi_kernel(n: int):
     """
     pairs = list(itertools.combinations(range(n), 2))
     slots = list(itertools.combinations_with_replacement(pairs, 2))
-    col = {s: c for c, s in enumerate(slots)}
-    rows = []
-    for i, j, k, l in itertools.combinations(range(n), 4):
-        row = [0] * len(slots)
-        row[col[(i, j), (k, l)]], row[col[(i, k), (j, l)]], row[col[(i, l), (j, k)]] = 1, -1, 1
-        rows.append(row)
-    kernel, d = linalg.RowSpace(len(slots), rows).integer_nullspace()
-    if len(kernel) != curvature_space_dim(n):
+    bianchi = {((i, j), (k, l)): (((i, k), (j, l)), ((i, l), (j, k)))
+               for i, j, k, l in itertools.combinations(range(n), 4)}
+    free = {s: m for m, s in enumerate(s for s in slots if s not in bianchi)}
+    if len(free) != curvature_space_dim(n):
         raise AssertionError("Bianchi-kernel dimension mismatch")
-    if any(x % d for v in kernel for x in v):
-        raise AssertionError("Bianchi kernel is not integral")
-    terms = tuple(tuple((m, x // d * (2 if a == b else 1)) for m, x in enumerate(column) if x)
-                  for column, (a, b) in zip(zip(*kernel), slots))
+    terms = tuple(((free[bianchi[s][0]], 1), (free[bianchi[s][1]], -1)) if s in bianchi
+                  else ((free[s], 2 if s[0] == s[1] else 1),) for s in slots)
     where = np.full((n,) * 4, 2 * len(slots), dtype=np.intp)
     for c, (ij, kl) in enumerate(slots):
         for (p, q), (r, t) in itertools.product((ij, ij[::-1]), (kl, kl[::-1])):

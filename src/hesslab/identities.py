@@ -13,10 +13,9 @@ Fractions.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .curvature import CurvTensor, cyclic_sum
-from .tensor import MAX_ORDER, Tensor, alternating_contraction, alternating_tensor
+from .tensor import (MAX_ORDER, Tensor, alternating_contraction, alternating_tensor,
+                     antisymmetrized)
 
 
 def _require_min_dim(R: CurvTensor, k: int) -> None:
@@ -25,16 +24,10 @@ def _require_min_dim(R: CurvTensor, k: int) -> None:
             f"a degree-{k} antisymmetric form is identically zero for n={R.n} < {k}")
 
 
-def _antisymmetrized(R: CurvTensor, terms) -> Tensor:
-    """(1/4!) signed-permutation sum over the four free slots of the terms."""
-    values = alternating_contraction(R.tensor, terms) * Fraction(1, 24)
-    return alternating_tensor(R.n, 4, values)
-
-
 def pontryagin_quadratic(R: CurvTensor) -> Tensor:
     """Antisymmetrization over (i,j,k,l) of sum_{ab} R_{ijab} R_{klba}."""
     _require_min_dim(R, 4)
-    return _antisymmetrized(R, [("ijab,klba->ijkl", 1)])
+    return antisymmetrized(R.n, R.tensor, [("ijab,klba->ijkl", 1)])
 
 
 def cubic_identity(R: CurvTensor) -> Tensor:
@@ -44,8 +37,8 @@ def cubic_identity(R: CurvTensor) -> Tensor:
     term2 = R_{iajb} R_{kcad} R_{ldbc}.
     """
     _require_min_dim(R, 4)
-    return _antisymmetrized(R, [("iajb,kbcd,ldac->ijkl", 1),
-                                ("iajb,kcad,ldbc->ijkl", -2)])
+    return antisymmetrized(R.n, R.tensor, [("iajb,kbcd,ldac->ijkl", 1),
+                                           ("iajb,kcad,ldbc->ijkl", -2)])
 
 
 def pontryagin_form(R: CurvTensor, p: int) -> Tensor:

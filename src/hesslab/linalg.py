@@ -100,23 +100,18 @@ class RowSpace:
         self._den = e
         return True
 
-    def integer_nullspace(self) -> tuple[list[list[int]], int]:
-        """(basis, D): the nullspace() vectors, each times D, in integers."""
-        d = self._den
-        basis = []
-        for fc in sorted(set(range(self.cols)) - set(self.pivots)):
-            v = [0] * self.cols
-            v[fc] = d
-            for r, pc in zip(self._rows, self.pivots):
-                v[pc] = -r[fc]
-            basis.append(v)
-        return basis, d
-
     def nullspace(self) -> list[Vector]:
         """Right nullspace basis: one vector per free column, which is 1
         there and 0 at every other free column."""
-        basis, d = self.integer_nullspace()
-        return [[Fraction(x, d) for x in v] for v in basis]
+        d = self._den
+        basis = []
+        for fc in sorted(set(range(self.cols)) - set(self.pivots)):
+            v = [Fraction(0)] * self.cols
+            v[fc] = Fraction(1)
+            for r, pc in zip(self._rows, self.pivots):
+                v[pc] = Fraction(-r[fc], d)
+            basis.append(v)
+        return basis
 
 
 def rref(m) -> tuple[Matrix, list[int]]:

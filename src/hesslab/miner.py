@@ -27,8 +27,7 @@ import numpy as np
 from . import linalg, rng
 from .curvature import CurvTensor, curvature_space_dim, materialize
 from .hessmap import rho
-from .tensor import (Sym3Tensor, Tensor, alternating_contraction, alternating_rows,
-                     alternating_tensor, sym3_dim)
+from .tensor import Sym3Tensor, Tensor, alternating_rows, antisymmetrized, sym3_dim
 
 # slot encoding: value >= 0 is the partner slot of a contraction,
 # value -(label+1) marks a free slot carrying label 0..3
@@ -287,12 +286,13 @@ def _einsum_spec(pat: ContractionPattern) -> str:
 
 def evaluate_pattern(pat: ContractionPattern, R) -> Tensor:
     """Contract degree copies of R per the pattern, antisymmetrize free slots."""
-    data = R.data if isinstance(R, (CurvTensor, Tensor)) else np.asarray(R, dtype=object)
-    n = data.shape[0]
+    if isinstance(R, CurvTensor):
+        R = R.tensor
+    data = R if isinstance(R, Tensor) else np.asarray(R, dtype=object)
+    n = data.n if isinstance(data, Tensor) else data.shape[0]
     if n < 4:
         raise PatternError("patterns need n >= 4 for a nonzero 4-form")
-    values = alternating_contraction(data, [(_einsum_spec(pat), 1)])
-    return alternating_tensor(n, 4, values * Fraction(1, 24))
+    return antisymmetrized(n, data, [(_einsum_spec(pat), 1)])
 
 
 def _evaluate_rows(patterns, data_int):

@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .curvature import RicciTensor
 from .hessmap import rho2
-from .tensor import Sym3Tensor
+from .tensor import Sym3Tensor, sym3_index, sym3_triples
 
 # rho2 of the ansatz family equals exactly 1/72 of the quadratic display
 # polynomials below (frozen by exact evaluation); the solvers compensate by
@@ -79,12 +79,9 @@ def isotropic_coefficients(lam):
 
 def _permute_sym3(A: Sym3Tensor, perm) -> Sym3Tensor:
     """Relabel the orthonormal frame: result_{ijk} = A_{perm(i) perm(j) perm(k)}."""
-    dense = A.to_dense().data
-    arr = np.empty_like(dense)
-    for idx in itertools.product(range(3), repeat=3):
-        arr[idx] = dense[tuple(perm[i] for i in idx)]
-    from .tensor import Tensor
-    return Sym3Tensor.from_dense(Tensor(3, arr))
+    index = sym3_index(3)
+    return Sym3Tensor(3, tuple(A.packed[index[perm[i], perm[j], perm[k]]]
+                               for i, j, k in sym3_triples(3)))
 
 
 def _diag_ricci(lams) -> RicciTensor:

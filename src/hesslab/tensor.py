@@ -255,6 +255,12 @@ def alternating_tensor(n: int, k: int, values: np.ndarray) -> Tensor:
     return Tensor(n, arr)
 
 
+def antisymmetrized(n: int, data, terms) -> Tensor:
+    """(1/4!) signed-permutation sum over the four free slots of the weighted
+    einsum terms on data, a Tensor or an array: an alternating order-4 tensor."""
+    return alternating_tensor(n, 4, alternating_contraction(data, terms) * Fraction(1, 24))
+
+
 # --- packed fully symmetric order-3 storage -------------------------------
 
 def sym3_dim(n: int) -> int:

@@ -6,6 +6,7 @@ from hesslab import cartan, linalg
 from hesslab.curvature import scalar_curvature
 from hesslab.hessmap import image_rank_census, rho
 from hesslab.rng import rational_at
+from hesslab.tensor import Sym3Tensor
 
 
 def random_components(seed):
@@ -116,6 +117,13 @@ class TestScalarRelation:
     def test_component_round_trip(self):
         t = random_components(3)
         assert cartan.TwoDSym3.from_sym3(t.to_sym3()) == t
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_from_sym3_reads_the_dense_components(self, seed):
+        A = Sym3Tensor.random(2, seed=seed)
+        d = A.to_dense().data
+        assert cartan.TwoDSym3.from_sym3(A) == cartan.TwoDSym3(
+            d[0, 0, 0], 3 * d[0, 0, 1], 3 * d[0, 1, 1], d[1, 1, 1])
 
 
 class TestSolveA:

@@ -202,6 +202,14 @@ class TestUsageErrors:
         assert code == 2
         assert "--samples" in err
 
+    @pytest.mark.parametrize("seeds", ("0", "-1"))
+    def test_verify_rejects_nonpositive_seeds(self, capsys, seeds):
+        # 0 printed "all_zero": true and exited 0 without checking anything
+        code, out, err = run(capsys, "verify", "--identity", "cubic", "--dim", "5",
+                             "--seeds", seeds, "--no-meta")
+        assert code == 2
+        assert out == "" and "--seeds" in err
+
     def test_rank_census_rejects_zero_bound(self, capsys):
         code, out, err = run(capsys, "rank-census", "--dim", "4", "--samples", "1",
                              "--bound", "0", "--no-meta")

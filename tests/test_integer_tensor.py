@@ -17,7 +17,7 @@ import pytest
 
 from hesslab import cli, curvature, linalg, miner, tensor
 from hesslab.curvature import curvature_space_dim, cyclic_sum, materialize
-from hesslab.hessmap import rho_raw
+from hesslab.hessmap import rho, rho_raw
 from hesslab.tensor import Sym3Tensor, integer_form
 from tensor_helpers import random_rational
 
@@ -115,11 +115,14 @@ def test_bianchi_kernel_matches_fraction_nullspace(n):
     assert np.array_equal(where, expect_where)
 
 
-def test_integer_nullspace_is_the_fraction_one_times_d():
-    space = linalg.RowSpace(5, [[2, 4, 0, 6, 1], [0, 3, 9, 3, 3], [1, 1, 1, 1, 7]])
-    basis, d = space.integer_nullspace()
-    assert all(type(x) is int for v in basis for x in v)
-    assert [[Fraction(x, d) for x in v] for v in basis] == space.nullspace()
+def test_bianchi_kernel_runs_no_elimination(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Bianchi kernel ran an elimination")
+    monkeypatch.setattr(linalg, "RowSpace", refuse)
+    for n in range(2, 9):
+        terms, where = curvature._bianchi_kernel.__wrapped__(n)
+        assert len({m for t in terms for m, _ in t}) == curvature_space_dim(n)
+        assert where.shape == (n,) * 4
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -137,4 +140,15 @@ def test_verify_never_builds_curvature_entries(identity, n, monkeypatch):
                         "--seeds", "2", "--seed", "1", "--no-meta"])
     vanishes = identity != "cubic" or n == 4
     assert (code, json.loads(out.getvalue())["all_zero"]) == (0 if vanishes else 1, vanishes)
+    assert built == []
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_evaluate_pattern_never_builds_curvature_entries(n, monkeypatch):
+    built = []
+    entries = tensor._entries
+    monkeypatch.setattr(tensor, "_entries", lambda *form: built.append(form) or entries(*form))
+    R = rho(Sym3Tensor.random(n, seed=n))
+    for pat in miner.enumerate_patterns(2):
+        miner.evaluate_pattern(pat, R)
     assert built == []

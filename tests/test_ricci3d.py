@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,7 +9,23 @@ from hesslab import ricci3d
 from hesslab.curvature import RicciTensor, curvature_basis, CurvTensor, ricci
 from hesslab.hessmap import rho2
 from hesslab.rng import rational_at
-from hesslab.tensor import Sym3Tensor
+from hesslab.tensor import Sym3Tensor, Tensor
+
+
+def permute_sym3_reference(A, perm):
+    """_permute_sym3 read off the dense tensor, index by index."""
+    dense = A.to_dense().data
+    arr = np.empty_like(dense)
+    for idx in itertools.product(range(3), repeat=3):
+        arr[idx] = dense[tuple(perm[i] for i in idx)]
+    return Sym3Tensor.from_dense(Tensor(3, arr))
+
+
+def test_permute_sym3_matches_dense_relabeling():
+    for seed in range(30):
+        A = Sym3Tensor.random(3, seed=seed)
+        for perm in itertools.permutations(range(3)):
+            assert ricci3d._permute_sym3(A, perm) == permute_sym3_reference(A, perm)
 
 
 def diag(l1, l2, l3):
