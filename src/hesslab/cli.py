@@ -150,7 +150,7 @@ def _parse_matrix(doc) -> list:
     try:
         return [[serialize.parse_rational(x) if isinstance(x, str) else Fraction(x)
                  for x in row] for row in rows]
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: JSON Infinity
         raise UsageError(f"bad matrix entry: {exc}") from exc
 
 
@@ -318,3 +318,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -216,7 +216,8 @@ def coordinates(R: Tensor) -> list[Fraction]:
     """Coordinates of a curvature-symmetric tensor in curvature_basis(R.n).
 
     Only basis tensor i is nonzero at positions[i], so there R equals its
-    coordinate i times values[i]: an exact gather, with no inverse.
+    coordinate i times values[i]: an exact gather from X / D, with no inverse.
     """
     positions, values = _coordinate_data(R.n)
-    return list(R.data.take(positions) / values)
+    X, D, _ = integer_form(R, lambda M: M)
+    return [Fraction(x, D) / v for x, v in zip(X.take(positions).tolist(), values)]

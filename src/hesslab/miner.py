@@ -288,11 +288,11 @@ def evaluate_pattern(pat: ContractionPattern, R) -> Tensor:
     """Contract degree copies of R per the pattern, antisymmetrize free slots."""
     if isinstance(R, CurvTensor):
         R = R.tensor
-    data = R if isinstance(R, Tensor) else np.asarray(R, dtype=object)
-    n = data.n if isinstance(data, Tensor) else data.shape[0]
-    if n < 4:
+    elif not isinstance(R, Tensor):
+        R = Tensor(len(R), R)
+    if R.n < 4:
         raise PatternError("patterns need n >= 4 for a nonzero 4-form")
-    return antisymmetrized(n, data, [(_einsum_spec(pat), 1)])
+    return antisymmetrized(R.n, R, [(_einsum_spec(pat), 1)])
 
 
 def _evaluate_rows(patterns, data_int):

@@ -9,6 +9,7 @@ Zero entries are omitted and rationals are serialized as reduced
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +22,11 @@ def format_rational(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # no point, exponent, space or "_"
+
+
 def parse_rational(s: str) -> Fraction:
-    if not isinstance(s, str) or "." in s:
+    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
         raise ValueError(f"expected a p/q rational string, got {s!r}")
     try:
         return Fraction(s)

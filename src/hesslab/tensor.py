@@ -39,7 +39,7 @@ def signed_permutations(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 class Tensor:
-    """Dense order-k tensor on an n-dimensional space, from given entries."""
+    """Dense order-k tensor on an n-dimensional space, held as its integer form."""
 
     __slots__ = ("n", "order", "_data", "_int")
 
@@ -51,19 +51,22 @@ class Tensor:
             raise ValueError(f"order must be <= {MAX_ORDER}, got {arr.ndim}")
         if arr.shape != (n,) * arr.ndim:
             raise ValueError(f"expected shape {(n,) * arr.ndim}, got {arr.shape}")
-        arr.flags.writeable = False
-        self.n, self.order, self._data, self._int = n, arr.ndim, arr, None
+        self._store(n, *_clear(arr))
 
     @classmethod
     def from_integers(cls, X: np.ndarray, D: int, rational: bool) -> "Tensor":
-        """X / D, held as X and D over their gcd; rational: Fraction entries, not ints."""
+        """X / D; rational: Fraction entries, not ints."""
+        t = cls.__new__(cls)
+        t._store(X.shape[0], X, D, rational)
+        return t
+
+    def _store(self, n: int, X: np.ndarray, D: int, rational: bool) -> None:
+        """Hold X and D over their gcd: D is the lcm of the denominators."""
         g = math.gcd(D, int(np.gcd.reduce(X, axis=None)))
         if g > 1:
             X, D = X // g, D // g
         X.flags.writeable = False
-        t = cls.__new__(cls)
-        t.n, t.order, t._data, t._int = X.shape[0], X.ndim, None, (X, D, rational)
-        return t
+        self.n, self.order, self._data, self._int = n, X.ndim, None, (X, D, rational)
 
     @property
     def data(self) -> np.ndarray:
@@ -78,11 +81,11 @@ class Tensor:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Tensor) and self.n == other.n
-                and self.order == other.order
-                and bool(np.all(self.data == other.data)))
+                and self.order == other.order and self._int[1] == other._int[1]
+                and np.array_equal(self._int[0], other._int[0]))
 
     def __hash__(self):
-        return hash((self.n, self.order, tuple(self.data.flat)))
+        return hash((self.n, self.order, self._int[1], tuple(self._int[0].ravel().tolist())))
 
     def __add__(self, other: "Tensor") -> "Tensor":
         self._check_like(other)
@@ -102,9 +105,7 @@ class Tensor:
         return self.data[idx]
 
     def is_zero(self) -> bool:
-        if self._int is not None:
-            return not self._int[0].any()
-        return bool(np.all(self.data == 0))
+        return not self._int[0].any()
 
     def _check_like(self, other: "Tensor") -> None:
         if self.n != other.n or self.order != other.order:
@@ -141,27 +142,24 @@ def _entries(X: np.ndarray, D: int, rational: bool) -> np.ndarray:
     return arr
 
 
+def _clear(a: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """(X, D, rational) of integer_form for the entries of a, in a new array."""
+    flat = a.ravel().tolist()
+    D = math.lcm(*(x.denominator for x in flat))
+    X = np.array([x.numerator * (D // x.denominator) for x in flat], dtype=object)
+    return X.reshape(a.shape), D, any(isinstance(x, Fraction) for x in flat)
+
+
 def integer_form(data, bound) -> tuple[np.ndarray, int, bool]:
     """(X, D, rational): X = D * data in integers, D the lcm of data's denominators.
 
-    data is a Tensor or an array.  A tensor built from integers hands over
-    its stored form without reading an entry.  bound(M) is the caller's
-    a-priori limit on every intermediate its integer arithmetic on X
-    forms, given M = max|X|.  X is int64 when bound(M) < 2**62 and holds
-    Python ints otherwise.  rational says that data held a Fraction, so
-    results computed from X should be Fractions.
+    A Tensor hands over its stored form; an array, list or tuple is cleared.
+    bound(M) is the caller's a-priori limit on every intermediate its
+    integer arithmetic on X forms, given M = max|X|.  X is int64 when
+    bound(M) < 2**62 and holds Python ints otherwise.  rational says that
+    data held a Fraction, so results computed from X should be Fractions.
     """
-    if isinstance(data, Tensor) and data._int is not None:
-        X, D, rational = data._int
-    else:
-        a = np.asarray(data.data if isinstance(data, Tensor) else data)
-        if a.dtype.kind == "i":
-            X, D, rational = a, 1, False
-        else:
-            flat = a.ravel().tolist()
-            D = math.lcm(*(x.denominator for x in flat))
-            X = np.array([x.numerator * (D // x.denominator) for x in flat], dtype=object)
-            X, rational = X.reshape(a.shape), any(isinstance(x, Fraction) for x in flat)
+    X, D, rational = data._int if isinstance(data, Tensor) else _clear(np.asarray(data))
     M = max(int(X.max(initial=0)), -int(X.min(initial=0)))
     return X.astype(np.int64 if bound(M) < 2**62 else object, copy=False), D, rational
 
@@ -250,9 +248,10 @@ def alternating_contraction(data, terms) -> np.ndarray:
 def alternating_tensor(n: int, k: int, values: np.ndarray) -> Tensor:
     """The antisymmetric order-k tensor whose sorted-tuple entries are values."""
     at, signs = _alternating_index(n, k)
-    arr = np.full((n,) * k, Fraction(0), dtype=object)
-    arr[at] = values[:, None] * signs
-    return Tensor(n, arr)
+    v, D, rational = _clear(values)
+    X = np.zeros((n,) * k, dtype=object)
+    X[at] = v[:, None] * signs
+    return Tensor.from_integers(X, D, rational)
 
 
 def antisymmetrized(n: int, data, terms) -> Tensor:

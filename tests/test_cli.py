@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,18 @@ class TestGlobalBehavior:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+
+    def test_module_entry_point_runs_the_command(self):
+        # python -m hesslab.cli must run the command, not import cli and exit 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "hesslab.cli", "verify", "--identity",
+                               "cubic", "--dim", "5", "--seeds", "1", "--no-meta"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["all_zero"] is False
 
 
 class TestSubcommands:
@@ -209,6 +225,15 @@ class TestUsageErrors:
                              "--seeds", seeds, "--no-meta")
         assert code == 2
         assert out == "" and "--seeds" in err
+
+    @pytest.mark.parametrize("entry", ("Infinity", "-Infinity", "NaN", "1e400"))
+    def test_solve3d_rejects_non_finite_entries(self, capsys, tmp_path, entry):
+        # json reads these as float inf or nan; Fraction(inf) raises OverflowError
+        path = tmp_path / "r.json"
+        path.write_text('{"rows": [[%s, 0, 0], [0, 2, 0], [0, 0, 3]]}' % entry)
+        code, out, err = run(capsys, "solve3d", "--ricci", str(path), "--no-meta")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_rank_census_rejects_zero_bound(self, capsys):
         code, out, err = run(capsys, "rank-census", "--dim", "4", "--samples", "1",

@@ -1,9 +1,11 @@
 """Tensors built from integers against the Fraction arrays they stand for.
 
-rho_raw, materialize and cyclic_sum build their result as an integer form
-(X, D) and make its entries only when .data is read.  Each is compared
-with the entries the direct Fraction computation gives: the same integer
-form, the same values and element types, read-only, with one shared zero.
+Every Tensor holds an integer form (X, D) and makes its entries only when
+.data is read; Tensor(n, data) clears given entries into its own form.
+rho_raw, materialize and cyclic_sum build theirs from integers.  Each is
+compared with the entries the direct Fraction computation gives: the same
+integer form, the same values and element types, read-only, with one
+shared zero.
 """
 
 import contextlib
@@ -15,10 +17,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hesslab import cli, curvature, linalg, miner, tensor
-from hesslab.curvature import curvature_space_dim, cyclic_sum, materialize
+from hesslab import cli, curvature, linalg, miner, rng, tensor
+from hesslab.curvature import (coordinates, curvature_space_dim, cyclic_sum, materialize,
+                               random_curvature)
 from hesslab.hessmap import rho, rho_raw
-from hesslab.tensor import Sym3Tensor, integer_form
+from hesslab.identities import pontryagin_form
+from hesslab.tensor import Sym3Tensor, Tensor, integer_form
 from tensor_helpers import random_rational
 
 # the second bound is past 2**62 for every M, so it forces the object path
@@ -152,3 +156,50 @@ def test_evaluate_pattern_never_builds_curvature_entries(n, monkeypatch):
     for pat in miner.enumerate_patterns(2):
         miner.evaluate_pattern(pat, R)
     assert built == []
+
+
+class TestGivenEntries:
+    """Tensor(n, data) holds the same integer form as a tensor built from integers."""
+
+    def test_constructor_leaves_the_callers_array_alone(self):
+        a = random_rational(4, 4, seed=1).data.copy()
+        expect = a.tolist()
+        t = Tensor(4, a)
+        assert a.flags.writeable
+        a[0, 1, 2, 3] += 1
+        assert t.data.tolist() == expect
+
+    def test_ints_and_equal_fractions_are_one_tensor(self):
+        ints = np.arange(-8, 8, dtype=object).reshape(4, 4)
+        fractions = np.array([Fraction(2 * x, 2) for x in ints.flat], dtype=object).reshape(4, 4)
+        t, u = Tensor(4, ints), Tensor(4, fractions)
+        assert t == u and hash(t) == hash(u)
+        assert ({type(x) for x in t.data.flat}, {type(x) for x in u.data.flat}) == (
+            {int}, {Fraction})
+        # 3X / 6 is held as X / 2, the form of the halved entries
+        halves = Tensor(4, fractions / 2)
+        scaled = Tensor.from_integers(np.arange(-8, 8).reshape(4, 4) * 3, 6, True)
+        assert scaled == halves and hash(scaled) == hash(halves)
+        assert halves != u
+
+    def test_comparisons_and_coordinates_read_no_entries(self, monkeypatch):
+        built = []
+        entries = tensor._entries
+        monkeypatch.setattr(tensor, "_entries", lambda *form: built.append(form) or entries(*form))
+        n, dim = 5, curvature_space_dim(5)
+        R, S = random_curvature(n, seed=1).tensor, random_curvature(n, seed=1).tensor
+        assert not R.is_zero() and R == S and hash(R) == hash(S)
+        assert R != random_curvature(n, seed=2).tensor
+        assert materialize(n, [0] * dim).is_zero()
+        assert coordinates(R) == [rng.rational_at(f"curv|{n}|10", 1, i, 10) for i in range(dim)]
+        assert built == []
+
+
+def test_pontryagin_form_builds_no_entries_until_read(monkeypatch):
+    built = []
+    entries = tensor._entries
+    monkeypatch.setattr(tensor, "_entries", lambda *form: built.append(form) or entries(*form))
+    form = pontryagin_form(random_curvature(6, seed=1), 3)
+    assert form.is_zero() and built == []
+    assert not any(form.data.flat)
+    assert len(built) == 1

@@ -21,7 +21,7 @@ class TestRationals:
             assert parse_rational(format_rational(x)) == x
 
     def test_parse_rejects_garbage(self):
-        for bad in ("", "1/0", "a/b", "1.5"):
+        for bad in ("", "1/0", "a/b", "1.5", "1e5", "1E5"):
             with pytest.raises(ValueError):
                 parse_rational(bad)
 
