@@ -4,15 +4,17 @@ Entries are exact, ``fractions.Fraction`` or Python ints, in numpy object
 arrays.  The frame is orthonormal, so the metric is the identity and every
 trace is a plain contraction of two slots.
 
-Arithmetic runs on integers, not on ``Fraction`` entries.  rho_raw,
-materialize and cyclic_sum build a tensor from its integer form: an
-integer array X and one denominator D, the tensor being X / D; its entries
-are made only if ``data`` is read.  integer_form hands that form over
-(int64 where the caller's a-priori bound rules out overflow, Python ints
-otherwise), or clears the denominators of given entries.  The one
-evaluator, alternating_rows, runs a list of einsum specs on one integer
-form and reads them at the sorted index tuples in one gather; only those
-values become ``Fraction``.  alternating_contraction weighs its rows.
+Arithmetic runs on integers, not on ``Fraction`` entries.  Every Tensor
+holds its integer form: an integer array X and one denominator D, the
+tensor being X / D, reduced by their gcd.  Tensor(n, data) clears the
+given entries into its own X once; rho_raw, materialize, cyclic_sum and
+alternating_tensor build X directly.  The entries are made only if
+``data`` is read.  integer_form hands the form over (int64 where the
+caller's a-priori bound rules out overflow, Python ints otherwise).  The
+one evaluator, alternating_rows, runs a list of einsum specs on one
+integer form and reads them at the sorted index tuples in one gather;
+only those values become ``Fraction``.  alternating_contraction weighs
+its rows.
 """
 
 from __future__ import annotations

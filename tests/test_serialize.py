@@ -27,7 +27,7 @@ class TestRationals:
 
 
 class TestTensorDocuments:
-    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("order", [0, 2, 3, 4])
     def test_dense_round_trip(self, order):
         t = random_rational(3, order, seed=order)
         doc = tensor_to_json(t)
