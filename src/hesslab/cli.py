@@ -147,10 +147,15 @@ def _parse_matrix(doc) -> list:
     if (not isinstance(rows, list) or len(rows) != 3
             or any(not isinstance(r, list) or len(r) != 3 for r in rows)):
         raise UsageError('expected {"rows": [[...], [...], [...]]} with 3x3 entries')
+    for x in (x for row in rows for x in row):
+        # JSON true would read as 1 and 0.1 as its binary value: neither is exact input
+        if not isinstance(x, (str, int)) or isinstance(x, bool):
+            raise UsageError(f"bad matrix entry {json.dumps(x)}: expected a rational "
+                             "string or an integer")
     try:
         return [[serialize.parse_rational(x) if isinstance(x, str) else Fraction(x)
                  for x in row] for row in rows]
-    except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: JSON Infinity
+    except ValueError as exc:
         raise UsageError(f"bad matrix entry: {exc}") from exc
 
 

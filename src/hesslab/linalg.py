@@ -65,9 +65,8 @@ class RowSpace:
         try:
             v = [operator.index(x) for x in row]
         except TypeError:  # not all integers
-            q = [Fraction(x) for x in row]
-            m = math.lcm(*(x.denominator for x in q))
-            v = [x.numerator * (m // x.denominator) for x in q]
+            m = math.lcm(*(x.denominator for x in row))
+            v = [x.numerator * (m // x.denominator) for x in row]
         g = math.gcd(*v)
         return [x // g for x in v] if g > 1 else v
 

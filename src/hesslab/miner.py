@@ -10,9 +10,11 @@ over a pattern's images, and the enumeration keys every raw pattern,
 canonicalizes one per orbit and marks the rest by the image keys
 canonicalize computed (_orbit_keys), so each orbit is keyed once.
 Evaluating every pattern on random points of the image of rho and on
-random generic curvature tensors, one tensor.alternating_rows call per
-sample with one einsum spec per pattern, turns the search for identities
-into exact nullspace computations.
+random generic curvature tensors turns the search for identities into
+exact nullspace computations.  Each pattern is one einsum spec, and one
+tensor.alternating_rows call evaluates a batch of samples: as many as a
+sampling phase can take before it could next stop, so the batches hold
+exactly the samples a one-at-a-time run would evaluate.
 """
 
 from __future__ import annotations
@@ -295,14 +297,16 @@ def evaluate_pattern(pat: ContractionPattern, R) -> Tensor:
     return antisymmetrized(R.n, R, [(_einsum_spec(pat), 1)])
 
 
-def _evaluate_rows(patterns, data_int):
-    """24 x (antisymmetrized pattern values) at the sorted index quadruples, as ints.
+def _evaluate_rows(patterns, samples):
+    """Per sample, 24 x (antisymmetrized pattern values) at the sorted index
+    quadruples, as ints: one row per quadruple, one entry per pattern.
 
-    data_int is an integer Tensor or array; the uniform factor 24 clears the
+    samples are integer Tensors or arrays; the uniform factor 24 clears the
     antisymmetrizer denominator, which leaves the nullspace unchanged.  One
-    alternating_rows call evaluates every pattern, one row per pattern.
+    alternating_rows call evaluates every pattern on every sample.
     """
-    return alternating_rows(data_int, [_einsum_spec(pat) for pat in patterns]).T.tolist()
+    specs = [_einsum_spec(pat) for pat in patterns]
+    return alternating_rows(samples, specs).transpose(0, 2, 1).tolist()
 
 
 def _int_sym3(n: int, seed: int, bound: int) -> Sym3Tensor:
@@ -335,7 +339,7 @@ class MinedIdentityBasis:
 
     def to_json(self) -> dict:
         def fr(v):
-            return [f"{q.numerator}/{q.denominator}" for q in map(Fraction, v)]
+            return [f"{q.numerator}/{q.denominator}" for q in v]
         return {
             "n": self.n,
             "degree": self.degree,
@@ -364,7 +368,8 @@ def mine(n: int, p: int, max_samples: int | None = None, seed: int = 0,
 
     Evaluation rows are added sample by sample until the matrix rank is
     stable for 5 consecutive additions, at most max_samples per phase
-    (default: pattern count + 40).  N1 is the exact nullspace of the
+    (default: pattern count + 40), evaluated in batches that end where
+    the run could first stop.  N1 is the exact nullspace of the
     rho-sample rows; N2 is that of the same row space with the
     generic-curvature rows added on top, so universal identities are, by
     construction, a subspace of the image identities.
@@ -379,10 +384,13 @@ def mine(n: int, p: int, max_samples: int | None = None, seed: int = 0,
     def collect(make_sample):
         used, stable = 0, 0
         while used < cap:
-            new = _evaluate_rows(patterns, make_sample(used))
-            grew = any([space.add(r) for r in new])
-            used += 1
-            stable = 0 if grew else stable + 1
+            # no sample before the last of this batch can end the run, so
+            # the batch holds exactly the samples the run evaluates
+            size = min(cap - used, max(_STABLE_RUN - stable, _STABLE_RUN + 1 - used))
+            for rows in _evaluate_rows(patterns, [make_sample(used + i) for i in range(size)]):
+                grew = any([space.add(r) for r in rows])
+                used += 1
+                stable = 0 if grew else stable + 1
             if stable >= _STABLE_RUN and used >= _STABLE_RUN + 1:
                 return used
         raise StabilizationError(

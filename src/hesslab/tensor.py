@@ -11,10 +11,13 @@ given entries into its own X once; rho_raw, materialize, cyclic_sum and
 alternating_tensor build X directly.  The entries are made only if
 ``data`` is read.  integer_form hands the form over (int64 where the
 caller's a-priori bound rules out overflow, Python ints otherwise).  The
-one evaluator, alternating_rows, runs a list of einsum specs on one
-integer form and reads them at the sorted index tuples in one gather;
-only those values become ``Fraction``.  alternating_contraction weighs
-its rows.
+one evaluator, alternating_rows, runs a list of einsum specs on a batch
+of samples: their integer forms are stacked, each pairwise step of a
+spec's plan is one np.matmul over the sample axis, a first step that
+specs share up to renaming of letters runs once, and each spec is read
+at the sorted index tuples as soon as it is done; only those values
+become ``Fraction``.  alternating_contraction weighs the rows of one
+tensor.
 """
 
 from __future__ import annotations
@@ -178,31 +181,103 @@ def _alternating_index(n: int, k: int):
 
 
 @lru_cache(maxsize=None)
-def _einsum_steps(spec: str, n: int) -> tuple[tuple[tuple[int, ...], str], ...]:
+def _einsum_steps(spec: str, n: int) -> tuple[tuple[tuple[int, ...], str, str | None], ...]:
     """numpy's greedy pairwise plan for spec on n-dimensional slots, made once.
 
     Each step pops the operands at its positions and appends their
     contraction by its own two-operand spec, which keeps every letter a
-    later step or the output still needs.
+    later step or the output still needs.  A step whose operands are all
+    inputs carries a key, its spec with the letters renamed in order of
+    first appearance: steps with equal keys compute the same array.
     """
     inputs, output = spec.split("->")
     subs = inputs.split(",")
+    is_input = [True] * len(subs)
     shapes = [np.empty((n,) * len(sub), dtype=np.int8) for sub in subs]
     steps = []
     for pos in np.einsum_path(spec, *shapes, optimize="greedy")[0][1:]:
         pos = tuple(sorted(pos, reverse=True))
         taken = [subs.pop(p) for p in pos]
+        on_inputs = all([is_input.pop(p) for p in pos])
         keep = set("".join(subs) + output)
         result = "".join(dict.fromkeys(c for c in "".join(taken) if c in keep))
         subs.append(result if subs else output)
-        steps.append((pos, ",".join(taken) + "->" + subs[-1]))
+        is_input.append(False)
+        step = ",".join(taken) + "->" + subs[-1]
+        names: dict = {}
+        key = "".join(names.setdefault(c, chr(97 + len(names))) if c.isalpha() else c
+                      for c in step)
+        steps.append((pos, step, key if on_inputs else None))
     return tuple(steps)
 
 
-def _contract(spec: str, operands: list) -> np.ndarray:
-    """np.einsum(spec, *operands) along the cached plan of _einsum_steps."""
-    for pos, step in _einsum_steps(spec, operands[0].shape[0]):
-        operands.append(np.einsum(step, *[operands.pop(p) for p in pos]))
+@lru_cache(maxsize=None)
+def _matmul_plan(step: str):
+    """How _step runs a two-operand step as one np.matmul per sample.
+
+    A letter of both operands and the output is a matmul batch axis, one of
+    both operands only is summed by the matmul, and the other output
+    letters are the rows of the first operand and the columns of the
+    second.  Returns, per operand, an einsum spec when a letter is
+    repeated or summed inside it and its transpose axes otherwise; the
+    sizes of the four letter groups; and the transpose onto the output
+    letters.
+    """
+    inputs, out = step.split("->")
+    a, b = inputs.split(",")
+    batch = [c for c in out if c in a and c in b]
+    rows = [c for c in dict.fromkeys(a) if c in out and c not in b]
+    cols = [c for c in dict.fromkeys(b) if c in out and c not in a]
+    summed = [c for c in dict.fromkeys(a) if c in b and c not in out]
+
+    def arrange(sub, order):
+        if len(sub) == len(order):
+            return (0,) + tuple(1 + sub.index(c) for c in order)
+        return f"...{sub}->...{''.join(order)}"
+
+    product = batch + rows + cols
+    return (arrange(a, batch + rows + summed), arrange(b, batch + summed + cols),
+            (len(batch), len(rows), len(summed), len(cols)),
+            (0,) + tuple(1 + product.index(c) for c in out))
+
+
+def _step(step: str, operands: list, n: int) -> np.ndarray:
+    """One step of a plan on operands that carry a leading sample axis.
+
+    Two operands are transposed, reshaped and multiplied by np.matmul over
+    the sample axis, and the product is transposed onto the output letters
+    as a view; np.einsum only reduces a letter repeated or summed inside
+    one operand.
+    """
+    if len(operands) == 1:
+        inputs, out = step.split("->")
+        return np.einsum(f"...{inputs}->...{out}", operands[0])
+    plan_a, plan_b, (nb, nr, ns, nc), back = _matmul_plan(step)
+    a, b = (np.einsum(how, x) if isinstance(how, str) else x.transpose(how)
+            for x, how in zip(operands, (plan_a, plan_b)))
+    S = len(a)
+    product = np.matmul(a.reshape(S, n**nb, n**nr, n**ns), b.reshape(S, n**nb, n**ns, n**nc))
+    return product.reshape((S,) + (n,) * (nb + nr + nc)).transpose(back)
+
+
+def _contract(steps, X: np.ndarray, deg: int, shared: dict) -> np.ndarray:
+    """einsum of deg copies of each sample of X along the steps of its plan.
+
+    shared maps the key of a step on the inputs to [result, uses left]:
+    the result is computed at its first use and dropped after its last.
+    """
+    n = X.shape[-1]
+    operands = [X] * deg
+    for pos, step, key in steps:
+        taken = [operands.pop(p) for p in pos]
+        if key is None:
+            operands.append(_step(step, taken, n))
+            continue
+        entry = shared[key]
+        if entry[0] is None:
+            entry[0] = _step(step, taken, n)
+        entry[1] -= 1
+        operands.append(entry[0] if entry[1] else shared.pop(key)[0])
     return operands[0]
 
 
@@ -212,29 +287,49 @@ def _term_size(spec: str) -> tuple[int, int]:
     return inputs.count(",") + 1, len(set(inputs) - set(output) - {","})
 
 
-def alternating_rows(data, specs) -> np.ndarray:
-    """Row r: sum_s sign(s) T_r[q_s(1), ..., q_s(k)] at each sorted k-tuple q.
+def alternating_rows(batch, specs) -> np.ndarray:
+    """Row [b, r]: sum_s sign(s) T[q_s(1), ..., q_s(k)] at each sorted k-tuple q,
+    T = einsum(specs[r], X, ..., X) on the sample X = batch[b].
 
-    T_r = einsum(specs[r], data, ..., data); every spec has k free slots,
-    and data is a Tensor or an array.  No 1/k! factor.  Returns a
-    (len(specs), C(n, k)) object array of Fractions for Fraction data and
-    of Python ints for integer data.
+    batch is a list of Tensors or arrays of one dimension n, and every spec
+    has k free slots.  No 1/k! factor.  Returns a (len(batch), len(specs),
+    C(n, k)) object array: a sample's rows are Fractions if it holds
+    Fractions, divided by its own D**deg, and Python ints otherwise.
 
-    All specs run on one integer_form(data): a spec of degree deg with s
-    contracted letters has entries at most n**s * M**deg, and its signed
-    sum over k! permutations k! times that, which picks int64 below 2**62.
+    The samples' integer forms are stacked, so each pairwise step runs once
+    for the batch, and a step on the inputs that several specs share up to
+    renaming runs once.  With M the largest |X| in the batch, a spec of
+    degree deg with s contracted letters forms intermediates of at most
+    n**s * M**deg: the batch is contracted in int64 when that is below
+    2**62 for every spec and in Python ints otherwise.  The signed sum over
+    k! permutations is k! times as large, so a spec's values at the sorted
+    tuples become Python ints before it where that reaches 2**62.
     """
-    n = data.n if isinstance(data, Tensor) else data.shape[0]
+    n = batch[0].n if isinstance(batch[0], Tensor) else len(batch[0])
     k = len(specs[0].split("->")[1])
     sizes = [_term_size(spec) for spec in specs]
-    X, D, rational = integer_form(data, lambda M: max(
-        math.factorial(k) * n**s * M**deg for deg, s in sizes))
+    forms = [integer_form(data, lambda M: max(n**s * M**deg for deg, s in sizes))
+             for data in batch]
+    X = np.stack([X for X, _, _ in forms])
+    M = max(int(X.max()), -int(X.min())) if X.dtype == np.int64 else None
     at, signs = _alternating_index(n, k)
-    full = np.stack([_contract(spec, [X] * deg) for spec, (deg, _) in zip(specs, sizes)])
-    rows = (full[(slice(None),) + at] * signs.astype(X.dtype)).sum(axis=2).tolist()
-    if rational:
-        rows = [[Fraction(v, D**deg) for v in row] for row, (deg, _) in zip(rows, sizes)]
-    return np.array(rows, dtype=object)
+    plans = [_einsum_steps(spec, n) for spec in specs]
+    shared = {}
+    for key in (key for steps in plans for _, _, key in steps if key):
+        shared.setdefault(key, [None, 0])[1] += 1
+    rows = []
+    for steps, (deg, s) in zip(plans, sizes):
+        # gathered per spec, so no (batch, specs, n**k) array is ever stacked
+        values = _contract(steps, X, deg, shared)[(slice(None),) + at]
+        if M is not None and math.factorial(k) * n**s * M**deg >= 2**62:
+            values = values.astype(object)
+        rows.append(values @ signs.astype(values.dtype))
+    out = np.stack(rows, axis=1).astype(object)
+    for b, (_, D, rational) in enumerate(forms):
+        if rational:
+            out[b] = [[Fraction(v, D**deg) for v in row]
+                      for row, (deg, _) in zip(out[b].tolist(), sizes)]
+    return out
 
 
 def alternating_contraction(data, terms) -> np.ndarray:
@@ -243,7 +338,7 @@ def alternating_contraction(data, terms) -> np.ndarray:
     T is the sum of weight * einsum(spec, data, ..., data) over the
     (spec, weight) terms: the weighted sum of their alternating_rows.
     """
-    rows = alternating_rows(data, [spec for spec, _ in terms])
+    rows = alternating_rows([data], [spec for spec, _ in terms])[0]
     return sum(weight * row for (_, weight), row in zip(terms, rows))
 
 

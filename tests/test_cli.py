@@ -235,6 +235,15 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("entry", ("true", "false", "0.1", "2.0"))
+    def test_solve3d_rejects_booleans_and_floats(self, capsys, tmp_path, entry):
+        # json reads true as 1 and 0.1 as its binary value 3602879701896397/2**55
+        path = tmp_path / "r.json"
+        path.write_text('{"rows": [[%s, 0, 0], [0, 2, 0], [0, 0, 3]]}' % entry)
+        code, out, err = run(capsys, "solve3d", "--ricci", str(path), "--no-meta")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and entry in err
+
     def test_rank_census_rejects_zero_bound(self, capsys):
         code, out, err = run(capsys, "rank-census", "--dim", "4", "--samples", "1",
                              "--bound", "0", "--no-meta")

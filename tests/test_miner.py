@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hesslab import miner
+from hesslab import linalg, miner
 from hesslab.curvature import curvature_space_dim, materialize, random_curvature
 from hesslab.hessmap import rho
 from hesslab.tensor import Sym3Tensor, Tensor, signed_permutations
@@ -364,7 +364,7 @@ class TestEvaluation:
         quads = list(itertools.combinations(range(n), 4))
         generic = materialize(n, list(range(-3, curvature_space_dim(n) - 3))).data
         for data in (rho(miner._int_sym3(n, 2, 5)).data, generic):
-            rows = miner._evaluate_rows(pats, data)
+            rows = miner._evaluate_rows(pats, [data])[0]
             vals = [miner.evaluate_pattern(pat, data) for pat in pats]
             assert rows == [[24 * v.data[q] for v in vals] for q in quads]
             assert all(type(x) is int for row in rows for x in row)
@@ -435,6 +435,33 @@ class TestMine:
     def test_sample_cap_precondition(self):
         with pytest.raises(ValueError):
             miner.mine(4, 2, max_samples=3, seed=0)
+
+    def test_builds_exactly_the_samples_it_uses(self, monkeypatch):
+        built = {"rho": 0, "materialize": 0}
+        for name in built:
+            make = getattr(miner, name)
+            monkeypatch.setattr(miner, name, lambda *args, name=name, make=make: (
+                built.__setitem__(name, built[name] + 1) or make(*args)))
+        result = miner.mine(5, 3, seed=1)
+        assert built == {"rho": result.rho_samples_used,
+                         "materialize": result.generic_samples_used}
+
+    def test_unstable_rank_raises_at_the_cap(self, monkeypatch):
+        """With every row reported as growing the rank, the run never
+        stabilizes: it evaluates exactly the cap, in batches of 6, then 5
+        (each as many samples as the run could take before a stable end),
+        and raises the text the one-sample-at-a-time loop raised."""
+        add = linalg.RowSpace.add
+        monkeypatch.setattr(linalg.RowSpace, "add", lambda self, row: add(self, row) or True)
+        batches = []
+        evaluate = miner._evaluate_rows
+        monkeypatch.setattr(miner, "_evaluate_rows", lambda patterns, samples: (
+            batches.append(len(samples)) or evaluate(patterns, samples)))
+        cap = GOLDEN_PATTERN_COUNT[3] + 5
+        with pytest.raises(miner.StabilizationError) as err:
+            miner.mine(5, 3, max_samples=cap, seed=1)
+        assert str(err.value) == "rank still increasing after 40 samples (rank 3)"
+        assert batches == [6, 5, 5, 5, 5, 5, 5, 4] and sum(batches) == cap
 
     def test_json_round_trippable(self, mined42):
         import json

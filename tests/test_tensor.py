@@ -165,7 +165,7 @@ def numerators(data):
 
 class TestAlternatingRows:
     def check_rows(self, data, kind):
-        rows = alternating_rows(data, MIXED_SPECS)
+        rows = alternating_rows([data], MIXED_SPECS)[0]
         assert rows.shape == (len(MIXED_SPECS), math.comb(data.shape[0], 4))
         assert {type(x) for x in rows.flat} == {kind}
         assert all(any(row) for row in rows)
@@ -188,6 +188,100 @@ class TestAlternatingRows:
         for data, kind in ((rational, Fraction), (numerators(rational), int)):
             self.check_rows(data, kind)
         assert seen == [np.dtype(object)] * 2
+
+
+# the forms identities evaluates: three of order 4, the Pontryagin forms
+# at p = 1 and p = 3 of orders 2 and 6
+IDENTITY_SPECS = ["ijab,klba->ijkl", "iajb,kbcd,ldac->ijkl", "iajb,kcad,ldbc->ijkl"]
+PONTRYAGIN_SPECS = ["ijaa->ij", "ijab,klbc,mnca->ijklmn"]
+
+
+def integer_sample(n, seed, scale=1):
+    """A generic n**4 object array of Python ints in [-5, 5], times scale."""
+    flat = [scale * rng.integer_at(f"batch|{n}", seed, i, 5) for i in range(n**4)]
+    return np.array(flat, dtype=object).reshape((n,) * 4)
+
+
+def over(X, D):
+    """The Fractions X / D, for a sample with its own denominator."""
+    return np.array([Fraction(x, D) for x in X.flat], dtype=object).reshape(X.shape)
+
+
+class TestBatchedRows:
+    """One alternating_rows call on a batch equals one call per sample, and
+    the reference: a sample X / D of degree-deg spec values ref(X) / D**deg."""
+
+    def check(self, batch, specs, numerators, dens):
+        rows = alternating_rows(batch, specs)
+        k = len(specs[0].split("->")[1])
+        n = len(numerators[0])
+        assert rows.shape == (len(batch), len(specs), math.comb(n, k))
+        for sample, got, X, D in zip(batch, rows, numerators, dens):
+            assert got.tolist() == alternating_rows([sample], specs)[0].tolist()
+            assert {type(x) for x in got.flat} == {Fraction if D > 1 else int}
+            for spec, row in zip(specs, got):
+                deg = spec.count(",") + 1
+                expect = alternating_contraction_reference(X, [(spec, 1)])
+                assert list(row) == [Fraction(v, D**deg) for v in expect]
+        return rows
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_patterns_and_identities(self, n, monkeypatch):
+        from hesslab import miner
+        specs = [miner._einsum_spec(pat) for p in (2, 3)
+                 for pat in miner.enumerate_patterns(p)] + IDENTITY_SPECS
+        X = [integer_sample(n, seed) for seed in (1, 2, 3)]
+        seen = integer_form_dtypes(monkeypatch, tensor)
+        # an int sample and two Fraction samples with different denominators
+        batch = [X[0], Tensor(n, over(X[1], 6)), over(X[2], 35)]
+        rows = self.check(batch, specs, X, [1, 6, 35])
+        assert seen[:3] == [np.dtype(np.int64)] * 3
+        assert all(row.any() for sample in rows for row in sample)
+
+    def test_object_path(self, monkeypatch):
+        from hesslab import miner
+        specs = [miner._einsum_spec(pat) for pat in miner.enumerate_patterns(3)]
+        seen = integer_form_dtypes(monkeypatch, tensor)
+        # 2**31 * 5 past int64 at degree 3: the whole batch takes Python ints
+        big, small = integer_sample(5, 4, scale=2**31), integer_sample(5, 5)
+        self.check([big, over(small, 6)], specs, [big, small], [1, 6])
+        assert seen[:2] == [np.dtype(object), np.dtype(np.int64)]
+
+    @pytest.mark.parametrize("spec", PONTRYAGIN_SPECS)
+    def test_other_orders(self, spec):
+        X = [integer_sample(6, seed) for seed in (6, 7)]
+        self.check([X[0], over(X[1], 10)], [spec], X, [1, 10])
+
+    def test_shared_first_steps_run_once(self, monkeypatch):
+        from hesslab import miner
+        specs = [miner._einsum_spec(pat) for pat in miner.enumerate_patterns(3)]
+        assert sum(len(tensor._einsum_steps(spec, 5)) for spec in specs) == 70
+        steps = []
+        step = tensor._step
+        monkeypatch.setattr(tensor, "_step",
+                            lambda s, operands, n: steps.append(s) or step(s, operands, n))
+        alternating_rows([integer_sample(5, seed) for seed in (8, 9, 10)], specs)
+        assert len(steps) <= 52
+
+    @pytest.mark.parametrize("n, specs, scale", [
+        (4, ["ijkl->ijkl"], None),
+        (6, IDENTITY_SPECS[1:], 20_000),
+    ])
+    def test_int64_contraction_with_a_python_int_sum(self, n, specs, scale, monkeypatch):
+        """A sample with n**s * M**deg < 2**62 <= k! * n**s * M**deg."""
+        if scale is None:  # 24 * 2**61 at (0, 1, 2, 3) overflows an int64 sum
+            X = np.zeros((4,) * 4, dtype=object)
+            for perm, sign in signed_permutations(4):
+                X[perm] = sign * 2**61
+        else:
+            X = integer_sample(n, 11, scale)
+        M = max(abs(x) for x in X.flat)
+        for spec in specs:
+            deg, s = tensor._term_size(spec)
+            assert n**s * M**deg < 2**62 <= 24 * n**s * M**deg
+        seen = integer_form_dtypes(monkeypatch, tensor)
+        self.check([X], specs, [X], [1])
+        assert seen[0] == np.dtype(np.int64)
 
 
 class TestRandomRational:
