@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -437,11 +438,11 @@ class TestMine:
             miner.mine(4, 2, max_samples=3, seed=0)
 
     def test_builds_exactly_the_samples_it_uses(self, monkeypatch):
-        built = {"rho": 0, "materialize": 0}
-        for name in built:
+        built = collections.Counter()
+        for name in ("rho", "materialize"):
             make = getattr(miner, name)
             monkeypatch.setattr(miner, name, lambda *args, name=name, make=make: (
-                built.__setitem__(name, built[name] + 1) or make(*args)))
+                built.update([name]) or make(*args)))
         result = miner.mine(5, 3, seed=1)
         assert built == {"rho": result.rho_samples_used,
                          "materialize": result.generic_samples_used}

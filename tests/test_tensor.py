@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hesslab import rng, tensor
+from hesslab import miner, rng, tensor
 from hesslab.tensor import (Sym3Tensor, Tensor, alternating_contraction,
                             alternating_rows, alternating_tensor, antisymmetrize,
                             signed_permutations, sym3_dim, sym3_triples)
@@ -227,7 +227,6 @@ class TestBatchedRows:
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_patterns_and_identities(self, n, monkeypatch):
-        from hesslab import miner
         specs = [miner._einsum_spec(pat) for p in (2, 3)
                  for pat in miner.enumerate_patterns(p)] + IDENTITY_SPECS
         X = [integer_sample(n, seed) for seed in (1, 2, 3)]
@@ -239,7 +238,6 @@ class TestBatchedRows:
         assert all(row.any() for sample in rows for row in sample)
 
     def test_object_path(self, monkeypatch):
-        from hesslab import miner
         specs = [miner._einsum_spec(pat) for pat in miner.enumerate_patterns(3)]
         seen = integer_form_dtypes(monkeypatch, tensor)
         # 2**31 * 5 past int64 at degree 3: the whole batch takes Python ints
@@ -253,7 +251,6 @@ class TestBatchedRows:
         self.check([X[0], over(X[1], 10)], [spec], X, [1, 10])
 
     def test_shared_first_steps_run_once(self, monkeypatch):
-        from hesslab import miner
         specs = [miner._einsum_spec(pat) for pat in miner.enumerate_patterns(3)]
         assert sum(len(tensor._einsum_steps(spec, 5)) for spec in specs) == 70
         steps = []
