@@ -6,7 +6,8 @@ up to the symmetries of the curvature tensor (pair antisymmetries with
 sign, pair exchange), factor reordering, and signed relabeling of the
 free indices.  One cached group of slot maps (_orbit_maps) and one integer
 key per pattern (_keys) serve both steps: canonicalize takes the least key
-over a pattern's images, and the enumeration keys every raw pattern,
+over a pattern's images.  The enumeration keys only the raw patterns whose
+free slots sit in a normal form (_normal_frees), which every orbit meets,
 canonicalizes one per orbit and marks the rest by the image keys
 canonicalize computed (_orbit_keys), so each orbit is keyed once.
 Evaluating every pattern on random points of the image of rho and on
@@ -41,6 +42,11 @@ _FACTOR_SYMS = (
     ((0, 1, 2, 3), 1), ((0, 1, 3, 2), -1), ((1, 0, 2, 3), -1), ((1, 0, 3, 2), 1),
     ((2, 3, 0, 1), 1), ((2, 3, 1, 0), -1), ((3, 2, 0, 1), -1), ((3, 2, 1, 0), 1),
 )
+
+# by free count, the free slots of one factor in normal form: _FACTOR_SYMS
+# is transitive on a factor's single slots and on its 3-subsets, and has
+# two orbits on its 2-subsets, {0, 1} ~ {2, 3} and the four cross pairs
+_NORMAL_PLACES = (((),), ((0,),), ((0, 1), (0, 2)), ((0, 1, 2),), ((0, 1, 2, 3),))
 
 
 class PatternError(ValueError):
@@ -126,14 +132,15 @@ def _keys(free, a, b):
     digits: a free slot reads 2p + its rank, a contracted slot the number of
     contractions opened left of its pair.  Distinct patterns get distinct
     keys, which fit in int64 up to degree 4.  Also returns before[i, l, k]:
-    free label k sits left of free label l.
+    free label k sits left of free label l.  The counts of both are below
+    2p + 4, so they are summed in int8.
     """
     p = (free.shape[1] + 2 * a.shape[1]) // 4
     before = free[:, :, None] > free[:, None, :]
     opened = np.minimum(a, b)
-    edge = (opened[:, :, None] > opened[:, None, :]).sum(2)
+    edge = (opened[:, :, None] > opened[:, None, :]).sum(2, dtype=np.int8)
     place = (2 * p + 4) ** np.arange(4 * p - 1, -1, -1)
-    keys = ((place[free] * (2 * p + before.sum(2))).sum(1)
+    keys = ((place[free] * (2 * p + before.sum(2, dtype=np.int8))).sum(1)
             + ((place[a] + place[b]) * edge).sum(1))
     return keys, before
 
@@ -180,48 +187,61 @@ def _orbit_maps(p: int):
     return maps, signs
 
 
+def _normal_frees(p: int) -> list[list[int]]:
+    """The free-slot sets of degree p in normal form.
+
+    The factors carry non-increasing free counts, and each factor's free
+    slots are one of _NORMAL_PLACES.  Factor reordering sorts the counts and
+    one _FACTOR_SYMS element per factor moves its free slots there, so some
+    map of _orbit_maps takes every free-slot set to one of these.
+    """
+    frees = []
+    for counts in itertools.combinations_with_replacement(range(4, -1, -1), p):
+        if sum(counts) == 4:
+            for places in itertools.product(*(_NORMAL_PLACES[c] for c in counts)):
+                frees.append([4 * f + q for f, place in enumerate(places) for q in place])
+    return frees
+
+
 @lru_cache(maxsize=None)
 def enumerate_patterns(p: int) -> tuple[ContractionPattern, ...]:
     """All canonical degree-p patterns with 4 free slots, deterministic order.
 
     A raw pattern is a free-slot set, labelled in slot order, and a matching
-    of the other slots.  Every raw is keyed once by _keys; raws with a trace
-    inside one antisymmetric index pair vanish and are dropped.  Until every
-    key is marked, the least unmarked one is read back into its raw, which
-    is canonicalized, and the keys of its images under _orbit_maps, which
-    _orbit_keys kept from canonicalize, mark its whole orbit.  Patterns that
-    vanish by a sign-reversing symmetry go too.
+    of the other slots.  Every orbit holds a raw whose free slots are in
+    normal form (_normal_frees: 8 sets of the 495 at degree 3), so only
+    those raws are keyed, in one _keys call; raws with a trace inside one
+    antisymmetric index pair vanish and are dropped.  Until every key is
+    marked, the least unmarked one is read back into its raw, which is
+    canonicalized, and the keys of its images under _orbit_maps, which
+    _orbit_keys kept from canonicalize, mark the keyed raws of its orbit.
+    Patterns that vanish by a sign-reversing symmetry go too.
     """
     if p not in (2, 3):
         raise PatternError(f"degree {p} not supported (use 2 or 3)")
-    nslots = 4 * p
-    frees = list(itertools.combinations(range(nslots), 4))
-    rests = np.array([[s for s in range(nslots) if s not in free] for free in frees],
+    frees = _normal_frees(p)
+    rests = np.array([[s for s in range(4 * p) if s not in free] for free in frees],
                      dtype=np.int8)
-    frees = np.array(frees, dtype=np.int8)
     # a matching pairs positions within a free set's remaining slots
-    matchings = np.array(list(_matchings(list(range(nslots - 4)))), dtype=np.int8)
-    keys, n = np.empty(len(frees) * len(matchings), dtype=np.int64), 0
-    # chunks no larger than the group keep _keys's temporaries small
-    step = max(1, len(_orbit_maps(p)[0]) // len(matchings))
-    for lo in range(0, len(frees), step):
-        ends = rests[lo:lo + step, matchings].reshape((-1,) + matchings.shape[1:])
-        a, b = ends[..., 0], ends[..., 1]
-        free = np.repeat(frees[lo:lo + step], len(matchings), axis=0)
-        # a trace inside an antisymmetric index pair is identically zero
-        kept = _keys(free, a, b)[0][(a // 2 != b // 2).all(1)]
-        keys[n:n + len(kept)] = kept
-        n += len(kept)
-    keys = keys[:n]
-    keys.sort()
-    marked = np.zeros(n, dtype=bool)
+    matchings = np.array(list(_matchings(list(range(4 * p - 4)))), dtype=np.int8)
+    ends = rests[:, matchings].reshape((-1,) + matchings.shape[1:])
+    a, b = ends[..., 0], ends[..., 1]
+    free = np.repeat(np.array(frees, dtype=np.int8), len(matchings), axis=0)
+    # a trace inside an antisymmetric index pair is identically zero
+    kept = (a // 2 != b // 2).all(1)
+    # keys of distinct raws are distinct, so a sort does what np.unique would
+    keys = np.sort(_keys(free[kept], a[kept], b[kept])[0])
+    marked = np.zeros(len(keys), dtype=bool)
     canons = []
     while not marked.all():
         raw = _pattern(keys[marked.argmin()], p)
         canon, _, zero = canonicalize(raw)
         if not zero:
             canons.append(canon)
-        marked[np.searchsorted(keys, _orbit_keys(raw)[0])] = True
+        # most image keys are of raws outside the normal form, never keyed
+        orbit = _orbit_keys(raw)[0]
+        at = np.minimum(np.searchsorted(keys, orbit), len(keys) - 1)
+        marked[at[keys[at] == orbit]] = True
     return tuple(ContractionPattern(p, c) for c in sorted(canons))
 
 

@@ -13,11 +13,11 @@ alternating_tensor build X directly.  The entries are made only if
 caller's a-priori bound rules out overflow, Python ints otherwise).  The
 one evaluator, alternating_rows, runs a list of einsum specs on a batch
 of samples: their integer forms are stacked, each pairwise step of a
-spec's plan is one np.matmul over the sample axis, a first step that
-specs share up to renaming of letters runs once, and each spec is read
-at the sorted index tuples as soon as it is done; only those values
-become ``Fraction``.  alternating_contraction weighs the rows of one
-tensor.
+spec's plan (made once, whatever n is) is one np.matmul over the sample
+axis, a first step that specs share up to renaming of letters runs once,
+and each spec is read at the sorted index tuples as soon as it is done;
+only those values become ``Fraction``.  alternating_contraction weighs
+the rows of one tensor.
 """
 
 from __future__ import annotations
@@ -181,21 +181,25 @@ def _alternating_index(n: int, k: int):
 
 
 @lru_cache(maxsize=None)
-def _einsum_steps(spec: str, n: int) -> tuple[tuple[tuple[int, ...], str, str | None], ...]:
-    """numpy's greedy pairwise plan for spec on n-dimensional slots, made once.
+def _einsum_steps(spec: str) -> tuple[tuple[tuple[int, ...], str, str | None], ...]:
+    """numpy's greedy pairwise plan for spec, made once for every dimension.
 
-    Each step pops the operands at its positions and appends their
-    contraction by its own two-operand spec, which keeps every letter a
-    later step or the output still needs.  A step whose operands are all
-    inputs carries a key, its spec with the letters renamed in order of
-    first appearance: steps with equal keys compute the same array.
+    The plan is made at n = MAX_DIM with no memory limit, so numpy never
+    leaves three or more operands in one step for want of room (its default
+    limit, the largest input or output, did so for degree-4 specs whose
+    every pairwise intermediate has n**6 entries).  Each step pops the
+    operands at its positions and appends their contraction by its own
+    two-operand spec, which keeps every letter a later step or the output
+    still needs.  A step whose operands are all inputs carries a key, its
+    spec with the letters renamed in order of first appearance: steps with
+    equal keys compute the same array.
     """
     inputs, output = spec.split("->")
     subs = inputs.split(",")
     is_input = [True] * len(subs)
-    shapes = [np.empty((n,) * len(sub), dtype=np.int8) for sub in subs]
+    shapes = [np.empty((MAX_DIM,) * len(sub), dtype=np.int8) for sub in subs]
     steps = []
-    for pos in np.einsum_path(spec, *shapes, optimize="greedy")[0][1:]:
+    for pos in np.einsum_path(spec, *shapes, optimize=("greedy", 2**62))[0][1:]:
         pos = tuple(sorted(pos, reverse=True))
         taken = [subs.pop(p) for p in pos]
         on_inputs = all([is_input.pop(p) for p in pos])
@@ -313,7 +317,7 @@ def alternating_rows(batch, specs) -> np.ndarray:
     X = np.stack([X for X, _, _ in forms])
     M = max(int(X.max()), -int(X.min())) if X.dtype == np.int64 else None
     at, signs = _alternating_index(n, k)
-    plans = [_einsum_steps(spec, n) for spec in specs]
+    plans = [_einsum_steps(spec) for spec in specs]
     shared = {}
     for key in (key for steps in plans for _, _, key in steps if key):
         shared.setdefault(key, [None, 0])[1] += 1

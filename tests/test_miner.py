@@ -276,10 +276,10 @@ class TestKeys:
         assert tuple(pat.slots for pat in pats) == PINNED_PATTERNS[p]
         assert len(count) == calls
 
-    # one _keys call per sweep chunk and one per orbit (6 at p = 2, 42 at
-    # p = 3), shared by canonicalize and the marking
-    @pytest.mark.parametrize("p, chunks, orbits", ((2, 2, 6), (3, 18, 42)))
-    def test_each_orbit_is_keyed_once(self, p, chunks, orbits, monkeypatch):
+    # one _keys call for the normal-form raws and one per orbit (6 at p = 2,
+    # 42 at p = 3), shared by canonicalize and the marking
+    @pytest.mark.parametrize("p, sweeps, orbits", ((2, 1, 6), (3, 1, 42)))
+    def test_each_orbit_is_keyed_once(self, p, sweeps, orbits, monkeypatch):
         rows, keys = [], miner._keys
 
         def counted(*args):
@@ -290,8 +290,19 @@ class TestKeys:
         miner._orbit_keys.cache_clear()
         pats = miner.enumerate_patterns.__wrapped__(p)  # bypass the cache
         assert tuple(pat.slots for pat in pats) == PINNED_PATTERNS[p]
-        assert len(rows) == chunks + orbits
+        assert len(rows) == sweeps + orbits
         assert rows.count(len(miner._orbit_maps(p)[0])) == orbits
+
+    # every raw at degree 2, every 97th at degree 3, which meets each of the
+    # 495 free-slot sets (945 raws each)
+    @pytest.mark.parametrize("p, stride, count", ((2, 1, 6), (3, 97, 8)))
+    def test_some_map_puts_the_free_slots_in_normal_form(self, p, stride, count):
+        normal = {sum(1 << s for s in free) for free in miner._normal_frees(p)}
+        assert len(normal) == count
+        maps = miner._orbit_maps(p)[0].astype(np.int64)
+        for free in raw_rows(p)[0][::stride]:
+            moved = (1 << maps[:, free]).sum(1)
+            assert np.isin(moved, list(normal)).any()
 
     def test_orbit_keys_are_read_only(self):
         keys, before = miner._orbit_keys(PINNED_PATTERNS[3][0])

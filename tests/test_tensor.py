@@ -252,13 +252,25 @@ class TestBatchedRows:
 
     def test_shared_first_steps_run_once(self, monkeypatch):
         specs = [miner._einsum_spec(pat) for pat in miner.enumerate_patterns(3)]
-        assert sum(len(tensor._einsum_steps(spec, 5)) for spec in specs) == 70
+        assert sum(len(tensor._einsum_steps(spec)) for spec in specs) == 70
         steps = []
         step = tensor._step
         monkeypatch.setattr(tensor, "_step",
                             lambda s, operands, n: steps.append(s) or step(s, operands, n))
         alternating_rows([integer_sample(5, seed) for seed in (8, 9, 10)], specs)
         assert len(steps) <= 52
+
+    # every pairwise intermediate of these degree-4 specs has n**6 entries,
+    # more than numpy's default memory limit, under which they planned as
+    # one 4-operand step
+    @pytest.mark.parametrize("spec", ["abcw,adex,befy,cdfz->wxyz",
+                                      "abcw,adex,befy,cfdz->wxyz",
+                                      "abcw,adex,befy,czdf->wxyz"])
+    def test_degree4_plans_are_pairwise(self, spec):
+        steps = tensor._einsum_steps(spec)
+        assert len(steps) == 3 and all(len(pos) == 2 for pos, _, _ in steps)
+        X = integer_sample(4, 12)
+        self.check([X], [spec], [X], [1])
 
     @pytest.mark.parametrize("n, specs, scale", [
         (4, ["ijkl->ijkl"], None),
