@@ -5,12 +5,17 @@ Every invocation writes a single JSON document (or aligned text with
 verification failure (something expected to vanish did not), 2 means a
 usage error.  Seeded subcommands are bit-reproducible; --no-meta drops the
 timestamped metadata block so outputs can be compared byte for byte.
+
+The argument parser is built on the first run() call and shared by every
+later call in the process; each call parses into a fresh Namespace, so
+callers must not mutate the parser that build_parser() returns.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -233,7 +238,13 @@ def _cmd_validate(args) -> int:
     return _emit(args, "validate", info)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The hesslab argument parser, built on first use and then shared.
+
+    Every call returns the same object, so callers must not mutate it: add
+    no arguments and set no defaults on it or on its subparsers.
+    """
     parser = argparse.ArgumentParser(
         prog="hesslab",
         description="exact tensor laboratory for obstructions to Hessian metrics")

@@ -56,7 +56,12 @@ def symmetry_failures(t: Tensor, limit: int = 1) -> list[tuple[str, tuple]]:
 
 
 class CurvTensor:
-    """Order-4 tensor with all algebraic curvature symmetries, checked eagerly."""
+    """Order-4 tensor with all algebraic curvature symmetries.
+
+    CurvTensor(tensor) checks the symmetries of a tensor from outside the
+    package.  Producers whose output is curvature-symmetric by construction
+    (rho, random_curvature) wrap it with _symmetric, which skips the check.
+    """
 
     __slots__ = ("n", "tensor")
 
@@ -69,6 +74,14 @@ class CurvTensor:
             raise ValueError(f"invariant {name} fails at index {idx}")
         self.n = tensor.n
         self.tensor = tensor
+
+    @classmethod
+    def _symmetric(cls, tensor: Tensor) -> "CurvTensor":
+        """Wrap an order-4 tensor that is curvature-symmetric by construction."""
+        R = object.__new__(cls)
+        R.n = tensor.n
+        R.tensor = tensor
+        return R
 
     @property
     def data(self):
@@ -184,8 +197,8 @@ def curvature_basis(n: int) -> tuple[Tensor, ...]:
 def random_curvature(n: int, seed: int, bound: int = 10) -> CurvTensor:
     """Random rational element of the span of the curvature basis."""
     tag = f"curv|{n}|{bound}"
-    return CurvTensor(materialize(n, [rng.rational_at(tag, seed, i, bound)
-                                      for i in range(curvature_space_dim(n))]))
+    return CurvTensor._symmetric(materialize(n, [rng.rational_at(tag, seed, i, bound)
+                                                 for i in range(curvature_space_dim(n))]))
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,7 @@ from .tensor import Sym3Tensor, Tensor, integer_form, sym3_dim, sym3_index
 
 
 def rho_raw(A: Sym3Tensor) -> Tensor:
-    """The map as a raw order-4 tensor, before invariant validation.
+    """The map as a raw order-4 tensor; rho wraps it without re-checking.
 
     It runs on L A, with L the lcm of A's denominators: each entry of the
     einsum is at most n M**2 in size for M = max|L A|, the difference
@@ -36,7 +36,7 @@ def rho_raw(A: Sym3Tensor) -> Tensor:
 
 def rho(A: Sym3Tensor) -> CurvTensor:
     """Curvature tensor induced by a symmetric 3-tensor (exact)."""
-    return CurvTensor(rho_raw(A))
+    return CurvTensor._symmetric(rho_raw(A))
 
 
 def rho2(A: Sym3Tensor) -> RicciTensor:

@@ -47,19 +47,28 @@ def tensor_to_json(t) -> dict:
     raise TypeError(f"cannot serialize {type(t).__name__}")
 
 
+def _parse_index(key) -> tuple:
+    if not isinstance(key, str):
+        raise TypeError(f"index key {key!r} is not a string")
+    return tuple(int(s) for s in key.split())
+
+
 def tensor_from_json(doc: dict):
     try:
         n, order, packing = doc["n"], doc["order"], doc["packing"]
-        raw = [(tuple(int(s) for s in key.split()), parse_rational(val))
-               for key, val in doc["entries"]]
+        raw = [(_parse_index(key), parse_rational(val)) for key, val in doc["entries"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed tensor document: {exc}") from exc
     if not (type(n) is type(order) is int and 2 <= n <= MAX_DIM and 0 <= order <= MAX_ORDER):
         raise ValueError(f"dimension must be in [2, {MAX_DIM}] and order in [0, {MAX_ORDER}], "
                          f"got n={n!r}, order={order!r}")  # checked before anything is allocated
+    seen = set()
     for idx, _ in raw:
         if len(idx) != order or any(not 0 <= i < n for i in idx):
             raise ValueError(f"index {idx} out of range for n={n}, order={order}")
+        if idx in seen:
+            raise ValueError(f"malformed tensor document: index {idx} appears twice")
+        seen.add(idx)
     if packing == "sym3":
         if order != 3:
             raise ValueError("sym3 packing requires order 3")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -56,6 +57,37 @@ class TestGlobalBehavior:
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["all_zero"] is False
+
+
+class TestSharedParser:
+    def test_repeated_runs_match_runs_alone(self, capsys, monkeypatch):
+        calls = [("bogus",), ("mine", "--degree", "5"), ("--version",),
+                 ("verify", "--identity", "cubic", "--dim", "4", "--seeds", "2", "--no-meta"),
+                 ("verify", "--identity", "cubic", "--dim", "4", "--seeds", "2", "--no-meta"),
+                 ("mine", "--dim", "4", "--degree", "2", "--no-meta")]
+        alone = []
+        for argv in calls:
+            cli.build_parser.cache_clear()  # a fresh parser, as in a new process
+            alone.append(run(capsys, *argv)[:2])
+        assert [code for code, _ in alone] == [2, 2, 0, 0, 0, 0]
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        shared = [run(capsys, *argv)[:2] for argv in calls]
+        census = ("rank-census", "--dim", "2", "--samples", "1", "--no-meta")
+        code, doc, _ = run_json(capsys, *census, "--bound", "3")
+        assert code == 0 and doc["bound"] == 3
+        code, doc, _ = run_json(capsys, *census)
+        assert code == 0 and doc["bound"] == 10  # the default, not the last value
+        assert shared == alone
+        assert 0 < len(built) <= 9  # one parser and its 8 subparsers, once
 
 
 class TestSubcommands:
@@ -177,6 +209,20 @@ class TestSubcommands:
         code, out, _ = run(capsys, "validate", "--in", str(bad))
         assert code == 1
         assert not json.loads(out)["valid"]
+
+    @pytest.mark.parametrize("entries", [
+        [[0, "1/1"]], [[None, "1/1"]], [["0 0 0", "1/1"], ["0 0 0", "2/1"]],
+    ], ids=["int-key", "null-key", "repeated-index"])
+    @pytest.mark.parametrize("command, exit_code", [("validate", 1), ("rho", 2)])
+    def test_malformed_entries_refused(self, capsys, tmp_path, entries, command, exit_code):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"n": 3, "order": 3, "packing": "sym3",
+                                    "entries": entries}))
+        code, out, err = run(capsys, command, "--in", str(path), "--no-meta")
+        assert code == exit_code
+        assert "malformed tensor document" in out + err
+        if command == "validate":
+            assert json.loads(out)["valid"] is False
 
     def test_validate_reports_symmetry_failures(self, capsys, tmp_path):
         doc = {"n": 2, "order": 4, "packing": "dense",

@@ -9,7 +9,7 @@ from hesslab.curvature import (CurvTensor, RicciTensor, coordinates,
                                curvature_basis, curvature_space_dim,
                                cyclic_sum, materialize, random_curvature,
                                ricci, scalar_curvature, symmetry_failures)
-from hesslab.tensor import Tensor
+from hesslab.tensor import MAX_DIM, Tensor
 from tensor_helpers import integer_form_dtypes, random_rational
 
 
@@ -76,8 +76,9 @@ class TestBasis:
 
 
 class TestInvariants:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", range(2, MAX_DIM + 1))
     def test_random_samples_pass_all_symmetries(self, n):
+        # random_curvature wraps its output unchecked, so every dimension is checked here
         for seed in range(100):
             R = random_curvature(n, seed=seed, bound=5)
             assert symmetry_failures(R.tensor) == []

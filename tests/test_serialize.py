@@ -57,6 +57,9 @@ class TestTensorDocuments:
             lambda d: d["entries"].append(["0 0 0", "1/1"]),   # wrong arity
             lambda d: d["entries"].append(["0 9", "1/1"]),     # index range
             lambda d: d["entries"].append(["0 0", "nope"]),    # bad rational
+            lambda d: d["entries"].append([0, "1/1"]),         # index key not a string
+            lambda d: d["entries"].append([None, "1/1"]),
+            lambda d: d["entries"].append(list(d["entries"][0])),  # index given twice
         ):
             doc = json.loads(json.dumps(good))
             mutate(doc)
