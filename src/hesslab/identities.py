@@ -2,32 +2,25 @@
 
 All free indices are kept as tensor slots; an identity "vanishes" when
 every component is the exact rational zero.  Index placement follows the
-orthonormal frame, so upper and lower positions coincide; the slot maps
-for the cubic identity are pinned here once and cross-checked by the
-dimension-4 vanishing tests.  Each form is a weighted list of einsum specs
-for tensor.alternating_contraction, which works at sorted index tuples only
-and contracts the integer form of R: the lcm of R's denominators times R,
-in int64 under a checked overflow bound, so that only those values become
-Fractions.
+orthonormal frame, so upper and lower positions coincide.  Each form is a
+weighted list of the miner's slot tuples for miner.alternating_form, which
+contracts the integer form of R and works at sorted index tuples only: the
+degree-2 and degree-3 identities take the miner's slot maps, with the
+antisymmetrizer's 1/4! in their weights, and tr Omega^p is one cyclic tuple.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .curvature import CurvTensor, cyclic_sum
-from .tensor import (MAX_ORDER, Tensor, alternating_contraction, alternating_tensor,
-                     antisymmetrized)
-
-
-def _require_min_dim(R: CurvTensor, k: int) -> None:
-    if R.n < k:
-        raise ValueError(
-            f"a degree-{k} antisymmetric form is identically zero for n={R.n} < {k}")
+from .miner import alternating_form, cubic_identity_combination, quadratic_trace_pattern
+from .tensor import MAX_ORDER, Tensor
 
 
 def pontryagin_quadratic(R: CurvTensor) -> Tensor:
     """Antisymmetrization over (i,j,k,l) of sum_{ab} R_{ijab} R_{klba}."""
-    _require_min_dim(R, 4)
-    return antisymmetrized(R.n, R.tensor, [("ijab,klba->ijkl", 1)])
+    return alternating_form(R.tensor, [(quadratic_trace_pattern(), Fraction(1, 24))])
 
 
 def cubic_identity(R: CurvTensor) -> Tensor:
@@ -36,9 +29,8 @@ def cubic_identity(R: CurvTensor) -> Tensor:
     Slot maps (all indices lowered): term1 = R_{iajb} R_{kbcd} R_{ldac},
     term2 = R_{iajb} R_{kcad} R_{ldbc}.
     """
-    _require_min_dim(R, 4)
-    return antisymmetrized(R.n, R.tensor, [("iajb,kbcd,ldac->ijkl", 1),
-                                           ("iajb,kcad,ldbc->ijkl", -2)])
+    return alternating_form(R.tensor, [(slots, weight / 24)
+                                       for slots, weight in cubic_identity_combination()])
 
 
 def pontryagin_form(R: CurvTensor, p: int) -> Tensor:
@@ -52,12 +44,11 @@ def pontryagin_form(R: CurvTensor, p: int) -> Tensor:
         raise ValueError("p must be >= 1")
     if 2 * p > MAX_ORDER:
         raise ValueError(f"form degree 2p={2 * p} exceeds the maximum order {MAX_ORDER}")
-    if 2 * p > R.n:
-        raise ValueError(f"form degree 2p={2 * p} exceeds dimension n={R.n}")
-    free, inner = "ijklmn", "abc"
-    factors = [free[2 * f:2 * f + 2] + inner[f] + inner[(f + 1) % p] for f in range(p)]
-    spec = ",".join(factors) + "->" + free[:2 * p]
-    return alternating_tensor(R.n, 2 * p, alternating_contraction(R.tensor, [(spec, 1)]))
+    # factor f carries free labels 2f and 2f + 1, and its last slot contracts
+    # with the third slot of the next factor, cyclically
+    slots = tuple(s for f in range(p) for s in (-2 * f - 1, -2 * f - 2, 4 * ((f - 1) % p) + 3,
+                                                4 * ((f + 1) % p) + 2))
+    return alternating_form(R.tensor, [(slots, 1)])
 
 
 def bianchi_residual(R: Tensor) -> Tensor:

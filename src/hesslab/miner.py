@@ -15,7 +15,8 @@ random generic curvature tensors turns the search for identities into
 exact nullspace computations.  Each pattern is one einsum spec, and one
 tensor.alternating_rows call evaluates a batch of samples: as many as a
 sampling phase can take before it could next stop, so the batches hold
-exactly the samples a one-at-a-time run would evaluate.
+exactly the samples a one-at-a-time run would evaluate.  The identities
+module writes its forms as weighted slot tuples too, for alternating_form.
 """
 
 from __future__ import annotations
@@ -30,10 +31,12 @@ import numpy as np
 from . import linalg, rng
 from .curvature import CurvTensor, curvature_space_dim, materialize
 from .hessmap import rho
-from .tensor import Sym3Tensor, Tensor, alternating_rows, antisymmetrized, sym3_dim
+from .tensor import (Sym3Tensor, Tensor, alternating_contraction, alternating_rows,
+                     alternating_tensor, sym3_dim)
 
 # slot encoding: value >= 0 is the partner slot of a contraction,
-# value -(label+1) marks a free slot carrying label 0..3
+# value -(label+1) marks a free slot carrying label 0..5, named _LABELS[label]
+_LABELS = "ijklmn"
 _FREE = tuple(-(label + 1) for label in range(4))
 
 # the 8 slot symmetries of one curvature factor, as (slot permutation, sign):
@@ -74,15 +77,21 @@ class ContractionPattern:
 
     def slot_names(self) -> list[str]:
         """Human-readable slot map: free labels i/j/k/l, contractions e0, e1, ..."""
-        names = [""] * len(self.slots)
-        edge = 0
-        for i, s in enumerate(self.slots):
-            if s < 0:
-                names[i] = "ijkl"[-s - 1]
-            elif s > i:
-                names[i] = names[s] = f"e{edge}"
-                edge += 1
-        return names
+        return _slot_letters(self.slots, [f"e{e}" for e in range(2 * self.degree)])
+
+
+def _slot_letters(slots, edges) -> list[str]:
+    """The name of each slot: free label l is _LABELS[l], and both ends of
+    the e-th contraction, counted by the slot of its first end, are edges[e]."""
+    names = [""] * len(slots)
+    edge = 0
+    for i, s in enumerate(slots):
+        if s < 0:
+            names[i] = _LABELS[-s - 1]
+        elif s > i:
+            names[i] = names[s] = edges[edge]
+            edge += 1
+    return names
 
 
 def canonicalize(slots) -> tuple[tuple, int, bool]:
@@ -247,12 +256,11 @@ def enumerate_patterns(p: int) -> tuple[ContractionPattern, ...]:
 
 def pattern_from_slot_names(names) -> tuple:
     """Raw slot tuple from a list like ["i","j","a","b","k","l","b","a"]."""
-    labels = {"i": 0, "j": 1, "k": 2, "l": 3}
     slots = [None] * len(names)
     where: dict = {}
     for pos, nm in enumerate(names):
-        if nm in labels:
-            slots[pos] = -(labels[nm] + 1)
+        if nm in _LABELS:
+            slots[pos] = -(_LABELS.index(nm) + 1)
         elif nm in where:
             other = where.pop(nm)
             slots[pos], slots[other] = other, pos
@@ -292,18 +300,24 @@ def coefficient_vector(patterns, combination) -> list[Fraction]:
 
 
 @lru_cache(maxsize=None)
-def _einsum_spec(pat: ContractionPattern) -> str:
-    letters = "abcdefgh"
-    subs = [""] * (4 * pat.degree)
-    edge = 0
-    for i, s in enumerate(pat.slots):
-        if s < 0:
-            subs[i] = "wxyz"[-s - 1]
-        elif s > i:
-            subs[i] = subs[s] = letters[edge]
-            edge += 1
-    ops = ",".join("".join(subs[4 * f:4 * f + 4]) for f in range(pat.degree))
-    return f"{ops}->wxyz"
+def _einsum_spec(slots: tuple) -> str:
+    """einsum spec of a raw slot tuple: contractions a..h, free labels from
+    _LABELS, which in label order are the output."""
+    names = _slot_letters(slots, "abcdefgh")
+    ops = ",".join("".join(names[f:f + 4]) for f in range(0, len(slots), 4))
+    return f"{ops}->{_LABELS[:sum(s < 0 for s in slots)]}"
+
+
+def alternating_form(R: Tensor, terms) -> Tensor:
+    """The alternating tensor of sum weight * (contraction of copies of R by
+    slots) over the (slots, weight) terms, all with k free labels, with no
+    1/k! factor (callers put it in the weights).  Refuses n < k."""
+    k = sum(s < 0 for s in terms[0][0])
+    if R.n < k:
+        raise ValueError(f"a degree-{k} antisymmetric form is identically zero "
+                         f"for n={R.n} < {k}")
+    specs = [(_einsum_spec(slots), weight) for slots, weight in terms]
+    return alternating_tensor(R.n, k, alternating_contraction(R, specs))
 
 
 def evaluate_pattern(pat: ContractionPattern, R) -> Tensor:
@@ -312,9 +326,7 @@ def evaluate_pattern(pat: ContractionPattern, R) -> Tensor:
         R = R.tensor
     elif not isinstance(R, Tensor):
         R = Tensor(len(R), R)
-    if R.n < 4:
-        raise PatternError("patterns need n >= 4 for a nonzero 4-form")
-    return antisymmetrized(R.n, R, [(_einsum_spec(pat), 1)])
+    return alternating_form(R, [(pat.slots, Fraction(1, 24))])
 
 
 def _evaluate_rows(patterns, samples):
@@ -325,7 +337,7 @@ def _evaluate_rows(patterns, samples):
     antisymmetrizer denominator, which leaves the nullspace unchanged.  One
     alternating_rows call evaluates every pattern on every sample.
     """
-    specs = [_einsum_spec(pat) for pat in patterns]
+    specs = [_einsum_spec(pat.slots) for pat in patterns]
     return alternating_rows(samples, specs).transpose(0, 2, 1).tolist()
 
 

@@ -17,7 +17,8 @@ spec's plan (made once, whatever n is) is one np.matmul over the sample
 axis, a first step that specs share up to renaming of letters runs once,
 and each spec is read at the sorted index tuples as soon as it is done;
 only those values become ``Fraction``.  alternating_contraction weighs
-the rows of one tensor.
+the rows of one tensor, and alternating_tensor scatters such values into
+an antisymmetric Tensor (miner.alternating_form joins the two).
 """
 
 from __future__ import annotations
@@ -353,12 +354,6 @@ def alternating_tensor(n: int, k: int, values: np.ndarray) -> Tensor:
     X = np.zeros((n,) * k, dtype=object)
     X[at] = v[:, None] * signs
     return Tensor.from_integers(X, D, rational)
-
-
-def antisymmetrized(n: int, data, terms) -> Tensor:
-    """(1/4!) signed-permutation sum over the four free slots of the weighted
-    einsum terms on data, a Tensor or an array: an alternating order-4 tensor."""
-    return alternating_tensor(n, 4, alternating_contraction(data, terms) * Fraction(1, 24))
 
 
 # --- packed fully symmetric order-3 storage -------------------------------

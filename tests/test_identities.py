@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hesslab import tensor
+from hesslab import miner, tensor
 from hesslab.curvature import CurvTensor, random_curvature
 from hesslab.hessmap import rho
 from hesslab.identities import (bianchi_residual, cubic_identity,
@@ -155,6 +155,47 @@ class TestAgainstFullArrayPath:
         new = cubic_identity(R)
         old = full_array_form(R, [("iajb,kbcd,ldac->ijkl", 1), ("iajb,kcad,ldbc->ijkl", -2)])
         assert [str(x) for x in new.data.flat] == [str(x) for x in old.data.flat]
+
+
+def pontryagin(p):
+    return lambda R: pontryagin_form(R, p)
+
+
+def first_quadratic_pattern(R):
+    return miner.evaluate_pattern(miner.enumerate_patterns(2)[0], R)
+
+
+class TestOneFormConstructor:
+    """Every form is a weighted list of slot tuples for miner.alternating_form."""
+
+    @pytest.mark.parametrize("form, terms", [
+        (pontryagin_quadratic, [("ijab,klba->ijkl", Fraction(1, 24))]),
+        (cubic_identity, [("iajb,kbcd,ldac->ijkl", Fraction(1, 24)),
+                          ("iajb,kcad,ldbc->ijkl", Fraction(-1, 12))]),
+        (pontryagin(1), [("ijaa->ij", 1)]),
+        (pontryagin(2), [("ijab,klba->ijkl", 1)]),
+        (pontryagin(3), [("ijab,klbc,mnca->ijklmn", 1)]),
+    ], ids=["quad", "cubic", "p1", "p2", "p3"])
+    def test_specs_and_weights(self, form, terms, monkeypatch):
+        seen = []
+        contraction = miner.alternating_contraction
+        monkeypatch.setattr(miner, "alternating_contraction",
+                            lambda data, specs: seen.append(specs) or contraction(data, specs))
+        form(random_curvature(6, seed=1))
+        assert seen == [terms]
+
+    @pytest.mark.parametrize("form, k", [
+        (pontryagin_quadratic, 4), (cubic_identity, 4), (pontryagin(2), 4),
+        (pontryagin(3), 6), (first_quadratic_pattern, 4),
+    ], ids=["quad", "cubic", "p2", "p3", "evaluate_pattern"])
+    def test_refuses_dimension_below_order(self, form, k, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("contracted before checking the dimension")
+
+        monkeypatch.setattr(miner, "alternating_contraction", refuse)
+        for n in range(2, k):
+            with pytest.raises(ValueError, match=f"degree-{k} .* n={n} < {k}"):
+                form(random_curvature(n, seed=1))
 
 
 class TestPastInt64:

@@ -184,7 +184,7 @@ class TestEnumeration:
 
         def orbit_info(slot_tuple):
             pat = miner.ContractionPattern(2, slot_tuple)
-            spec = miner._einsum_spec(pat)
+            spec = miner._einsum_spec(pat.slots)
             outs = [np.einsum(spec, R.data, R.data, optimize=True)
                     for R in samples]
             base = tuple(x for o in outs for x in o.flat)
@@ -366,7 +366,7 @@ class TestEvaluation:
         # patterns3[0] has two fully traced factors: numpy's optimized
         # einsum cannot take the bare Fraction scalars they contract to
         for pat in patterns2 + (patterns3[::6] if n == 4 else ()):
-            raw = np.einsum(miner._einsum_spec(pat), *[R.data] * pat.degree)
+            raw = np.einsum(miner._einsum_spec(pat.slots), *[R.data] * pat.degree)
             old = antisymmetrize(Tensor(n, raw), [0, 1, 2, 3])
             assert miner.evaluate_pattern(pat, R) == old
 

@@ -227,7 +227,7 @@ class TestBatchedRows:
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_patterns_and_identities(self, n, monkeypatch):
-        specs = [miner._einsum_spec(pat) for p in (2, 3)
+        specs = [miner._einsum_spec(pat.slots) for p in (2, 3)
                  for pat in miner.enumerate_patterns(p)] + IDENTITY_SPECS
         X = [integer_sample(n, seed) for seed in (1, 2, 3)]
         seen = integer_form_dtypes(monkeypatch, tensor)
@@ -238,7 +238,7 @@ class TestBatchedRows:
         assert all(row.any() for sample in rows for row in sample)
 
     def test_object_path(self, monkeypatch):
-        specs = [miner._einsum_spec(pat) for pat in miner.enumerate_patterns(3)]
+        specs = [miner._einsum_spec(pat.slots) for pat in miner.enumerate_patterns(3)]
         seen = integer_form_dtypes(monkeypatch, tensor)
         # 2**31 * 5 past int64 at degree 3: the whole batch takes Python ints
         big, small = integer_sample(5, 4, scale=2**31), integer_sample(5, 5)
@@ -251,7 +251,7 @@ class TestBatchedRows:
         self.check([X[0], over(X[1], 10)], [spec], X, [1, 10])
 
     def test_shared_first_steps_run_once(self, monkeypatch):
-        specs = [miner._einsum_spec(pat) for pat in miner.enumerate_patterns(3)]
+        specs = [miner._einsum_spec(pat.slots) for pat in miner.enumerate_patterns(3)]
         assert sum(len(tensor._einsum_steps(spec)) for spec in specs) == 70
         steps = []
         step = tensor._step
