@@ -17,6 +17,7 @@ import argparse
 import datetime
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -72,6 +73,8 @@ def _read_json(path: str) -> dict:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise UsageError(f"{path} is not valid JSON: nested too deeply") from exc
 
 
 def _cmd_rho(args) -> int:
@@ -88,8 +91,11 @@ def _cmd_rho(args) -> int:
     R = hessmap.rho(t)
     out = serialize.tensor_to_json(R.tensor)
     if args.outfile:
-        with open(args.outfile, "w") as fh:
-            json.dump(out, fh, indent=2)
+        try:
+            with open(args.outfile, "w") as fh:
+                json.dump(out, fh, indent=2)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.outfile}: {exc}") from exc
     return _emit(args, "rho", {"n": t.n, "curvature": out})
 
 
@@ -104,9 +110,6 @@ def _cmd_rank_census(args) -> int:
     return _emit(args, "rank-census", report.to_json())
 
 
-_IDENTITIES = ("quad", "cubic", "pontryagin", "bianchi")
-
-
 def _verify_one(name, n, seed, degree):
     A = Sym3Tensor.random(n, seed=seed, bound=6)
     R = hessmap.rho(A)
@@ -116,14 +119,10 @@ def _verify_one(name, n, seed, degree):
         return identities.cubic_identity(R).is_zero()
     if name == "pontryagin":
         return identities.pontryagin_form(R, degree).is_zero()
-    if name == "bianchi":
-        return identities.bianchi_residual(R.tensor).is_zero()
-    raise UsageError(f"unknown identity {name!r}")
+    return identities.bianchi_residual(R.tensor).is_zero()
 
 
 def _cmd_verify(args) -> int:
-    if args.identity not in _IDENTITIES:
-        raise UsageError(f"--identity must be one of {_IDENTITIES}")
     if args.dim is None:
         raise UsageError("verify requires --dim")
     if args.seeds < 1:
@@ -167,6 +166,8 @@ def _parse_matrix(doc) -> list:
 def _cmd_solve3d(args) -> int:
     if args.mode == "exact" and args.tol is not None:
         raise UsageError("--tol only applies to --mode float")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        raise UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
     doc = _read_json(args.ricci)
     rows = _parse_matrix(doc)
     tol = 1e-9 if args.tol is None else args.tol
@@ -238,6 +239,13 @@ def _cmd_validate(args) -> int:
     return _emit(args, "validate", info)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Report a parse error first as "error: ...", as run() does every
+        other usage error, then the usage; exit 2."""
+        self.exit(EXIT_USAGE, f"error: {message}\n{self.format_usage()}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The hesslab argument parser, built on first use and then shared.
@@ -245,16 +253,17 @@ def build_parser() -> argparse.ArgumentParser:
     Every call returns the same object, so callers must not mutate it: add
     no arguments and set no defaults on it or on its subparsers.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hesslab",
         description="exact tensor laboratory for obstructions to Hessian metrics")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p, seed=True, dim=True):
         p.add_argument("--output", choices=("json", "text"), default="json")
         p.add_argument("--no-meta", action="store_true")
-        p.add_argument("--dim", type=int)
+        if dim:
+            p.add_argument("--dim", type=int)
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
@@ -272,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check an identity on random image points")
     common(p)
-    p.add_argument("--identity", required=True)
+    p.add_argument("--identity", required=True,
+                   choices=("quad", "cubic", "pontryagin", "bianchi"))
     p.add_argument("--seeds", type=int, default=100)
     p.add_argument("--degree", type=int, default=2,
                    help="form degree parameter for --identity pontryagin")
@@ -285,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mine)
 
     p = sub.add_parser("solve3d", help="prescribe the Ricci image in dimension 3")
-    common(p, seed=False)
+    common(p, seed=False, dim=False)
     p.add_argument("--ricci", required=True, help="JSON file with 3x3 rows")
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.add_argument("--tol", type=float)
@@ -297,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_jets)
 
     p = sub.add_parser("cartan2d", help="planar symbol ranks and Cartan's test")
-    common(p)
+    common(p, dim=False)
     p.add_argument("--alpha", default="0/1")
     p.add_argument("--beta", default="0/1")
     p.add_argument("--gamma", default="0/1")
@@ -305,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cartan2d)
 
     p = sub.add_parser("validate", help="validate a tensor JSON file")
-    common(p, seed=False)
+    common(p, seed=False, dim=False)
     p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(func=_cmd_validate)
 

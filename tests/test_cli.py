@@ -113,9 +113,17 @@ class TestSubcommands:
         code, _, err = run(capsys, "verify", "--identity", "nope", "--dim", "4")
         assert code == 2 and "identity" in err
 
-    def test_rho_missing_file(self, capsys):
+    def test_rho_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "rho", "--in", "/nonexistent/file.json")
         assert code == 2 and "cannot read" in err
+        # an --out that cannot be written raised FileNotFoundError or
+        # IsADirectoryError with a traceback and exit 1
+        path = tmp_path / "A.json"
+        path.write_text(json.dumps(serialize.tensor_to_json(Sym3Tensor.random(3, seed=2))))
+        for out in ("/nonexistent/dir/R.json", str(tmp_path)):
+            code, stdout, err = run(capsys, "rho", "--in", str(path), "--out", out)
+            assert code == 2 and stdout == ""
+            assert err.startswith("error: cannot write") and "Traceback" not in err
 
     def test_rho_round_trip(self, capsys, tmp_path):
         A = Sym3Tensor.random(3, seed=2, bound=5)
@@ -178,6 +186,12 @@ class TestSubcommands:
         code, _, err = run(capsys, "solve3d", "--ricci", str(path),
                            "--mode", "exact", "--tol", "1e-6")
         assert code == 2 and "tol" in err
+        # a NaN tolerance made "resid > tol" false, so every residual passed
+        for tol in ("nan", "inf", "-inf", "-1e-9"):
+            code, out, err = run(capsys, "solve3d", "--ricci", str(path),
+                                 "--mode", "float", f"--tol={tol}")
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and "tol" in err
 
     def test_jets_text_output(self, capsys):
         code, out, _ = run(capsys, "jets", "--dim", "3", "--cap", "15",
@@ -250,12 +264,27 @@ class TestUsageErrors:
         ("jets", "--dim", "3", "--cap", "0"),
         ("mine", "--dim", "3", "--degree", "2"),
         ("verify", "--identity", "cubic", "--dim", "3", "--seeds", "1"),
+        # these subcommands never read --dim, so they do not accept it
+        ("solve3d", "--ricci", "r.json", "--dim", "3"),
+        ("validate", "--in", "t.json", "--dim", "3"),
+        ("cartan2d", "--dim", "2"),
     ))
     def test_library_value_error_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv, "--no-meta")
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ("{not json", "[" * 200_000), ids=["syntax", "deep"])
+    @pytest.mark.parametrize("command", ("validate", "rho"))
+    def test_malformed_json_exits_2(self, capsys, tmp_path, command, text):
+        # 200,000 nested lists raised RecursionError inside json.load
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        code, out, err = run(capsys, command, "--in", str(path), "--no-meta")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "not valid JSON" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("samples", ("0", "-1"))
     def test_rank_census_rejects_nonpositive_samples(self, capsys, samples):

@@ -53,8 +53,10 @@ FILES = {
     "bad.json": "{not json",
 }
 
-# options each subcommand requires and accepts besides --dim, --output and
-# --no-meta; a value "@name" stands for the input file of that name
+# options each subcommand requires (REQUIRED) and the others it accepts
+# (OPTIONAL) besides --output and --no-meta; --dim may be drawn for any
+# subcommand, and solve3d, cartan2d and validate refuse it as a usage error;
+# a value "@name" stands for the input file of that name
 REQUIRED = {"rho": ["--in"], "rank-census": ["--dim"], "verify": ["--identity", "--dim"],
             "mine": ["--degree", "--dim"], "solve3d": ["--ricci"], "jets": ["--dim"],
             "cartan2d": [], "validate": ["--in"]}
