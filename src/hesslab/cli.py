@@ -17,7 +17,6 @@ import argparse
 import datetime
 import functools
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -166,8 +165,6 @@ def _parse_matrix(doc) -> list:
 def _cmd_solve3d(args) -> int:
     if args.mode == "exact" and args.tol is not None:
         raise UsageError("--tol only applies to --mode float")
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
-        raise UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
     doc = _read_json(args.ricci)
     rows = _parse_matrix(doc)
     tol = 1e-9 if args.tol is None else args.tol

@@ -46,8 +46,8 @@ def pontryagin_form(R: CurvTensor, p: int) -> Tensor:
         raise ValueError(f"form degree 2p={2 * p} exceeds the maximum order {MAX_ORDER}")
     # factor f carries free labels 2f and 2f + 1, and its last slot contracts
     # with the third slot of the next factor, cyclically
-    slots = tuple(s for f in range(p) for s in (-2 * f - 1, -2 * f - 2, 4 * ((f - 1) % p) + 3,
-                                                4 * ((f + 1) % p) + 2))
+    slots = tuple(s for f in range(p)
+                  for s in (-2 * f - 1, -2 * f - 2, 4 * ((f - 1) % p) + 3, 4 * ((f + 1) % p) + 2))
     return alternating_form(R.tensor, [(slots, 1)])
 
 

@@ -201,8 +201,9 @@ def solve_from_ricci(r, mode: str = "exact", tol: float = 1e-9):
 
     Returns (rotation, A, residual) with rotation an orthogonal matrix of
     floats whose columns are the eigenvectors; residual is the measured
-    float round-trip error, or 0 in exact mode, where the round-trip
-    rotation @ diag(lams) @ rotation.T == r is verified exactly.
+    float round-trip error, at most tol (finite and >= 0), or 0 in exact
+    mode, where the round-trip rotation @ diag(lams) @ rotation.T == r is
+    verified exactly.
     """
     if isinstance(r, RicciTensor):
         rows = [list(row) for row in r.entries]
@@ -216,6 +217,8 @@ def solve_from_ricci(r, mode: str = "exact", tol: float = 1e-9):
                     raise ValueError(f"matrix is not symmetric at ({i}, {j})")
 
     if mode == "float":
+        if not 0 <= tol < math.inf:  # "resid > nan" is never true
+            raise ValueError(f"tol must be a finite number >= 0, got {tol}")
         sym = np.array([[float(x) for x in row] for row in rows])
         w, q = np.linalg.eigh(sym)
         lams = [Fraction(float(x)) for x in w]

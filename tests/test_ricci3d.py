@@ -171,6 +171,12 @@ class TestSolveFromRicci:
         with pytest.raises(ValueError):
             ricci3d.solve_from_ricci([[1, 2, 0], [0, 1, 0], [0, 0, 1]])
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_rejects_unusable_tol(self, tol):
+        # with tol = nan, "resid > tol" was never true and any residual passed
+        with pytest.raises(ValueError, match="tol"):
+            ricci3d.solve_from_ricci([[1, 0, 0], [0, 2, 0], [0, 0, 3]], mode="float", tol=tol)
+
     def test_irrational_spectrum_needs_float_mode(self):
         rows = [[1, 1, 0], [1, 2, 0], [0, 0, 3]]
         with pytest.raises(ValueError):
