@@ -6,6 +6,11 @@ verification failure (something expected to vanish did not), 2 means a
 usage error.  Seeded subcommands are bit-reproducible; --no-meta drops the
 timestamped metadata block so outputs can be compared byte for byte.
 
+The parser reports a missing --dim, a count below 1 and an unknown option
+with the subcommand's usage.  An input file that cannot be read or is not
+JSON is a usage error on every subcommand, validate included; validate's
+"valid": false (exit 1) is only for JSON that is not a valid tensor document.
+
 The argument parser is built on the first run() call and shared by every
 later call in the process; each call parses into a fresh Namespace, so
 callers must not mutate the parser that build_parser() returns.
@@ -30,7 +35,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -99,12 +104,7 @@ def _cmd_rho(args) -> int:
 
 
 def _cmd_rank_census(args) -> int:
-    if args.dim is None:
-        raise UsageError("rank-census requires --dim")
-    samples = 20 if args.samples is None else args.samples
-    if samples < 1:
-        raise UsageError("--samples must be at least 1")
-    report = hessmap.image_rank_census(args.dim, samples, args.seed,
+    report = hessmap.image_rank_census(args.dim, args.samples, args.seed,
                                        bound=args.bound)
     return _emit(args, "rank-census", report.to_json())
 
@@ -122,10 +122,6 @@ def _verify_one(name, n, seed, degree):
 
 
 def _cmd_verify(args) -> int:
-    if args.dim is None:
-        raise UsageError("verify requires --dim")
-    if args.seeds < 1:
-        raise UsageError("--seeds must be at least 1")
     failures = []
     for i in range(args.seeds):
         seed = args.seed * 1_000_003 + i
@@ -138,8 +134,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mine(args) -> int:
-    if args.dim is None:
-        raise UsageError("mine requires --dim")
     basis = miner.mine(args.dim, args.degree, max_samples=args.max_samples,
                        seed=args.seed)
     return _emit(args, "mine", basis.to_json())
@@ -184,8 +178,6 @@ def _cmd_solve3d(args) -> int:
 
 
 def _cmd_jets(args) -> int:
-    if args.dim is None:
-        raise UsageError("jets requires --dim")
     report = jets.crossover(args.dim, args.cap)
     if args.output == "text":
         print(report.to_text())
@@ -194,8 +186,6 @@ def _cmd_jets(args) -> int:
 
 
 def _cmd_cartan2d(args) -> int:
-    if args.sweep is not None and args.sweep < 1:
-        raise UsageError("--sweep must be at least 1")
     if args.sweep:
         reports = cartan.parameter_sweep(args.sweep, args.seed)
         distinct = {r for r in reports}
@@ -221,9 +211,8 @@ def _cmd_validate(args) -> int:
     try:
         t = serialize.tensor_from_json(doc)
     except ValueError as exc:
-        print(json.dumps({"schema": SCHEMA, "command": "validate",
-                          "valid": False, "error": str(exc)}))
-        return EXIT_VERIFY
+        return _emit(args, "validate", {"valid": False, "error": str(exc)},
+                     failures=[str(exc)])
     info = {"valid": True, "n": t.n,
             "packing": "sym3" if isinstance(t, Sym3Tensor) else "dense",
             "order": 3 if isinstance(t, Sym3Tensor) else t.order}
@@ -243,6 +232,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {message}\n{self.format_usage()}")
 
 
+def count(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The hesslab argument parser, built on first use and then shared.
@@ -256,85 +253,76 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True, dim=True):
+    def command(name, func, help, seed=True, dim=True):
+        p = sub.add_parser(name, help=help)
+        # run() reports unrecognized arguments through the subparser itself
+        p.set_defaults(func=func, parser=p)
         p.add_argument("--output", choices=("json", "text"), default="json")
         p.add_argument("--no-meta", action="store_true")
         if dim:
-            p.add_argument("--dim", type=int)
+            p.add_argument("--dim", type=int, required=True)
         if seed:
             p.add_argument("--seed", type=int, default=0)
+        return p
 
-    p = sub.add_parser("rho", help="curvature tensor of a symmetric 3-tensor")
-    common(p, seed=False)
+    p = command("rho", _cmd_rho, "curvature tensor of a symmetric 3-tensor",
+                seed=False, dim=False)
+    p.add_argument("--dim", type=int)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile")
-    p.set_defaults(func=_cmd_rho)
 
-    p = sub.add_parser("rank-census", help="generic rank of the map's Jacobian")
-    common(p)
-    p.add_argument("--samples", type=int)
+    p = command("rank-census", _cmd_rank_census, "generic rank of the map's Jacobian")
+    p.add_argument("--samples", type=count, default=20)
     p.add_argument("--bound", type=int, default=10)
-    p.set_defaults(func=_cmd_rank_census)
 
-    p = sub.add_parser("verify", help="check an identity on random image points")
-    common(p)
+    p = command("verify", _cmd_verify, "check an identity on random image points")
     p.add_argument("--identity", required=True,
                    choices=("quad", "cubic", "pontryagin", "bianchi"))
-    p.add_argument("--seeds", type=int, default=100)
+    p.add_argument("--seeds", type=count, default=100)
     p.add_argument("--degree", type=int, default=2,
                    help="form degree parameter for --identity pontryagin")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("mine", help="search for identities on the image")
-    common(p)
+    p = command("mine", _cmd_mine, "search for identities on the image")
     p.add_argument("--degree", type=int, required=True, choices=(2, 3))
     p.add_argument("--max-samples", type=int)
-    p.set_defaults(func=_cmd_mine)
 
-    p = sub.add_parser("solve3d", help="prescribe the Ricci image in dimension 3")
-    common(p, seed=False, dim=False)
+    p = command("solve3d", _cmd_solve3d, "prescribe the Ricci image in dimension 3",
+                seed=False, dim=False)
     p.add_argument("--ricci", required=True, help="JSON file with 3x3 rows")
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.add_argument("--tol", type=float)
-    p.set_defaults(func=_cmd_solve3d)
 
-    p = sub.add_parser("jets", help="jet-dimension census and crossover order")
-    common(p, seed=False)
+    p = command("jets", _cmd_jets, "jet-dimension census and crossover order", seed=False)
     p.add_argument("--cap", type=int, default=50)
-    p.set_defaults(func=_cmd_jets)
 
-    p = sub.add_parser("cartan2d", help="planar symbol ranks and Cartan's test")
-    common(p, dim=False)
+    p = command("cartan2d", _cmd_cartan2d, "planar symbol ranks and Cartan's test",
+                dim=False)
     p.add_argument("--alpha", default="0/1")
     p.add_argument("--beta", default="0/1")
     p.add_argument("--gamma", default="0/1")
-    p.add_argument("--sweep", type=int)
-    p.set_defaults(func=_cmd_cartan2d)
+    p.add_argument("--sweep", type=count)
 
-    p = sub.add_parser("validate", help="validate a tensor JSON file")
-    common(p, seed=False, dim=False)
+    p = command("validate", _cmd_validate, "validate a tensor JSON file",
+                seed=False, dim=False)
     p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(func=_cmd_validate)
 
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0,) else 0
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except miner.StabilizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except ValueError as exc:
-        # a subcommand's library call rejected its arguments
+        # a usage error, or a library call that rejected its arguments
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

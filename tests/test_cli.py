@@ -46,6 +46,12 @@ class TestGlobalBehavior:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize("command", ("rho", "rank-census", "verify", "mine",
+                                         "solve3d", "jets", "cartan2d", "validate"))
+    def test_subcommand_help_shows_its_own_usage(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        assert out.startswith(f"usage: hesslab {command} ")
 
     def test_module_entry_point_runs_the_command(self):
         # python -m hesslab.cli must run the command, not import cli and exit 0
@@ -222,7 +228,11 @@ class TestSubcommands:
                                    "entries": []}))
         code, out, _ = run(capsys, "validate", "--in", str(bad))
         assert code == 1
-        assert not json.loads(out)["valid"]
+        doc = json.loads(out)
+        assert not doc["valid"] and "meta" in doc
+        code, out, _ = run(capsys, "validate", "--in", str(bad), "--output", "text")
+        assert code == 1
+        assert "valid: False" in out.splitlines() and "meta:" in out.splitlines()
 
     @pytest.mark.parametrize("entries", [
         [[0, "1/1"]], [[None, "1/1"]], [["0 0 0", "1/1"], ["0 0 0", "2/1"]],
@@ -258,22 +268,36 @@ class TestSubcommands:
 
 
 class TestUsageErrors:
+    # argv the parser refuses: what stderr names, before the subcommand's usage
+    PARSE_ERRORS = {
+        # these subcommands never read --dim, so they do not accept it
+        ("solve3d", "--ricci", "r.json", "--dim", "3"): "unrecognized arguments: --dim 3",
+        ("validate", "--in", "t.json", "--dim", "3"): "unrecognized arguments: --dim 3",
+        ("cartan2d", "--dim", "2"): "unrecognized arguments: --dim 2",
+        # these cannot run without it
+        ("rank-census",): "required: --dim",
+        ("verify", "--identity", "cubic"): "required: --dim",
+        ("mine", "--degree", "2"): "required: --dim",
+        ("jets",): "required: --dim",
+        ("rank-census", "--dim", "2", "--samples", "x"): "argument --samples",
+    }
+
     @pytest.mark.parametrize("argv", (
         ("cartan2d", "--alpha", "1.5"),
         ("rank-census", "--dim", "9"),
         ("jets", "--dim", "3", "--cap", "0"),
         ("mine", "--dim", "3", "--degree", "2"),
         ("verify", "--identity", "cubic", "--dim", "3", "--seeds", "1"),
-        # these subcommands never read --dim, so they do not accept it
-        ("solve3d", "--ricci", "r.json", "--dim", "3"),
-        ("validate", "--in", "t.json", "--dim", "3"),
-        ("cartan2d", "--dim", "2"),
+        *PARSE_ERRORS,
     ))
     def test_library_value_error_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv, "--no-meta")
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+        if argv in self.PARSE_ERRORS:
+            assert self.PARSE_ERRORS[argv] in err.splitlines()[0]
+            assert err.splitlines()[1].startswith(f"usage: hesslab {argv[0]} ")
 
     @pytest.mark.parametrize("text", ("{not json", "[" * 200_000), ids=["syntax", "deep"])
     @pytest.mark.parametrize("command", ("validate", "rho"))
