@@ -392,10 +392,11 @@ class StabilizationError(RuntimeError):
 
 
 _STABLE_RUN = 5
+_SAMPLE_BOUND = 5  # entries of the rho and generic samples lie in [-5, 5]
 
 
-def mine(n: int, p: int, max_samples: int | None = None, seed: int = 0,
-         bound: int = 5) -> MinedIdentityBasis:
+def mine(n: int, p: int, max_samples: int | None = None,
+         seed: int = 0) -> MinedIdentityBasis:
     """Separate image-of-rho identities from universal curvature identities.
 
     Evaluation rows are added sample by sample until the matrix rank is
@@ -429,12 +430,12 @@ def mine(n: int, p: int, max_samples: int | None = None, seed: int = 0,
             f"rank still increasing after {cap} samples (rank {space.rank})")
 
     def rho_sample(i):
-        A = _int_sym3(n, seed * 1_000_003 + i, bound)
+        A = _int_sym3(n, seed * 1_000_003 + i, _SAMPLE_BOUND)
         return rho(A).tensor
 
     def generic_sample(i):
-        coeffs = [rng.integer_at(f"mine-generic|{n}|{bound}", seed * 1_000_003 + i, m, bound)
-                  for m in range(curvature_space_dim(n))]
+        coeffs = [rng.integer_at(f"mine-generic|{n}|{_SAMPLE_BOUND}", seed * 1_000_003 + i,
+                                 m, _SAMPLE_BOUND) for m in range(curvature_space_dim(n))]
         return materialize(n, coeffs)
 
     # one sample space: N1 is its nullspace after the rho rows, N2 after

@@ -101,9 +101,6 @@ class Tensor:
         self._check_like(other)
         return Tensor(self.n, self.data - other.data)
 
-    def __neg__(self) -> "Tensor":
-        return Tensor(self.n, -self.data)
-
     def scale(self, c) -> "Tensor":
         return Tensor(self.n, self.data * c)
 

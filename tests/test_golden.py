@@ -229,7 +229,7 @@ def _mine_samples(n, monkeypatch):
     evaluate = miner._evaluate_rows
     monkeypatch.setattr(miner, "_evaluate_rows", lambda patterns, batch: seen.extend(
         t.data for t in batch) or evaluate(patterns, batch))
-    result = miner.mine(n, 2, seed=0, bound=5)
+    result = miner.mine(n, 2, seed=0)
     return seen, result.rho_samples_used
 
 
