@@ -25,7 +25,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import __version__, cartan, hessmap, identities, jets, miner, ricci3d, serialize
+from . import __version__, cartan, hessmap, identities, jets, miner, ricci3d, rng, serialize
 from .tensor import Sym3Tensor
 
 SCHEMA = "hol/1"
@@ -122,10 +122,13 @@ def _verify_one(name, n, seed, degree):
 
 
 def _cmd_verify(args) -> int:
+    if args.identity != "pontryagin" and args.degree is not None:
+        raise UsageError("--degree only applies to --identity pontryagin")
+    degree = 2 if args.degree is None else args.degree
     failures = []
     for i in range(args.seeds):
-        seed = args.seed * 1_000_003 + i
-        if not _verify_one(args.identity, args.dim, seed, args.degree):
+        seed = rng.sample_seed(args.seed, i)
+        if not _verify_one(args.identity, args.dim, seed, degree):
             failures.append({"seed": seed})
     payload = {"identity": args.identity, "n": args.dim,
                "seeds": args.seeds, "all_zero": not failures,
@@ -279,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identity", required=True,
                    choices=("quad", "cubic", "pontryagin", "bianchi"))
     p.add_argument("--seeds", type=count, default=100)
-    p.add_argument("--degree", type=int, default=2,
-                   help="form degree parameter for --identity pontryagin")
+    p.add_argument("--degree", type=int,
+                   help="form degree parameter for --identity pontryagin (default 2)")
 
     p = command("mine", _cmd_mine, "search for identities on the image")
     p.add_argument("--degree", type=int, required=True, choices=(2, 3))

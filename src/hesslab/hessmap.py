@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
+from . import linalg, rng
 from .curvature import (CurvTensor, RicciTensor, _coordinate_data,
                         curvature_space_dim, ricci)
 from .tensor import Sym3Tensor, Tensor, integer_form, sym3_dim, sym3_index
@@ -151,6 +151,6 @@ def image_rank_census(n: int, samples: int, seed: int,
                              dim_curv=curvature_space_dim(n),
                              seed=seed, samples=samples, bound=bound)
     for i in range(samples):
-        A = Sym3Tensor.random(n, seed=seed * 1_000_003 + i, bound=bound)
+        A = Sym3Tensor.random(n, seed=rng.sample_seed(seed, i), bound=bound)
         report.ranks.append(jacobian_rank(A))
     return report

@@ -430,12 +430,13 @@ def mine(n: int, p: int, max_samples: int | None = None,
             f"rank still increasing after {cap} samples (rank {space.rank})")
 
     def rho_sample(i):
-        A = _int_sym3(n, seed * 1_000_003 + i, _SAMPLE_BOUND)
+        A = _int_sym3(n, rng.sample_seed(seed, i), _SAMPLE_BOUND)
         return rho(A).tensor
 
     def generic_sample(i):
-        coeffs = [rng.integer_at(f"mine-generic|{n}|{_SAMPLE_BOUND}", seed * 1_000_003 + i,
-                                 m, _SAMPLE_BOUND) for m in range(curvature_space_dim(n))]
+        tag, sample = f"mine-generic|{n}|{_SAMPLE_BOUND}", rng.sample_seed(seed, i)
+        coeffs = [rng.integer_at(tag, sample, m, _SAMPLE_BOUND)
+                  for m in range(curvature_space_dim(n))]
         return materialize(n, coeffs)
 
     # one sample space: N1 is its nullspace after the rho rows, N2 after

@@ -16,6 +16,11 @@ def _digest(tag: str, seed: int, counter: int) -> bytes:
     return hashlib.blake2b(msg, digest_size=16).digest()
 
 
+def sample_seed(seed: int, i: int) -> int:
+    """The seed of sample i in a run seeded with seed."""
+    return seed * 1_000_003 + i
+
+
 def rational_at(tag: str, seed: int, counter: int, bound: int) -> Fraction:
     """Uniform rational p/q with |p| <= bound and 1 <= q <= bound.
 

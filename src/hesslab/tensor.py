@@ -19,6 +19,9 @@ and each spec is read at the sorted index tuples as soon as it is done;
 only those values become ``Fraction``.  alternating_contraction weighs
 the rows of one tensor, and alternating_tensor scatters such values into
 an antisymmetric Tensor (miner.alternating_form joins the two).
+
+A Tensor has no +, - or scalar multiple, which nothing in the package
+needs; antisymmetrize is the one function left that computes on ``data``.
 """
 
 from __future__ import annotations
@@ -81,10 +84,6 @@ class Tensor:
             self._data = _entries(*self._int)
         return self._data
 
-    @classmethod
-    def zeros(cls, n: int, order: int) -> "Tensor":
-        return cls(n, np.full((n,) * order, Fraction(0), dtype=object))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Tensor) and self.n == other.n
                 and self.order == other.order and self._int[1] == other._int[1]
@@ -93,26 +92,11 @@ class Tensor:
     def __hash__(self):
         return hash((self.n, self.order, self._int[1], tuple(self._int[0].ravel().tolist())))
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        self._check_like(other)
-        return Tensor(self.n, self.data + other.data)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        self._check_like(other)
-        return Tensor(self.n, self.data - other.data)
-
-    def scale(self, c) -> "Tensor":
-        return Tensor(self.n, self.data * c)
-
     def __getitem__(self, idx):
         return self.data[idx]
 
     def is_zero(self) -> bool:
         return not self._int[0].any()
-
-    def _check_like(self, other: "Tensor") -> None:
-        if self.n != other.n or self.order != other.order:
-            raise ValueError("tensor shape mismatch")
 
     def __repr__(self):
         return f"Tensor(n={self.n}, order={self.order})"
@@ -393,15 +377,6 @@ class Sym3Tensor:
     @classmethod
     def zeros(cls, n: int) -> "Sym3Tensor":
         return cls(n, (Fraction(0),) * sym3_dim(n))
-
-    @classmethod
-    def from_dense(cls, t: Tensor) -> "Sym3Tensor":
-        if t.order != 3:
-            raise ValueError("expected an order-3 tensor")
-        for idx in itertools.product(range(t.n), repeat=3):
-            if t.data[idx] != t.data[tuple(sorted(idx))]:
-                raise ValueError(f"tensor is not symmetric at index {idx}")
-        return cls(t.n, tuple(t.data[ijk] for ijk in sym3_triples(t.n)))
 
     @classmethod
     def from_monomials(cls, n: int, coeffs: dict) -> "Sym3Tensor":

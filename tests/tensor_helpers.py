@@ -7,7 +7,29 @@ from fractions import Fraction
 import numpy as np
 
 from hesslab import rng
-from hesslab.tensor import Sym3Tensor, Tensor, signed_permutations, sym3_dim
+from hesslab.tensor import Sym3Tensor, Tensor, signed_permutations, sym3_dim, sym3_triples
+
+
+def combine(*terms) -> Tensor:
+    """sum c * T over the (c, T) terms, computed on the entries T.data.
+
+    The tests' oracle for sums and multiples of tensors: it never reads an
+    integer form, so it stays independent of the arithmetic it checks.
+    """
+    (_, first), *rest = terms
+    if any(t.n != first.n or t.order != first.order for _, t in rest):
+        raise ValueError("tensor shape mismatch")
+    return Tensor(first.n, sum(c * t.data for c, t in terms))
+
+
+def sym3_from_dense(t: Tensor) -> Sym3Tensor:
+    """The packed form of a fully symmetric order-3 Tensor, read off its entries."""
+    if t.order != 3:
+        raise ValueError("expected an order-3 tensor")
+    for idx in itertools.product(range(t.n), repeat=3):
+        if t.data[idx] != t.data[tuple(sorted(idx))]:
+            raise ValueError(f"tensor is not symmetric at index {idx}")
+    return Sym3Tensor(t.n, tuple(t.data[ijk] for ijk in sym3_triples(t.n)))
 
 
 def contract(t: Tensor, axis_a: int, axis_b: int) -> Tensor:

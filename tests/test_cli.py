@@ -186,6 +186,23 @@ class TestSubcommands:
         assert code == 0 and doc["verified"]
         assert doc["residual"] < 1e-12
 
+    @pytest.mark.parametrize("identity", ("quad", "cubic", "bianchi"))
+    def test_verify_degree_misuse(self, capsys, identity):
+        # --degree was ignored outside pontryagin, and the run exited 0
+        code, out, err = run(capsys, "verify", "--identity", identity, "--dim", "4",
+                             "--seeds", "1", "--degree", "7", "--no-meta")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--degree" in err
+
+    def test_verify_pontryagin_degree_defaults_to_2(self, capsys):
+        argv = ("verify", "--identity", "pontryagin", "--dim", "5", "--seeds", "2")
+        code, doc, _ = run_json(capsys, *argv)
+        assert code == 0 and doc["all_zero"]
+        assert run_json(capsys, *argv, "--degree", "2") == (code, doc, "")
+        # a degree-3 form needs n >= 6: an explicit degree reaches the check
+        code, _, err = run(capsys, *argv, "--degree", "3")
+        assert code == 2 and "degree" in err
+
     def test_solve3d_tol_misuse(self, capsys, tmp_path):
         path = tmp_path / "r.json"
         path.write_text(json.dumps({"rows": [["1/1"] * 3] * 3}))

@@ -10,7 +10,7 @@ from hesslab.curvature import (CurvTensor, RicciTensor, coordinates,
                                cyclic_sum, materialize, random_curvature,
                                ricci, scalar_curvature, symmetry_failures)
 from hesslab.tensor import MAX_DIM, Tensor
-from tensor_helpers import integer_form_dtypes, random_rational
+from tensor_helpers import combine, integer_form_dtypes, random_rational
 
 
 def constant_curvature(n):
@@ -99,7 +99,7 @@ class TestInvariants:
         names = ["pair_antisymmetry_first", "pair_antisymmetry_second",
                  "pair_exchange", "first_bianchi"]
         for c in (1, Fraction(1, 3), -2**40):
-            assert symmetry_failures(broken.scale(c), limit=4) == [
+            assert symmetry_failures(combine((c, broken)), limit=4) == [
                 (name, (0, 1, 2, 3)) for name in names]
         assert seen == [np.dtype(object)] * 3
 
@@ -161,11 +161,7 @@ class TestCoordinates:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_round_trip(self, n):
         R = random_curvature(n, seed=8)
-        coords = coordinates(R.tensor)
-        rebuilt = None
-        for c, b in zip(coords, curvature_basis(n)):
-            term = Tensor(n, b.data * c)
-            rebuilt = term if rebuilt is None else rebuilt + term
+        rebuilt = combine(*zip(coordinates(R.tensor), curvature_basis(n)))
         assert rebuilt == R.tensor
 
     def test_basis_without_a_lone_entry_is_rejected(self, monkeypatch):

@@ -8,14 +8,15 @@ from hesslab.curvature import coordinates, curvature_space_dim, ricci, symmetry_
 from hesslab.hessmap import (image_rank_census, jacobian_rank, rho, rho2, rho_jacobian,
                              rho_raw)
 from hesslab.tensor import MAX_DIM, Sym3Tensor, sym3_dim
-from tensor_helpers import integer_form_dtypes, sym3_basis
+from tensor_helpers import combine, integer_form_dtypes, sym3_basis
 
 
 def polarized_jacobian(A: Sym3Tensor) -> list[list[Fraction]]:
     """rho_jacobian by polarization: column m is the coordinates of
     rho(A + B) - rho(A) - rho(B) for the m-th packed unit vector B."""
     base = rho_raw(A)
-    cols = [coordinates(rho_raw(A + B) - base - rho_raw(B)) for B in sym3_basis(A.n)]
+    cols = [coordinates(combine((1, rho_raw(A + B)), (-1, base), (-1, rho_raw(B))))
+            for B in sym3_basis(A.n)]
     return [list(row) for row in zip(*cols)]
 
 
@@ -26,7 +27,7 @@ def refuse(*args, **kwargs):
 def rho_scaling_check(A: Sym3Tensor, c) -> bool:
     """Degree-2 homogeneity: rho(c A) == c^2 rho(A), both sides exact."""
     c = Fraction(c)
-    return rho_raw(A.scale(c)) == rho_raw(A).scale(c * c)
+    return rho_raw(A.scale(c)) == combine((c * c, rho_raw(A)))
 
 
 class TestRho:
@@ -74,13 +75,13 @@ class TestHomogeneityAndPolarization:
         B = Sym3Tensor.random(3, seed=6)
 
         def polar(x, y):
-            return rho_raw(x + y) - rho_raw(x) - rho_raw(y)
+            return combine((1, rho_raw(x + y)), (-1, rho_raw(x)), (-1, rho_raw(y)))
 
         assert polar(A, B) == polar(B, A)
         # linear in the second argument: polar(A, B + B) = 2 polar(A, B)
         twice = polar(A, B + B)
         once = polar(A, B)
-        assert twice == once + once
+        assert twice == combine((2, once))
 
 
 class TestJacobian:
@@ -102,7 +103,7 @@ class TestJacobian:
         basis = sym3_basis(3)
         B = basis[4]
         col = [row[4] for row in m]
-        lhs = coordinates(rho_raw(A + B) - rho_raw(A) - rho_raw(B))
+        lhs = coordinates(combine((1, rho_raw(A + B)), (-1, rho_raw(A)), (-1, rho_raw(B))))
         assert lhs == col
 
     @pytest.mark.parametrize("n, seed, bound", [(n, seed, 10) for n in (2, 3, 4, 5)

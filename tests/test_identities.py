@@ -10,7 +10,7 @@ from hesslab.hessmap import rho
 from hesslab.identities import (bianchi_residual, cubic_identity,
                                 pontryagin_form, pontryagin_quadratic)
 from hesslab.tensor import Sym3Tensor, Tensor, antisymmetrize, signed_permutations
-from tensor_helpers import integer_form_dtypes
+from tensor_helpers import combine, integer_form_dtypes
 
 
 def pontryagin_form_naive(R: CurvTensor, p: int) -> Tensor:
@@ -39,7 +39,7 @@ def full_array_form(R, terms, scale=1):
     """The weighted einsum over the whole n**k array, then antisymmetrize."""
     raw = sum(w * np.einsum(spec, *[R.data] * (spec.count(",") + 1))
               for spec, w in terms)
-    return antisymmetrize(Tensor(R.n, raw), list(range(raw.ndim))).scale(scale)
+    return combine((scale, antisymmetrize(Tensor(R.n, raw), list(range(raw.ndim)))))
 
 
 def zero_curvature(n):
@@ -125,9 +125,9 @@ class TestPontryaginForm:
     def test_fixed_multiple_of_quadratic_pattern(self):
         # both 4-forms come from the same contraction pattern; the exact
         # ratio 24 = 4! is frozen here and asserted on independent samples
-        for seed in (1, 5, 9):
-            R = random_curvature(4, seed=seed)
-            assert pontryagin_form(R, 2) == pontryagin_quadratic(R).scale(24)
+        for n, seed in ((4, 1), (4, 5), (4, 9), (5, 2), (6, 3)):
+            R = random_curvature(n, seed=seed)
+            assert pontryagin_form(R, 2) == combine((24, pontryagin_quadratic(R)))
 
 
 class TestAgainstFullArrayPath:
@@ -206,9 +206,9 @@ class TestPastInt64:
         seen = integer_form_dtypes(monkeypatch, tensor)
         R = random_curvature(5, seed=1)
         c = 2**31  # the scaled entries fit int64, their products do not
-        small, big = form(R), form(CurvTensor(R.tensor.scale(c)))
+        small, big = form(R), form(CurvTensor(combine((c, R.tensor))))
         assert not small.is_zero()
-        assert big == small.scale(c**degree)
+        assert big == combine((c**degree, small))
         assert seen == [np.dtype(np.int64), np.dtype(object)]
 
 

@@ -12,6 +12,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,10 +21,10 @@ import pytest
 from hesslab import cli, curvature, linalg, miner, rng, tensor
 from hesslab.curvature import (coordinates, curvature_space_dim, cyclic_sum, materialize,
                                random_curvature)
-from hesslab.hessmap import rho, rho_raw
+from hesslab.hessmap import rho, rho_jacobian, rho_raw
 from hesslab.identities import pontryagin_form
 from hesslab.tensor import Sym3Tensor, Tensor, integer_form
-from tensor_helpers import random_rational
+from tensor_helpers import combine, random_rational
 
 # the second bound is past 2**62 for every M, so it forces the object path
 BOUNDS = [lambda M: 3 * M, lambda M: 2**62]
@@ -203,3 +204,38 @@ def test_pontryagin_form_builds_no_entries_until_read(monkeypatch):
     assert form.is_zero() and built == []
     assert not any(form.data.flat)
     assert len(built) == 1
+
+
+class TestCombineOracle:
+    """tensor_helpers.combine, the tests' entry-path oracle for sums and
+    multiples, against the integer forms on seeded random rational tensors."""
+
+    @pytest.mark.parametrize("n, order", [(2, 2), (3, 3), (4, 4), (5, 4)])
+    def test_matches_integer_forms(self, n, order):
+        a, b = random_rational(n, order, seed=n), random_rational(n, order, seed=n + 1)
+        (X1, D1, _), (X2, D2, _) = (integer_form(t, lambda M: 2**62) for t in (a, b))
+        for c1, c2 in [(1, 1), (1, -1), (Fraction(3, 7), -2**40), (0, Fraction(-5, 2))]:
+            D = math.lcm(D1 * Fraction(c1).denominator, D2 * Fraction(c2).denominator)
+            w1, w2 = Fraction(c1 * D, D1), Fraction(c2 * D, D2)
+            assert w1.denominator == w2.denominator == 1
+            expect = Tensor.from_integers(int(w1) * X1 + int(w2) * X2, D, True)
+            assert combine((c1, a), (c2, b)) == expect
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            combine((1, random_rational(3, 2, seed=1)), (1, random_rational(3, 3, seed=1)))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            combine((1, random_rational(3, 2, seed=1)), (1, random_rational(4, 2, seed=1)))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_rho_raw_polarization_is_the_jacobian(self, n):
+        def polar(x, y):
+            return combine((1, rho_raw(x + y)), (-1, rho_raw(x)), (-1, rho_raw(y)))
+
+        for seed in (1, 2):
+            A, B = Sym3Tensor.random(n, seed=seed), Sym3Tensor.random(n, seed=seed + 10)
+            AB = polar(A, B)
+            assert AB == polar(B, A)
+            assert polar(A, B.scale(Fraction(-7, 3))) == combine((Fraction(-7, 3), AB))
+            J = rho_jacobian(A)
+            assert coordinates(AB) == [sum(x * b for x, b in zip(row, B.packed)) for row in J]

@@ -10,6 +10,7 @@ from hesslab import linalg, miner
 from hesslab.curvature import curvature_space_dim, materialize, random_curvature
 from hesslab.hessmap import rho
 from hesslab.tensor import Sym3Tensor, Tensor, signed_permutations
+from tensor_helpers import combine
 
 # golden values frozen at first enumeration; the degree-2 count is
 # independently cross-checked below by evaluation-based deduplication
@@ -342,20 +343,16 @@ class TestEvaluation:
         R = random_curvature(4, seed=7)
         vec = miner.coefficient_vector(
             patterns2, [(miner.quadratic_trace_pattern(), 1)])
-        acc = Tensor.zeros(4, 4)
-        for pat, c in zip(patterns2, vec):
-            if c:
-                acc = acc + miner.evaluate_pattern(pat, R).scale(c)
+        acc = combine(*[(c, miner.evaluate_pattern(pat, R))
+                        for pat, c in zip(patterns2, vec) if c])
         assert acc == pontryagin_quadratic(R)
 
     def test_cubic_combination_matches_cubic_identity(self, patterns3):
         from hesslab.identities import cubic_identity
         R = random_curvature(4, seed=8)
         vec = miner.coefficient_vector(patterns3, miner.cubic_identity_combination())
-        acc = Tensor.zeros(4, 4)
-        for pat, c in zip(patterns3, vec):
-            if c:
-                acc = acc + miner.evaluate_pattern(pat, R).scale(c)
+        acc = combine(*[(c, miner.evaluate_pattern(pat, R))
+                        for pat, c in zip(patterns3, vec) if c])
         assert acc == cubic_identity(R)
 
     @pytest.mark.parametrize("n", [4, 5])
@@ -386,18 +383,14 @@ class TestEvaluation:
         R2 = random_curvature(4, seed=10)
         both = Tensor(4, R1.data + R2.data)
         for pat in patterns2[:2]:
-            lhs = miner.evaluate_pattern(pat, both)
-            cross = (miner.evaluate_pattern(pat, R1)
-                     + miner.evaluate_pattern(pat, R2))
-            # the quadratic expansion leaves exactly the two mixed terms
-            mixed = lhs - cross
-            # evaluate mixed terms directly: phi(R1+R2) - phi(R1) - phi(R2)
-            # must be bilinear: scaling R2 by 2 doubles it
+            phi1, phi2 = miner.evaluate_pattern(pat, R1), miner.evaluate_pattern(pat, R2)
+            # the quadratic expansion leaves exactly the two mixed terms:
+            # phi(R1+R2) - phi(R1) - phi(R2) must be bilinear, so scaling
+            # R2 by 2 doubles it
+            mixed = combine((1, miner.evaluate_pattern(pat, both)), (-1, phi1), (-1, phi2))
             doubled = Tensor(4, R1.data + 2 * R2.data)
-            lhs2 = miner.evaluate_pattern(pat, doubled)
-            cross2 = (miner.evaluate_pattern(pat, R1)
-                      + miner.evaluate_pattern(pat, R2).scale(4))
-            assert lhs2 - cross2 == mixed.scale(2)
+            mixed2 = combine((1, miner.evaluate_pattern(pat, doubled)), (-1, phi1), (-4, phi2))
+            assert mixed2 == combine((2, mixed))
 
 
 @pytest.fixture(scope="module")

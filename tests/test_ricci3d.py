@@ -10,6 +10,7 @@ from hesslab.curvature import RicciTensor, curvature_basis, CurvTensor, ricci
 from hesslab.hessmap import rho2
 from hesslab.rng import rational_at
 from hesslab.tensor import Sym3Tensor, Tensor
+from tensor_helpers import sym3_from_dense
 
 
 def permute_sym3_reference(A, perm):
@@ -18,7 +19,7 @@ def permute_sym3_reference(A, perm):
     arr = np.empty_like(dense)
     for idx in itertools.product(range(3), repeat=3):
         arr[idx] = dense[tuple(perm[i] for i in idx)]
-    return Sym3Tensor.from_dense(Tensor(3, arr))
+    return sym3_from_dense(Tensor(3, arr))
 
 
 def test_permute_sym3_matches_dense_relabeling():

@@ -11,7 +11,7 @@ from hesslab.tensor import (Sym3Tensor, Tensor, alternating_contraction,
                             signed_permutations, sym3_dim, sym3_triples)
 from tensor_helpers import (alternating_contraction_reference, contract,
                             integer_form_dtypes, random_rational, sym3_basis,
-                            symmetrize)
+                            sym3_from_dense, symmetrize)
 
 
 def basis_tensor(n, order, index):
@@ -326,7 +326,7 @@ class TestSym3:
     def test_pack_unpack_round_trip_on_basis(self, n):
         for b in sym3_basis(n):
             dense = b.to_dense()
-            assert Sym3Tensor.from_dense(dense) == b
+            assert sym3_from_dense(dense) == b
 
     def test_dense_is_fully_symmetric(self):
         A = Sym3Tensor.random(3, seed=11)
@@ -339,7 +339,7 @@ class TestSym3:
     def test_from_dense_rejects_asymmetric(self):
         t = basis_tensor(2, 3, (0, 0, 1))
         with pytest.raises(ValueError):
-            Sym3Tensor.from_dense(t)
+            sym3_from_dense(t)
 
     def test_monomial_convention(self):
         # coefficient b on the monomial e1*e1*e2 spreads as b/3 per slot
