@@ -93,7 +93,7 @@ def _cmd_rho(args) -> int:
     if args.dim is not None and t.n != args.dim:
         raise UsageError(f"--dim {args.dim} does not match tensor dimension {t.n}")
     R = hessmap.rho(t)
-    out = serialize.tensor_to_json(R.tensor)
+    out = serialize.tensor_to_json(R)
     if args.outfile:
         try:
             with open(args.outfile, "w") as fh:
@@ -118,7 +118,7 @@ def _verify_one(name, n, seed, degree):
         return identities.cubic_identity(R).is_zero()
     if name == "pontryagin":
         return identities.pontryagin_form(R, degree).is_zero()
-    return identities.bianchi_residual(R.tensor).is_zero()
+    return identities.bianchi_residual(R).is_zero()
 
 
 def _cmd_verify(args) -> int:

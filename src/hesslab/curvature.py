@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -55,15 +54,16 @@ def symmetry_failures(t: Tensor, limit: int = 1) -> list[tuple[str, tuple]]:
     return failures
 
 
-class CurvTensor:
+class CurvTensor(Tensor):
     """Order-4 tensor with all algebraic curvature symmetries.
 
     CurvTensor(tensor) checks the symmetries of a tensor from outside the
     package.  Producers whose output is curvature-symmetric by construction
-    (rho, random_curvature) wrap it with _symmetric, which skips the check.
+    (rho_raw, materialize) build it with CurvTensor.from_integers, which
+    skips the check.
     """
 
-    __slots__ = ("n", "tensor")
+    __slots__ = ()
 
     def __init__(self, tensor: Tensor):
         if tensor.order != 4:
@@ -72,61 +72,37 @@ class CurvTensor:
         if bad:
             name, idx = bad[0]
             raise ValueError(f"invariant {name} fails at index {idx}")
-        self.n = tensor.n
-        self.tensor = tensor
-
-    @classmethod
-    def _symmetric(cls, tensor: Tensor) -> "CurvTensor":
-        """Wrap an order-4 tensor that is curvature-symmetric by construction."""
-        R = object.__new__(cls)
-        R.n = tensor.n
-        R.tensor = tensor
-        return R
-
-    @property
-    def data(self):
-        return self.tensor.data
-
-    def __eq__(self, other):
-        return isinstance(other, CurvTensor) and self.tensor == other.tensor
-
-    def __repr__(self):
-        return f"CurvTensor(n={self.n})"
+        self._store(tensor.n, *tensor._int)
 
 
-@dataclass(frozen=True)
-class RicciTensor:
+class RicciTensor(Tensor):
     """Symmetric n x n matrix of exact scalars."""
 
-    n: int
-    entries: tuple  # tuple of row tuples
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
+    def __init__(self, n: int, rows):
+        if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("entries must form an n x n matrix")
-        for i in range(self.n):
+        for i in range(n):
             for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
+                if rows[i][j] != rows[j][i]:
                     raise ValueError(f"matrix is not symmetric at ({i}, {j})")
+        super().__init__(n, rows)
 
     @classmethod
     def from_rows(cls, rows) -> "RicciTensor":
-        return cls(len(rows), tuple(tuple(Fraction(x) for x in r) for r in rows))
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return cls(len(rows), rows)
 
     def trace(self):
-        return sum(self.entries[i][i] for i in range(self.n))
+        X, D, rational = self._int
+        s = sum(X.diagonal().tolist())
+        return Fraction(s, D) if rational else s
 
 
 def ricci(R: CurvTensor) -> RicciTensor:
-    """r_{ik} = sum_a R_{iaka}."""
-    m = np.trace(R.data, axis1=1, axis2=3)
-    return RicciTensor.from_rows(m.tolist())
+    """r_{ik} = sum_a R_{iaka}, traced on the integer form X / D of R."""
+    X, D, rational = integer_form(R, lambda M: R.n * M)
+    return RicciTensor.from_integers(np.trace(X, axis1=1, axis2=3), D, rational)
 
 
 def scalar_curvature(R: CurvTensor):
@@ -171,7 +147,7 @@ def _bianchi_kernel(n: int):
     return terms, where
 
 
-def materialize(n: int, coeffs) -> Tensor:
+def materialize(n: int, coeffs) -> CurvTensor:
     """sum_m coeffs[m] * curvature_basis(n)[m], in the coefficients' number type.
 
     The integer kernel vectors combine the coefficients, cleared once by
@@ -182,11 +158,11 @@ def materialize(n: int, coeffs) -> Tensor:
     c, L, rational = integer_form(coeffs, lambda M: M)
     c = c.tolist()  # the coordinate sums run on Python ints
     coords = np.array([sum(c[m] * v for m, v in t) for t in terms])
-    return Tensor.from_integers(np.concatenate([coords, -coords, [0]])[where], L, rational)
+    return CurvTensor.from_integers(np.concatenate([coords, -coords, [0]])[where], L, rational)
 
 
 @lru_cache(maxsize=None)
-def curvature_basis(n: int) -> tuple[Tensor, ...]:
+def curvature_basis(n: int) -> tuple[CurvTensor, ...]:
     """Fixed basis of the curvature space: the Bianchi kernel, in Fraction
     entries made, with one shared zero, when a tensor's data is first read."""
     dim = curvature_space_dim(n)
@@ -197,8 +173,8 @@ def curvature_basis(n: int) -> tuple[Tensor, ...]:
 def random_curvature(n: int, seed: int, bound: int = 10) -> CurvTensor:
     """Random rational element of the span of the curvature basis."""
     tag = f"curv|{n}|{bound}"
-    return CurvTensor._symmetric(materialize(n, [rng.rational_at(tag, seed, i, bound)
-                                                 for i in range(curvature_space_dim(n))]))
+    return materialize(n, [rng.rational_at(tag, seed, i, bound)
+                           for i in range(curvature_space_dim(n))])
 
 
 @lru_cache(maxsize=None)

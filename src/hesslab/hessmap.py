@@ -17,11 +17,11 @@ import numpy as np
 from . import linalg, rng
 from .curvature import (CurvTensor, RicciTensor, _coordinate_data,
                         curvature_space_dim, ricci)
-from .tensor import Sym3Tensor, Tensor, integer_form, sym3_dim, sym3_index
+from .tensor import Sym3Tensor, integer_form, sym3_dim, sym3_index
 
 
-def rho_raw(A: Sym3Tensor) -> Tensor:
-    """The map as a raw order-4 tensor; rho wraps it without re-checking.
+def rho_raw(A: Sym3Tensor) -> CurvTensor:
+    """The map, built unchecked: its result is curvature-symmetric by construction.
 
     It runs on L A, with L the lcm of A's denominators: each entry of the
     einsum is at most n M**2 in size for M = max|L A|, the difference
@@ -31,12 +31,12 @@ def rho_raw(A: Sym3Tensor) -> Tensor:
     packed, L, rational = integer_form(A.packed, lambda M: 2 * A.n * M * M)
     a = packed[sym3_index(A.n)]
     t = np.einsum("ika,jla->ijkl", a, a)
-    return Tensor.from_integers(t.transpose(0, 1, 3, 2) - t, L * L, rational)
+    return CurvTensor.from_integers(t.transpose(0, 1, 3, 2) - t, L * L, rational)
 
 
 def rho(A: Sym3Tensor) -> CurvTensor:
-    """Curvature tensor induced by a symmetric 3-tensor (exact)."""
-    return CurvTensor._symmetric(rho_raw(A))
+    """Curvature tensor induced by a symmetric 3-tensor (exact): rho_raw(A)."""
+    return rho_raw(A)
 
 
 def rho2(A: Sym3Tensor) -> RicciTensor:

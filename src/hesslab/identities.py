@@ -20,7 +20,7 @@ from .tensor import MAX_ORDER, Tensor
 
 def pontryagin_quadratic(R: CurvTensor) -> Tensor:
     """Antisymmetrization over (i,j,k,l) of sum_{ab} R_{ijab} R_{klba}."""
-    return alternating_form(R.tensor, [(quadratic_trace_pattern(), Fraction(1, 24))])
+    return alternating_form(R, [(quadratic_trace_pattern(), Fraction(1, 24))])
 
 
 def cubic_identity(R: CurvTensor) -> Tensor:
@@ -29,7 +29,7 @@ def cubic_identity(R: CurvTensor) -> Tensor:
     Slot maps (all indices lowered): term1 = R_{iajb} R_{kbcd} R_{ldac},
     term2 = R_{iajb} R_{kcad} R_{ldbc}.
     """
-    return alternating_form(R.tensor, [(slots, weight / 24)
+    return alternating_form(R, [(slots, weight / 24)
                                        for slots, weight in cubic_identity_combination()])
 
 
@@ -48,7 +48,7 @@ def pontryagin_form(R: CurvTensor, p: int) -> Tensor:
     # with the third slot of the next factor, cyclically
     slots = tuple(s for f in range(p)
                   for s in (-2 * f - 1, -2 * f - 2, 4 * ((f - 1) % p) + 3, 4 * ((f + 1) % p) + 2))
-    return alternating_form(R.tensor, [(slots, 1)])
+    return alternating_form(R, [(slots, 1)])
 
 
 def bianchi_residual(R: Tensor) -> Tensor:

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg, rng
-from .curvature import CurvTensor, curvature_space_dim, materialize
+from .curvature import curvature_space_dim, materialize
 from .hessmap import rho
 from .tensor import (Sym3Tensor, Tensor, alternating_contraction, alternating_rows,
                      alternating_tensor, sym3_dim)
@@ -322,9 +322,7 @@ def alternating_form(R: Tensor, terms) -> Tensor:
 
 def evaluate_pattern(pat: ContractionPattern, R) -> Tensor:
     """Contract degree copies of R per the pattern, antisymmetrize free slots."""
-    if isinstance(R, CurvTensor):
-        R = R.tensor
-    elif not isinstance(R, Tensor):
+    if not isinstance(R, Tensor):
         R = Tensor(len(R), R)
     return alternating_form(R, [(pat.slots, Fraction(1, 24))])
 
@@ -431,7 +429,7 @@ def mine(n: int, p: int, max_samples: int | None = None,
 
     def rho_sample(i):
         A = _int_sym3(n, rng.sample_seed(seed, i), _SAMPLE_BOUND)
-        return rho(A).tensor
+        return rho(A)
 
     def generic_sample(i):
         tag, sample = f"mine-generic|{n}|{_SAMPLE_BOUND}", rng.sample_seed(seed, i)

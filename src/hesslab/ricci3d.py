@@ -110,7 +110,7 @@ def solve_from_eigenvalues(l1, l2, l3) -> Sym3Tensor:
     A = _permute_sym3(solved, inv)
     if rho2(A) != _diag_ricci(lams):
         raise VerificationError(
-            f"closed-form solution failed verification: rho2 = {rho2(A).entries}")
+            f"closed-form solution failed verification: rho2 = {rho2(A).data.tolist()}")
     return A
 
 
@@ -123,7 +123,7 @@ def solve_isotropic(lam) -> Sym3Tensor:
     if actual != _diag_ricci((lam, lam, lam)):
         raise VerificationError(
             "isotropic formula did not reproduce lam * identity; "
-            f"rho2 = {actual.entries}")
+            f"rho2 = {actual.data.tolist()}")
     return A
 
 
@@ -205,16 +205,13 @@ def solve_from_ricci(r, mode: str = "exact", tol: float = 1e-9):
     mode, where the round-trip rotation @ diag(lams) @ rotation.T == r is
     verified exactly.
     """
-    if isinstance(r, RicciTensor):
-        rows = [list(row) for row in r.entries]
-    else:
-        rows = [list(row) for row in r]
-        if len(rows) != 3 or any(len(row) != 3 for row in rows):
-            raise ValueError("expected a 3x3 matrix")
-        for i in range(3):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"matrix is not symmetric at ({i}, {j})")
+    rows = r.data.tolist() if isinstance(r, RicciTensor) else [list(row) for row in r]
+    if len(rows) != 3 or any(len(row) != 3 for row in rows):
+        raise ValueError("expected a 3x3 matrix")
+    for i in range(3):
+        for j in range(i):
+            if rows[i][j] != rows[j][i]:
+                raise ValueError(f"matrix is not symmetric at ({i}, {j})")
 
     if mode == "float":
         if not 0 <= tol < math.inf:  # "resid > nan" is never true

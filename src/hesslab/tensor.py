@@ -99,7 +99,7 @@ class Tensor:
         return not self._int[0].any()
 
     def __repr__(self):
-        return f"Tensor(n={self.n}, order={self.order})"
+        return f"{type(self).__name__}(n={self.n}, order={self.order})"
 
 
 def antisymmetrize(t: Tensor, axes: list[int]) -> Tensor:

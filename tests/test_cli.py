@@ -141,7 +141,7 @@ class TestSubcommands:
         assert code == 0
         from hesslab.hessmap import rho
         stored = serialize.tensor_from_json(json.loads(out_path.read_text()))
-        assert stored == rho(A).tensor
+        assert stored == rho(A)
 
     def test_rho_rejects_dense_input(self, capsys, tmp_path):
         from tensor_helpers import random_rational

@@ -81,7 +81,7 @@ class TestInvariants:
         # random_curvature wraps its output unchecked, so every dimension is checked here
         for seed in range(100):
             R = random_curvature(n, seed=seed, bound=5)
-            assert symmetry_failures(R.tensor) == []
+            assert symmetry_failures(R) == []
 
     def test_constructor_rejects_invalid(self):
         t = random_rational(3, 4, seed=1)
@@ -105,12 +105,12 @@ class TestInvariants:
 
     def test_cyclic_sum_zero_on_curvature(self):
         R = random_curvature(4, seed=3)
-        assert cyclic_sum(R.tensor).is_zero()
+        assert cyclic_sum(R).is_zero()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_sample_span_has_full_dimension(self, n):
         dim = curvature_space_dim(n)
-        rows = [coordinates(random_curvature(n, seed=s, bound=7).tensor)
+        rows = [coordinates(random_curvature(n, seed=s, bound=7))
                 for s in range(dim + 5)]
         assert linalg.rank(rows) == dim
 
@@ -161,8 +161,8 @@ class TestCoordinates:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_round_trip(self, n):
         R = random_curvature(n, seed=8)
-        rebuilt = combine(*zip(coordinates(R.tensor), curvature_basis(n)))
-        assert rebuilt == R.tensor
+        rebuilt = combine(*zip(coordinates(R), curvature_basis(n)))
+        assert rebuilt == R
 
     def test_basis_without_a_lone_entry_is_rejected(self, monkeypatch):
         # kernel vector 1 made equal to vector 0: they share every nonzero

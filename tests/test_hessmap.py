@@ -44,7 +44,7 @@ class TestRho:
         # rho wraps its output unchecked, so every dimension is checked here
         for seed in range(100):
             A = Sym3Tensor.random(n, seed=seed, bound=5)
-            assert symmetry_failures(rho(A).tensor) == []
+            assert symmetry_failures(rho(A)) == []
 
     def test_component_formula_spot_check(self):
         A = Sym3Tensor.random(3, seed=2)

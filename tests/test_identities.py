@@ -206,7 +206,7 @@ class TestPastInt64:
         seen = integer_form_dtypes(monkeypatch, tensor)
         R = random_curvature(5, seed=1)
         c = 2**31  # the scaled entries fit int64, their products do not
-        small, big = form(R), form(CurvTensor(combine((c, R.tensor))))
+        small, big = form(R), form(CurvTensor(combine((c, R))))
         assert not small.is_zero()
         assert big == combine((c**degree, small))
         assert seen == [np.dtype(np.int64), np.dtype(object)]
@@ -225,7 +225,7 @@ class TestOddDegree:
 
 class TestBianchiResidual:
     def test_zero_on_curvature(self):
-        assert bianchi_residual(random_curvature(4, seed=6).tensor).is_zero()
+        assert bianchi_residual(random_curvature(4, seed=6)).is_zero()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_zero_on_image_before_validation(self, n):

@@ -188,9 +188,9 @@ class TestGivenEntries:
         entries = tensor._entries
         monkeypatch.setattr(tensor, "_entries", lambda *form: built.append(form) or entries(*form))
         n, dim = 5, curvature_space_dim(5)
-        R, S = random_curvature(n, seed=1).tensor, random_curvature(n, seed=1).tensor
+        R, S = random_curvature(n, seed=1), random_curvature(n, seed=1)
         assert not R.is_zero() and R == S and hash(R) == hash(S)
-        assert R != random_curvature(n, seed=2).tensor
+        assert R != random_curvature(n, seed=2)
         assert materialize(n, [0] * dim).is_zero()
         assert coordinates(R) == [rng.rational_at(f"curv|{n}|10", 1, i, 10) for i in range(dim)]
         assert built == []

@@ -194,7 +194,7 @@ class TestSolveFromRicci:
         # a float eigenvalue rationalized with a small denominator lands on
         # the wrong root here: 1/3**40 is not found, 1/4 rounds to the root 0
         Q = quaternion_rotation(1, 2, 3, 4)
-        d = [list(row) for row in diag(*lams).entries]
+        d = diag(*lams).data.tolist()
         conjugate = conjugated(Q, d)
         for rows in (d, conjugate):
             assert ricci3d._rational_eigenvalues(rows) == sorted(map(Fraction, lams))
@@ -235,5 +235,5 @@ class TestSurjectivityWitness:
             rot, A, _ = ricci3d.solve_from_ricci(r, mode="float", tol=1e-8)
             got = rho2(A)
             back = rot @ np.diag([float(got[i, i]) for i in range(3)]) @ rot.T
-            target = np.array([[float(x) for x in row] for row in r.entries])
+            target = np.array([[float(x) for x in row] for row in r.data.tolist()])
             assert np.allclose(back, target, atol=1e-8)
