@@ -1,4 +1,12 @@
-"""Algebraic curvature tensors: symmetries, dimension, sampling, traces."""
+"""Algebraic curvature tensors: symmetries, dimension, sampling, traces.
+
+CurvTensor and RicciTensor are Tensors, held in its one integer form; each
+adds only its check.  CurvTensor(tensor) checks the curvature symmetries and
+RicciTensor(n, rows) the n x n shape and symmetry.  The producers whose
+results hold them by construction (hessmap.rho_raw, materialize and so
+random_curvature, ricci) build them from an integer form with from_integers,
+unchecked; ricci traces R's integer form, so it forms no entry.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import rng
-from .tensor import Tensor, integer_form
+from .tensor import Tensor, check_dim, integer_form
 
 
 def curvature_space_dim(n: int) -> int:
@@ -172,6 +180,7 @@ def curvature_basis(n: int) -> tuple[CurvTensor, ...]:
 
 def random_curvature(n: int, seed: int, bound: int = 10) -> CurvTensor:
     """Random rational element of the span of the curvature basis."""
+    check_dim(n)
     tag = f"curv|{n}|{bound}"
     return materialize(n, [rng.rational_at(tag, seed, i, bound)
                            for i in range(curvature_space_dim(n))])

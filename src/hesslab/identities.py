@@ -7,6 +7,9 @@ weighted list of the miner's slot tuples for miner.alternating_form, which
 contracts the integer form of R and works at sorted index tuples only: the
 degree-2 and degree-3 identities take the miner's slot maps, with the
 antisymmetrizer's 1/4! in their weights, and tr Omega^p is one cyclic tuple.
+R is a CurvTensor, itself a Tensor, so its integer form is contracted with
+no unwrapping; a plain order-4 Tensor with the curvature symmetries is
+accepted the same way.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ def cubic_identity(R: CurvTensor) -> Tensor:
     term2 = R_{iajb} R_{kcad} R_{ldbc}.
     """
     return alternating_form(R, [(slots, weight / 24)
-                                       for slots, weight in cubic_identity_combination()])
+                                for slots, weight in cubic_identity_combination()])
 
 
 def pontryagin_form(R: CurvTensor, p: int) -> Tensor:

@@ -99,5 +99,9 @@ def crossover(n: int, cap: int) -> JetReport:
     for attr, fn in (("growth_exponent_metric", jet_dim_metric),
                      ("growth_exponent_hessian", jet_dim_hessian_data)):
         ratio = Fraction(fn(n, cap), fn(n, half))
-        setattr(report, attr, math.log(float(ratio)) / math.log((cap + 1) / (half + 1)))
+        try:
+            log_ratio = math.log(float(ratio))
+        except OverflowError:  # past float range: math.log takes ints of any size
+            log_ratio = math.log(ratio.numerator) - math.log(ratio.denominator)
+        setattr(report, attr, log_ratio / math.log((cap + 1) / (half + 1)))
     return report

@@ -32,7 +32,7 @@ from . import linalg, rng
 from .curvature import curvature_space_dim, materialize
 from .hessmap import rho
 from .tensor import (Sym3Tensor, Tensor, alternating_contraction, alternating_rows,
-                     alternating_tensor, sym3_dim)
+                     alternating_tensor, check_dim, sym3_dim)
 
 # slot encoding: value >= 0 is the partner slot of a contraction,
 # value -(label+1) marks a free slot carrying label 0..5, named _LABELS[label]
@@ -407,6 +407,7 @@ def mine(n: int, p: int, max_samples: int | None = None,
     """
     if n < 4:
         raise ValueError("mining needs n >= 4")
+    check_dim(n)
     patterns = enumerate_patterns(p)
     cap = len(patterns) + 40 if max_samples is None else max_samples
     if cap < len(patterns) + 5:

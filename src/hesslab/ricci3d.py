@@ -216,9 +216,12 @@ def solve_from_ricci(r, mode: str = "exact", tol: float = 1e-9):
     if mode == "float":
         if not 0 <= tol < math.inf:  # "resid > nan" is never true
             raise ValueError(f"tol must be a finite number >= 0, got {tol}")
-        sym = np.array([[float(x) for x in row] for row in rows])
-        w, q = np.linalg.eigh(sym)
-        lams = [Fraction(float(x)) for x in w]
+        try:  # an entry, or an eigenvalue, past float range
+            sym = np.array([[float(x) for x in row] for row in rows])
+            w, q = np.linalg.eigh(sym)
+            lams = [Fraction(float(x)) for x in w]
+        except OverflowError as exc:
+            raise ValueError(f"float mode needs values within float range: {exc}") from exc
         A = solve_from_eigenvalues(*lams)
         back = q @ np.diag([float(x) for x in lams]) @ q.T
         resid = float(np.max(np.abs(back - sym)))

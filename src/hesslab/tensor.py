@@ -40,6 +40,12 @@ MAX_DIM = 8
 MAX_ORDER = 6
 
 
+def check_dim(n: int) -> None:
+    """Refuse a dimension outside [2, MAX_DIM], before anything of its size is made."""
+    if not 2 <= n <= MAX_DIM:
+        raise ValueError(f"dimension must be in [2, {MAX_DIM}], got {n}")
+
+
 @lru_cache(maxsize=None)
 def signed_permutations(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(perm, sign) for every permutation of range(k), in itertools order."""
@@ -53,8 +59,7 @@ class Tensor:
     __slots__ = ("n", "order", "_data", "_int")
 
     def __init__(self, n: int, data):
-        if not 2 <= n <= MAX_DIM:
-            raise ValueError(f"dimension must be in [2, {MAX_DIM}], got {n}")
+        check_dim(n)
         arr = np.asarray(data, dtype=object)
         if arr.ndim > MAX_ORDER:
             raise ValueError(f"order must be <= {MAX_ORDER}, got {arr.ndim}")
@@ -368,14 +373,14 @@ class Sym3Tensor:
     packed: tuple
 
     def __post_init__(self):
-        if not 2 <= self.n <= MAX_DIM:
-            raise ValueError(f"dimension must be in [2, {MAX_DIM}], got {self.n}")
+        check_dim(self.n)
         if len(self.packed) != sym3_dim(self.n):
             raise ValueError(
                 f"expected {sym3_dim(self.n)} packed entries, got {len(self.packed)}")
 
     @classmethod
     def zeros(cls, n: int) -> "Sym3Tensor":
+        check_dim(n)
         return cls(n, (Fraction(0),) * sym3_dim(n))
 
     @classmethod
@@ -387,6 +392,7 @@ class Sym3Tensor:
         ijk) to each dense component, i.e. the symmetrized-product
         convention.
         """
+        check_dim(n)
         triples = sym3_triples(n)
         vals = {t: Fraction(0) for t in triples}
         for ijk, c in coeffs.items():
@@ -399,6 +405,7 @@ class Sym3Tensor:
 
     @classmethod
     def random(cls, n: int, seed: int, bound: int = 10) -> "Sym3Tensor":
+        check_dim(n)
         tag = f"sym3|{n}|{bound}"
         return cls(n, tuple(rng.rational_at(tag, seed, i, bound)
                             for i in range(sym3_dim(n))))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hesslab import cli, serialize
+from hesslab import cli, rng, serialize
 from hesslab.tensor import Sym3Tensor
 
 
@@ -410,6 +410,37 @@ class TestUsageErrors:
         assert code == 1 and json.loads(out)["valid"] is False
         code, out, err = run(capsys, "rho", "--in", str(path), "--no-meta")
         assert code == 2 and out == "" and "dimension" in err
+
+    @pytest.mark.parametrize("argv", (
+        ("rank-census", "--dim", "100000", "--samples", "1"),
+        ("verify", "--identity", "quad", "--dim", "100000", "--seeds", "1"),
+        ("mine", "--dim", "100000", "--degree", "2"),
+    ))
+    def test_huge_dimension_rejected_before_drawing(self, capsys, monkeypatch, argv):
+        # each drew sym3_dim(n) random values before the dimension check ran
+        def refuse(*args):
+            raise AssertionError("drew a random value before validating n")
+
+        monkeypatch.setattr(rng, "rational_at", refuse)
+        monkeypatch.setattr(rng, "integer_at", refuse)
+        code, out, err = run(capsys, *argv, "--no-meta")
+        assert code == 2 and out == ""
+        assert err.startswith("error: dimension must be in [2, 8]")
+
+    def test_solve3d_float_refuses_entries_past_float_range(self, capsys, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text('{"rows": [["1%s", 0, 0], [0, 2, 0], [0, 0, 3]]}' % ("0" * 400))
+        code, out, err = run(capsys, "solve3d", "--ricci", str(path), "--mode", "float",
+                             "--no-meta")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "float range" in err
+        code, doc, _ = run_json(capsys, "solve3d", "--ricci", str(path))
+        assert code == 0 and doc["verified"] is True
+
+    def test_jets_growth_exponents_past_float_range(self, capsys):
+        code, doc, _ = run_json(capsys, "jets", "--dim", "100000000", "--cap", "200")
+        assert code == 0
+        assert doc["growth_exponent_metric"] > doc["growth_exponent_hessian"] > 0
 
     def test_jets_cap_one(self, capsys):
         code, doc, _ = run_json(capsys, "jets", "--dim", "3", "--cap", "1")

@@ -9,7 +9,8 @@ from hesslab.curvature import (CurvTensor, RicciTensor, coordinates,
                                curvature_basis, curvature_space_dim,
                                cyclic_sum, materialize, random_curvature,
                                ricci, scalar_curvature, symmetry_failures)
-from hesslab.tensor import MAX_DIM, Tensor
+from hesslab.hessmap import rho, rho2, rho_raw
+from hesslab.tensor import MAX_DIM, Sym3Tensor, Tensor
 from tensor_helpers import combine, integer_form_dtypes, random_rational
 
 
@@ -155,6 +156,53 @@ class TestContractions:
                 sign = (1 if (i, j) == (0, 1) else -1) * (1 if (k, l) == (0, 1) else -1)
                 expected = sign * d[0, 1, 0, 1]
             assert val == expected
+
+
+class TestTypes:
+    """The producers return the checked types, equal to what the checked
+    constructors make of the same entries."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_producers_match_the_checked_constructors(self, n):
+        A = Sym3Tensor.random(n, seed=n)
+        R, S = rho(A), random_curvature(n, seed=n)
+        assert type(R) is type(S) is CurvTensor
+        assert CurvTensor(rho_raw(A)) == R and CurvTensor(S) == S
+        for r in (ricci(S), rho2(A)):
+            assert type(r) is RicciTensor
+            assert RicciTensor.from_rows(r.data.tolist()) == r
+
+    def test_curvature_tensor_equals_the_tensor_of_its_entries(self):
+        R = random_curvature(4, seed=3)
+        T = Tensor(4, R.data)
+        assert R == T and hash(R) == hash(T)
+        assert repr(R) == "CurvTensor(n=4, order=4)" and repr(T) == "Tensor(n=4, order=4)"
+
+    def test_ricci_entries_follow_the_integer_form(self):
+        ints = ricci(materialize(4, list(range(-10, 10))))
+        assert not ints.is_zero() and all(type(x) is int for x in ints.data.flat)
+        assert type(scalar_curvature(materialize(4, list(range(20))))) is int
+        fractions = ricci(random_curvature(4, seed=1))
+        assert all(type(x) is Fraction for x in fractions.data.flat)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[1, 2], [3, 4]], r"not symmetric at \(1, 0\)"),
+        ([[1, 2], [2]], "n x n"),
+        ([[1]], r"dimension must be in \[2, 8\]"),
+    ])
+    def test_ricci_rows_are_checked(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            RicciTensor.from_rows(rows)
+        with pytest.raises(ValueError, match=message):
+            RicciTensor(len(rows), rows)
+
+    def test_random_curvature_checks_the_dimension_before_drawing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew a coefficient before checking n")
+
+        monkeypatch.setattr(curvature.rng, "rational_at", refuse)
+        with pytest.raises(ValueError, match=r"dimension must be in \[2, 8\]"):
+            random_curvature(1000, 1)
 
 
 class TestCoordinates:

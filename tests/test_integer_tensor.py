@@ -20,8 +20,8 @@ import pytest
 
 from hesslab import cli, curvature, linalg, miner, rng, tensor
 from hesslab.curvature import (coordinates, curvature_space_dim, cyclic_sum, materialize,
-                               random_curvature)
-from hesslab.hessmap import rho, rho_jacobian, rho_raw
+                               random_curvature, ricci, scalar_curvature)
+from hesslab.hessmap import rho, rho2, rho_jacobian, rho_raw
 from hesslab.identities import pontryagin_form
 from hesslab.tensor import Sym3Tensor, Tensor, integer_form
 from tensor_helpers import combine, random_rational
@@ -204,6 +204,17 @@ def test_pontryagin_form_builds_no_entries_until_read(monkeypatch):
     assert form.is_zero() and built == []
     assert not any(form.data.flat)
     assert len(built) == 1
+
+
+def test_ricci_and_scalar_curvature_build_no_entries(monkeypatch):
+    built = []
+    entries = tensor._entries
+    monkeypatch.setattr(tensor, "_entries", lambda *form: built.append(form) or entries(*form))
+    R, A = random_curvature(5, seed=1), Sym3Tensor.random(5, seed=1)
+    r, s, r2 = ricci(R), scalar_curvature(R), rho2(A)
+    assert built == []
+    assert s == r.trace() == sum(R.data[i, j, i, j] for i in range(5) for j in range(5))
+    assert r2 == ricci(rho(A))
 
 
 class TestCombineOracle:

@@ -68,6 +68,12 @@ class TestCrossover:
         assert 2.5 < report.growth_exponent_metric < 3.5
         assert 2.5 < report.growth_exponent_hessian < 3.5
 
+    def test_growth_exponents_past_float_range(self):
+        # the jet-count ratio at n = 10**8, cap = 200 is far past float range
+        report = jets.crossover(10**8, 200)
+        assert math.isfinite(report.growth_exponent_metric)
+        assert math.isfinite(report.growth_exponent_hessian)
+
     def test_cap_one_has_no_growth_exponents(self):
         report = jets.crossover(3, 1)
         assert len(report.rows) == 2

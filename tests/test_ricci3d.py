@@ -172,6 +172,13 @@ class TestSolveFromRicci:
         with pytest.raises(ValueError):
             ricci3d.solve_from_ricci([[1, 2, 0], [0, 1, 0], [0, 0, 1]])
 
+    @pytest.mark.parametrize("big", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
+    def test_float_mode_refuses_entries_past_float_range(self, big):
+        with pytest.raises(ValueError, match="float range"):
+            ricci3d.solve_from_ricci([[big, 0, 0], [0, 2, 0], [0, 0, 3]], mode="float")
+        rot, A, residual = ricci3d.solve_from_ricci([[big, 0, 0], [0, 2, 0], [0, 0, 3]])
+        assert rho2(A) == diag(2, 3, big) and residual == 0
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
     def test_rejects_unusable_tol(self, tol):
         # with tol = nan, "resid > tol" was never true and any residual passed

@@ -14,6 +14,22 @@ from tensor_helpers import (alternating_contraction_reference, contract,
                             sym3_from_dense, symmetrize)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Sym3Tensor.random(10**5, seed=1),
+    lambda: Sym3Tensor.zeros(3000),
+    lambda: Sym3Tensor.from_monomials(3000, {}),
+], ids=["random", "zeros", "from_monomials"])
+def test_sym3_dimension_checked_before_drawing_or_allocating(make, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("drew or allocated before checking n")
+
+    for name in ("sym3_dim", "sym3_triples"):
+        monkeypatch.setattr(tensor, name, refuse)
+    monkeypatch.setattr(rng, "rational_at", refuse)
+    with pytest.raises(ValueError, match=r"dimension must be in \[2, 8\]"):
+        make()
+
+
 def basis_tensor(n, order, index):
     arr = np.full((n,) * order, Fraction(0), dtype=object)
     arr[index] = Fraction(1)
