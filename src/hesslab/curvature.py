@@ -99,7 +99,8 @@ class RicciTensor(Tensor):
 
     @classmethod
     def from_rows(cls, rows) -> "RicciTensor":
-        return cls(len(rows), rows)
+        """RicciTensor(n, rows) of the entries read by Fraction: floats and strings exactly."""
+        return cls(len(rows), [[Fraction(x) for x in r] for r in rows])
 
     def trace(self):
         X, D, rational = self._int

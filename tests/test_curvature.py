@@ -196,6 +196,10 @@ class TestTypes:
         with pytest.raises(ValueError, match=message):
             RicciTensor(len(rows), rows)
 
+    def test_ricci_rows_take_what_fraction_reads(self):
+        r = RicciTensor.from_rows([[0.5, "1/3"], ["1/3", 2]])
+        assert r == RicciTensor(2, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 2]])
+
     def test_random_curvature_checks_the_dimension_before_drawing(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("drew a coefficient before checking n")
