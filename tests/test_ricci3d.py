@@ -172,6 +172,12 @@ class TestSolveFromRicci:
         with pytest.raises(ValueError):
             ricci3d.solve_from_ricci([[1, 2, 0], [0, 1, 0], [0, 0, 1]])
 
+    def test_rejects_a_ricci_tensor_of_another_dimension(self):
+        # a 4 x 4 RicciTensor skipped the 3 x 3 check and raised TypeError
+        r = RicciTensor.from_rows([[int(i == j) for j in range(4)] for i in range(4)])
+        with pytest.raises(ValueError, match="3x3"):
+            ricci3d.solve_from_ricci(r, mode="float")
+
     @pytest.mark.parametrize("big", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
     def test_float_mode_refuses_entries_past_float_range(self, big):
         with pytest.raises(ValueError, match="float range"):
