@@ -11,6 +11,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 
 from fractions import Fraction
 
@@ -79,6 +80,12 @@ COMMANDS = {
         ["rank-census", "--dim", "4", "--samples", "1", "--seed", "1", "--bound", "100000"],
         0,
         "ca26505054ed9372f5554163c12ea32caf5b96154d2ede62fcb0b943b28396f0"),
+    "mine n=5 p=3": (["mine", "--dim", "5", "--degree", "3", "--seed", "1"], 0,
+        "5ff310427e8f6c91b333473e78ecf600bc2024bfd294cdefc88a544c6fc7ea36"),
+    "mine n=6 p=3": (["mine", "--dim", "6", "--degree", "3", "--seed", "2"], 0,
+        "6c939b70e6e0691aca1258924d939dd52ba1bbace34a812772a70bfa6fb09c53"),
+    "jets n=7 cap=200": (["jets", "--dim", "7", "--cap", "200"], 0,
+        "cd27ef1c7a257eea81321f55cd0e467b98a0399d11e12deaacfe7748f7c5246a"),
     "jets n=3": (["jets", "--dim", "3"], 0,
         "b66480e7cb2e472570ffbadde7e57203408522d54d71b8b4a709ddea2487ce3f"),
     "cartan2d": (["cartan2d"], 0,
@@ -88,6 +95,14 @@ COMMANDS = {
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _run(argv) -> tuple[int, str]:
+    """Exit code and digest of the --no-meta standard output of a command."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.run(argv + ["--no-meta"])
+    return code, _digest(buf.getvalue())
 
 
 def _entries_digest(tensor) -> str:
@@ -167,10 +182,24 @@ VALUES = {
 @pytest.mark.parametrize("name", list(COMMANDS))
 def test_command_output_is_unchanged(name):
     argv, code, digest = COMMANDS[name]
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        got = cli.run(argv + ["--no-meta"])
-    assert (got, _digest(buf.getvalue())) == (code, digest)
+    assert _run(argv) == (code, digest)
+
+
+# a sym3 document with rational, integer and negative entries, some zero
+SYM3_DOCUMENT = {"n": 3, "order": 3, "packing": "sym3", "entries": [
+    ["0 0 0", "1/2"], ["0 0 2", "-3/7"], ["0 1 2", "5/3"], ["1 1 1", "4"],
+    ["1 2 2", "-2"], ["2 2 2", "7/6"]]}
+DOCUMENT_COMMANDS = {
+    "rho": "77740f63e71a3c21d1f8f2353fbb5d7c0ba79992f6ca1bbf63b6e7f69d8a0c92",
+    "validate": "ae127d9dee186cc86ec46f1594eaa17444ca719dac0f88740f8e08eb14346f6b",
+}
+
+
+@pytest.mark.parametrize("command", list(DOCUMENT_COMMANDS))
+def test_document_command_output_is_unchanged(command, tmp_path):
+    path = tmp_path / "sym3.json"
+    path.write_text(json.dumps(SYM3_DOCUMENT))
+    assert _run([command, "--in", str(path)]) == (0, DOCUMENT_COMMANDS[command])
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
