@@ -3,8 +3,9 @@
 In the orthonormal frame,
     R_{ijkl} = - sum_a A_{ika} A_{jla} + sum_a A_{ila} A_{jka},
 a quadratic equivariant map whose exact Jacobian rank measures the
-dimension of its image.  The Jacobian is built in integers: the derivative
-of a quadratic map is bilinear, and the lcm of A's denominators clears them.
+dimension of its image.  The map and its Jacobian (the derivative of a
+quadratic map is bilinear) run on the integer form A stores: its dense
+entries cleared by the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ def rho_raw(A: Sym3Tensor) -> CurvTensor:
     twice that.  The tensor is held as that integer array over L**2; its
     entries, Fractions for rational A, are formed only if they are read.
     """
-    packed, L, rational = integer_form(A.packed, lambda M: 2 * A.n * M * M)
-    a = packed[sym3_index(A.n)]
+    a, L, rational = integer_form(A, lambda M: 2 * A.n * M * M)
     t = np.einsum("ika,jla->ijkl", a, a)
     return CurvTensor.from_integers(t.transpose(0, 1, 3, 2) - t, L * L, rational)
 
@@ -56,9 +56,8 @@ def _integer_jacobian(A: Sym3Tensor) -> tuple[np.ndarray, int]:
     size; below 2**62 the build runs in int64, otherwise in Python ints.
     """
     n = A.n
-    packed, L, _ = integer_form(A.packed, lambda M: 4 * n * M)
+    a, L, _ = integer_form(A, lambda M: 4 * n * M)
     index = sym3_index(n)
-    a = packed[index]
     pos = _coordinate_data(n)[0]
     i, j, k, l = np.unravel_index(pos, (n,) * 4)
     rows = np.arange(len(pos))[:, None]

@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .curvature import RicciTensor
 from .hessmap import rho2
-from .tensor import Sym3Tensor, sym3_index, sym3_triples
+from .tensor import Sym3Tensor, integer_form
 
 # rho2 of the ansatz family equals exactly 1/72 of the quadratic display
 # polynomials below (frozen by exact evaluation); the solvers compensate by
@@ -79,9 +79,8 @@ def isotropic_coefficients(lam):
 
 def _permute_sym3(A: Sym3Tensor, perm) -> Sym3Tensor:
     """Relabel the orthonormal frame: result_{ijk} = A_{perm(i) perm(j) perm(k)}."""
-    index = sym3_index(3)
-    return Sym3Tensor(3, tuple(A.packed[index[perm[i], perm[j], perm[k]]]
-                               for i, j, k in sym3_triples(3)))
+    X, D, rational = integer_form(A, lambda M: M)
+    return Sym3Tensor.from_integers(X[np.ix_(perm, perm, perm)], D, rational)
 
 
 def _diag_ricci(lams) -> RicciTensor:

@@ -7,7 +7,8 @@ trace is a plain contraction of two slots.
 Arithmetic runs on integers, not on ``Fraction`` entries.  Every Tensor
 holds its integer form: an integer array X and one denominator D, the
 tensor being X / D, reduced by their gcd.  Tensor(n, data) clears the
-given entries into its own X once; rho_raw, materialize, cyclic_sum and
+given entries into its own X once, and Sym3Tensor(n, packed) its packed
+entries, gathered into the dense X; rho_raw, materialize, cyclic_sum and
 alternating_tensor build X directly.  The entries are made only if
 ``data`` is read.  integer_form hands the form over (int64 where the
 caller's a-priori bound rules out overflow, Python ints otherwise).  The
@@ -20,15 +21,14 @@ only those values become ``Fraction``.  alternating_contraction weighs
 the rows of one tensor, and alternating_tensor scatters such values into
 an antisymmetric Tensor (miner.alternating_form joins the two).
 
-A Tensor has no +, - or scalar multiple, which nothing in the package
-needs; antisymmetrize is the one function left that computes on ``data``.
+A Tensor, a Sym3Tensor too, has no +, - or scalar multiple, which
+nothing in the package needs; antisymmetrize is the one function left that computes on ``data``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -365,23 +365,27 @@ def sym3_index(n: int) -> np.ndarray:
     return index
 
 
-@dataclass(frozen=True)
-class Sym3Tensor:
-    """Fully symmetric order-3 tensor in packed multiset storage."""
+class Sym3Tensor(Tensor):
+    """Fully symmetric order-3 tensor, built from its packed multiset entries.
 
-    n: int
-    packed: tuple
+    Sym3Tensor(n, packed) checks n and the number of entries, clears them
+    once and stores their dense gather over sym3_index(n).  It is a Tensor:
+    equal to, and hashing like, any Tensor with the same entries.
+    """
 
-    def __post_init__(self):
-        check_dim(self.n)
-        if len(self.packed) != sym3_dim(self.n):
-            raise ValueError(
-                f"expected {sym3_dim(self.n)} packed entries, got {len(self.packed)}")
+    __slots__ = ()
 
-    @classmethod
-    def zeros(cls, n: int) -> "Sym3Tensor":
+    def __init__(self, n: int, packed):
         check_dim(n)
-        return cls(n, (Fraction(0),) * sym3_dim(n))
+        if len(packed) != sym3_dim(n):
+            raise ValueError(f"expected {sym3_dim(n)} packed entries, got {len(packed)}")
+        X, D, rational = _clear(np.array(packed, dtype=object))
+        self._store(n, X[sym3_index(n)], D, rational)
+
+    @property
+    def packed(self) -> tuple:
+        """The entries at sym3_triples(n), Fractions if rational, else ints."""
+        return tuple(self.data[ijk] for ijk in sym3_triples(self.n))
 
     @classmethod
     def from_monomials(cls, n: int, coeffs: dict) -> "Sym3Tensor":
@@ -411,17 +415,5 @@ class Sym3Tensor:
                             for i in range(sym3_dim(n))))
 
     def to_dense(self) -> Tensor:
-        return Tensor(self.n, np.array(self.packed, dtype=object)[sym3_index(self.n)])
-
-    def scale(self, c) -> "Sym3Tensor":
-        return Sym3Tensor(self.n, tuple(x * c for x in self.packed))
-
-    def __add__(self, other: "Sym3Tensor") -> "Sym3Tensor":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return Sym3Tensor(self.n, tuple(a + b for a, b in
-                                        zip(self.packed, other.packed)))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.packed)
-
+        """The same entries as a plain Tensor."""
+        return Tensor.from_integers(*self._int)

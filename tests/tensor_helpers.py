@@ -22,6 +22,16 @@ def combine(*terms) -> Tensor:
     return Tensor(first.n, sum(c * t.data for c, t in terms))
 
 
+def sym3_combine(*terms) -> Sym3Tensor:
+    """sum c * A over the (c, A) terms, computed on the packed entries A.packed."""
+    (_, first), *rest = terms
+    if any(A.n != first.n for _, A in rest):
+        raise ValueError("dimension mismatch")
+    columns = zip(*(A.packed for _, A in terms))
+    return Sym3Tensor(first.n, tuple(sum(c * x for (c, _), x in zip(terms, column))
+                                     for column in columns))
+
+
 def sym3_from_dense(t: Tensor) -> Sym3Tensor:
     """The packed form of a fully symmetric order-3 Tensor, read off its entries."""
     if t.order != 3:

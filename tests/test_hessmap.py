@@ -8,14 +8,15 @@ from hesslab.curvature import coordinates, curvature_space_dim, ricci, symmetry_
 from hesslab.hessmap import (image_rank_census, jacobian_rank, rho, rho2, rho_jacobian,
                              rho_raw)
 from hesslab.tensor import MAX_DIM, Sym3Tensor, sym3_dim
-from tensor_helpers import combine, integer_form_dtypes, sym3_basis
+from tensor_helpers import combine, integer_form_dtypes, sym3_basis, sym3_combine
 
 
 def polarized_jacobian(A: Sym3Tensor) -> list[list[Fraction]]:
     """rho_jacobian by polarization: column m is the coordinates of
     rho(A + B) - rho(A) - rho(B) for the m-th packed unit vector B."""
     base = rho_raw(A)
-    cols = [coordinates(combine((1, rho_raw(A + B)), (-1, base), (-1, rho_raw(B))))
+    cols = [coordinates(combine((1, rho_raw(sym3_combine((1, A), (1, B)))), (-1, base),
+                                (-1, rho_raw(B))))
             for B in sym3_basis(A.n)]
     return [list(row) for row in zip(*cols)]
 
@@ -27,7 +28,7 @@ def refuse(*args, **kwargs):
 def rho_scaling_check(A: Sym3Tensor, c) -> bool:
     """Degree-2 homogeneity: rho(c A) == c^2 rho(A), both sides exact."""
     c = Fraction(c)
-    return rho_raw(A.scale(c)) == combine((c * c, rho_raw(A)))
+    return rho_raw(sym3_combine((c, A))) == combine((c * c, rho_raw(A)))
 
 
 class TestRho:
@@ -75,11 +76,12 @@ class TestHomogeneityAndPolarization:
         B = Sym3Tensor.random(3, seed=6)
 
         def polar(x, y):
-            return combine((1, rho_raw(x + y)), (-1, rho_raw(x)), (-1, rho_raw(y)))
+            return combine((1, rho_raw(sym3_combine((1, x), (1, y)))), (-1, rho_raw(x)),
+                           (-1, rho_raw(y)))
 
         assert polar(A, B) == polar(B, A)
         # linear in the second argument: polar(A, B + B) = 2 polar(A, B)
-        twice = polar(A, B + B)
+        twice = polar(A, sym3_combine((2, B)))
         once = polar(A, B)
         assert twice == combine((2, once))
 
@@ -103,7 +105,8 @@ class TestJacobian:
         basis = sym3_basis(3)
         B = basis[4]
         col = [row[4] for row in m]
-        lhs = coordinates(combine((1, rho_raw(A + B)), (-1, rho_raw(A)), (-1, rho_raw(B))))
+        lhs = coordinates(combine((1, rho_raw(sym3_combine((1, A), (1, B)))),
+                                  (-1, rho_raw(A)), (-1, rho_raw(B))))
         assert lhs == col
 
     @pytest.mark.parametrize("n, seed, bound", [(n, seed, 10) for n in (2, 3, 4, 5)
@@ -135,7 +138,7 @@ class TestJacobianRank:
             assert jacobian_rank(A) == linalg.rank(rho_jacobian(A))
 
     def test_zero_point_falls_back_to_exact_rank(self, exact_ranks):
-        assert jacobian_rank(Sym3Tensor.zeros(4)) == 0
+        assert jacobian_rank(Sym3Tensor(4, (0,) * 20)) == 0
         assert len(exact_ranks) == 1
 
     @pytest.mark.parametrize("n", [3, 5])
@@ -207,7 +210,7 @@ class TestRho2:
     def test_homogeneity(self):
         A = Sym3Tensor.random(3, seed=10)
         c = Fraction(5, 3)
-        scaled = rho2(A.scale(c))
+        scaled = rho2(sym3_combine((c, A)))
         base = rho2(A)
         for i in range(3):
             for j in range(3):

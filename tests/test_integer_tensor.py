@@ -18,13 +18,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hesslab import cli, curvature, linalg, miner, rng, tensor
+from hesslab import cli, curvature, hessmap, linalg, miner, ricci3d, rng, tensor
 from hesslab.curvature import (coordinates, curvature_space_dim, cyclic_sum, materialize,
                                random_curvature, ricci, scalar_curvature)
 from hesslab.hessmap import rho, rho2, rho_jacobian, rho_raw
 from hesslab.identities import pontryagin_form
 from hesslab.tensor import Sym3Tensor, Tensor, integer_form
-from tensor_helpers import combine, random_rational
+from tensor_helpers import combine, random_rational, sym3_combine
 
 # the second bound is past 2**62 for every M, so it forces the object path
 BOUNDS = [lambda M: 3 * M, lambda M: 2**62]
@@ -70,7 +70,7 @@ class TestEquivalence:
     def test_rho_raw(self, n):
         A = Sym3Tensor.random(n, seed=n)
         # scaled by 2**31, the einsum itself runs on Python ints
-        for B in (A, miner._int_sym3(n, n, 5), A.scale(2**31)):
+        for B in (A, miner._int_sym3(n, n, 5), sym3_combine((2**31, A))):
             check_against(rho_raw(B), rho_raw_reference(B))
 
     def test_materialize(self, n):
@@ -159,6 +159,18 @@ def test_evaluate_pattern_never_builds_curvature_entries(n, monkeypatch):
     assert built == []
 
 
+def test_sym3_consumers_build_no_entries(monkeypatch):
+    # rho, its Jacobian and ricci3d's frame relabeling read A's integer form
+    built = []
+    entries = tensor._entries
+    monkeypatch.setattr(tensor, "_entries", lambda *form: built.append(form) or entries(*form))
+    A = Sym3Tensor.random(4, seed=3)
+    assert rho_raw(A) == rho(A) and len(rho_jacobian(A)) == curvature_space_dim(4)
+    assert hessmap.jacobian_rank(A) == 18
+    ricci3d._permute_sym3(Sym3Tensor.random(3, seed=3), (2, 0, 1))
+    assert built == []
+
+
 class TestGivenEntries:
     """Tensor(n, data) holds the same integer form as a tensor built from integers."""
 
@@ -241,12 +253,13 @@ class TestCombineOracle:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_rho_raw_polarization_is_the_jacobian(self, n):
         def polar(x, y):
-            return combine((1, rho_raw(x + y)), (-1, rho_raw(x)), (-1, rho_raw(y)))
+            return combine((1, rho_raw(sym3_combine((1, x), (1, y)))), (-1, rho_raw(x)),
+                           (-1, rho_raw(y)))
 
         for seed in (1, 2):
             A, B = Sym3Tensor.random(n, seed=seed), Sym3Tensor.random(n, seed=seed + 10)
             AB = polar(A, B)
             assert AB == polar(B, A)
-            assert polar(A, B.scale(Fraction(-7, 3))) == combine((Fraction(-7, 3), AB))
+            assert polar(A, sym3_combine((Fraction(-7, 3), B))) == combine((Fraction(-7, 3), AB))
             J = rho_jacobian(A)
             assert coordinates(AB) == [sum(x * b for x, b in zip(row, B.packed)) for row in J]

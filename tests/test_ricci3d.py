@@ -10,7 +10,7 @@ from hesslab.curvature import RicciTensor, curvature_basis, CurvTensor, ricci
 from hesslab.hessmap import rho2
 from hesslab.rng import rational_at
 from hesslab.tensor import Sym3Tensor, Tensor
-from tensor_helpers import sym3_from_dense
+from tensor_helpers import sym3_combine, sym3_from_dense
 
 
 def permute_sym3_reference(A, perm):
@@ -119,7 +119,7 @@ class TestIsotropic:
         # one-parameter family genuinely needs the formula, not a rescaling
         A = ricci3d.solve_isotropic(4)
         c = Fraction(2)
-        scaled = rho2(A.scale(c))
+        scaled = rho2(sym3_combine((c, A)))
         assert scaled == diag(16, 16, 16)  # c^2 * 4, not c * 4
 
 
