@@ -139,6 +139,7 @@ def _bianchi_kernel(n: int):
     kernel that are nonzero there, and for every dense index the coordinate
     it reads: c, c + C for its negative (C coordinates), or 2C for zero.
     """
+    check_dim(n)
     pairs = list(itertools.combinations(range(n), 2))
     slots = list(itertools.combinations_with_replacement(pairs, 2))
     bianchi = {((i, j), (k, l)): (((i, k), (j, l)), ((i, l), (j, k)))

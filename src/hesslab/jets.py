@@ -15,8 +15,9 @@ from fractions import Fraction
 
 
 def _taylor_terms(n: int, k: int) -> int:
-    """Number of monomials of degree <= k in n variables: sum of C(n+i-1, i)."""
-    return sum(math.comb(n + i - 1, i) for i in range(k + 1))
+    """Number of monomials of degree <= k in n variables: C(n+k, k), which
+    is the sum of C(n+i-1, i) over i <= k by the hockey-stick identity."""
+    return math.comb(n + k, k)
 
 
 def jet_dim_metric(n: int, k: int) -> int:

@@ -361,12 +361,6 @@ class MinedIdentityBasis:
     def quotient_dim(self) -> int:
         return len(self.image_identities) - len(self.universal_identities)
 
-    def contains_image_identity(self, vec) -> bool:
-        return linalg.in_span(self.image_identities, [Fraction(x) for x in vec])
-
-    def contains_universal_identity(self, vec) -> bool:
-        return linalg.in_span(self.universal_identities, [Fraction(x) for x in vec])
-
     def to_json(self) -> dict:
         def fr(v):
             return [f"{q.numerator}/{q.denominator}" for q in v]
@@ -443,12 +437,14 @@ def mine(n: int, p: int, max_samples: int | None = None,
     space = linalg.RowSpace(len(patterns))
     rho_used = collect(rho_sample)
     n1 = space.nullspace()
+    free1 = [c for c in range(len(patterns)) if c not in space.pivots]
     gen_used = collect(generic_sample)
     n2 = space.nullspace()
-    # greedily pick an exact complement of N2 in N1: keep each N1 vector
-    # that grows the span of N2 and the vectors kept so far
-    complement = linalg.RowSpace(len(patterns), n2)
-    kept = [v for v in n1 if complement.add(v)]
+    # the representatives are the N1 vectors whose free column the generic
+    # rows made a pivot: an N2 vector is nonzero only at its own free column
+    # and at pivot columns left of it, so these are the N1 vectors that a
+    # greedy complement of N2 in N1, taken in order, keeps
+    kept = [v for fc, v in zip(free1, n1) if fc in space.pivots]
     return MinedIdentityBasis(
         n=n, degree=p, patterns=patterns,
         image_identities=n1, universal_identities=n2,

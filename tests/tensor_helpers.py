@@ -1,4 +1,4 @@
-"""Dense-tensor operations the package does not need, kept as test tools."""
+"""Tensor and span operations the package does not need, kept as test tools."""
 
 import itertools
 import math
@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from hesslab import rng
+from hesslab import linalg, rng
 from hesslab.tensor import Sym3Tensor, Tensor, signed_permutations, sym3_dim, sym3_triples
 
 
@@ -30,6 +30,13 @@ def sym3_combine(*terms) -> Sym3Tensor:
     columns = zip(*(A.packed for _, A in terms))
     return Sym3Tensor(first.n, tuple(sum(c * x for (c, _), x in zip(terms, column))
                                      for column in columns))
+
+
+def identity_spans(basis) -> tuple[linalg.RowSpace, linalg.RowSpace]:
+    """Row spaces of a mined basis's image identities and universal identities."""
+    cols = len(basis.patterns)
+    return (linalg.RowSpace(cols, basis.image_identities),
+            linalg.RowSpace(cols, basis.universal_identities))
 
 
 def sym3_from_dense(t: Tensor) -> Sym3Tensor:

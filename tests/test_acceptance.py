@@ -18,6 +18,7 @@ from hesslab.identities import (bianchi_residual, cubic_identity,
                                 pontryagin_form, pontryagin_quadratic)
 from hesslab.rng import rational_at
 from hesslab.tensor import Sym3Tensor
+from tensor_helpers import identity_spans
 
 
 def test_01_image_dimension_n4():
@@ -75,23 +76,25 @@ class TestCriterion07MinerRecoversIdentities:
         basis = miner.mine(4, 2, seed=3)
         vec = miner.coefficient_vector(
             basis.patterns, [(miner.quadratic_trace_pattern(), 1)])
+        image, universal = identity_spans(basis)
         assert basis.quotient_dim >= 1
-        assert basis.contains_image_identity(vec)
-        assert not basis.contains_universal_identity(vec)
+        assert image.contains(vec)
+        assert not universal.contains(vec)
 
     def test_degree3_quotient_contains_cubic_combination(self):
         basis = miner.mine(4, 3, seed=3)
         vec = miner.coefficient_vector(basis.patterns,
                                        miner.cubic_identity_combination())
+        image, universal = identity_spans(basis)
         assert basis.quotient_dim >= 1
-        assert basis.contains_image_identity(vec)
-        assert not basis.contains_universal_identity(vec)
+        assert image.contains(vec)
+        assert not universal.contains(vec)
 
     def test_degree3_combination_not_an_identity_n5(self):
         basis = miner.mine(5, 3, seed=3)
         vec = miner.coefficient_vector(basis.patterns,
                                        miner.cubic_identity_combination())
-        assert not basis.contains_image_identity(vec)
+        assert not identity_spans(basis)[0].contains(vec)
 
 
 def test_08_three_dimensional_inverse():

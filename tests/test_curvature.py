@@ -70,6 +70,13 @@ class TestBasis:
         assert {type(x) for x in got.data.flat} == {int}
         assert got == materialize(4, [Fraction(c) for c in coeffs])
 
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_dimension_past_max_is_refused(self, n):
+        with pytest.raises(ValueError, match=r"dimension must be in \[2, 8\]"):
+            materialize(n, [0] * curvature_space_dim(n))
+        with pytest.raises(ValueError, match=r"dimension must be in \[2, 8\]"):
+            curvature_basis(n)
+
     def test_zero_entries_share_one_object(self):
         # keeps the cached basis small: its tensors are mostly zero
         for b in curvature_basis(5):

@@ -5,6 +5,11 @@ import pytest
 from hesslab import jets
 
 
+def taylor_terms_sum(n: int, k: int) -> int:
+    """Monomials of degree <= k in n variables, counted degree by degree."""
+    return sum(math.comb(n + i - 1, i) for i in range(k + 1))
+
+
 def deficit_factored_twice(n: int, k: int) -> int:
     """2 * deficit via the factored form, an exact cross-check oracle.
 
@@ -12,13 +17,18 @@ def deficit_factored_twice(n: int, k: int) -> int:
     where T_k counts monomials of degree <= k.  The (n-2) factor explains
     why the two-dimensional deficit can never turn positive.
     """
-    t = jets._taylor_terms(n, k)
+    t = taylor_terms_sum(n, k)
     return (n + 1) * ((n - 2) * t
                       - 2 * math.comb(n + k, k + 1)
                       - 2 * math.comb(n + k + 1, k + 2))
 
 
 class TestDimensions:
+    def test_taylor_terms_match_the_degree_by_degree_count(self):
+        for n in range(2, 40):
+            for k in range(200):
+                assert jets._taylor_terms(n, k) == taylor_terms_sum(n, k)
+
     @pytest.mark.parametrize("n,k,expect", [(3, 0, 6), (2, 1, 9), (4, 0, 10)])
     def test_metric_jets(self, n, k, expect):
         assert jets.jet_dim_metric(n, k) == expect

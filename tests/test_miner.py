@@ -10,7 +10,7 @@ from hesslab import linalg, miner
 from hesslab.curvature import curvature_space_dim, materialize, random_curvature
 from hesslab.hessmap import rho
 from hesslab.tensor import Sym3Tensor, Tensor, signed_permutations
-from tensor_helpers import combine
+from tensor_helpers import combine, identity_spans
 
 # golden values frozen at first enumeration; the degree-2 count is
 # independently cross-checked below by evaluation-based deduplication
@@ -402,13 +402,15 @@ class TestMine:
     def test_quotient_contains_double_trace(self, mined42):
         vec = miner.coefficient_vector(
             mined42.patterns, [(miner.quadratic_trace_pattern(), 1)])
+        image, universal = identity_spans(mined42)
         assert mined42.quotient_dim >= 1
-        assert mined42.contains_image_identity(vec)
-        assert not mined42.contains_universal_identity(vec)
+        assert image.contains(vec)
+        assert not universal.contains(vec)
 
     def test_universal_subspace_of_image(self, mined42):
+        image = identity_spans(mined42)[0]
         for v in mined42.universal_identities:
-            assert mined42.contains_image_identity(v)
+            assert image.contains(v)
 
     def test_soundness_on_fresh_samples(self, mined42):
         quads = list(itertools.combinations(range(4), 4))
@@ -431,6 +433,16 @@ class TestMine:
                     hit = True
                     break
             assert hit
+
+    @pytest.mark.parametrize("n, p, seed", [(n, p, seed) for p in (2, 3) for n in range(4, 9)
+                                            for seed in (0, 1, 2)])
+    def test_quotient_representatives_are_the_greedy_complement(self, n, p, seed):
+        # keep each N1 vector that grows the span of N2 and the vectors kept so far
+        basis = miner.mine(n, p, seed=seed)
+        complement = linalg.RowSpace(len(basis.patterns), basis.universal_identities)
+        greedy = [v for v in basis.image_identities if complement.add(v)]
+        assert basis.quotient_representatives == greedy
+        assert len(greedy) == basis.quotient_dim
 
     def test_determinism(self, mined42):
         again = miner.mine(4, 2, seed=3)
