@@ -22,7 +22,8 @@ the rows of one tensor, and alternating_tensor scatters such values into
 an antisymmetric Tensor (miner.alternating_form joins the two).
 
 A Tensor, a Sym3Tensor too, has no +, - or scalar multiple, which
-nothing in the package needs; antisymmetrize is the one function left that computes on ``data``.
+nothing in the package needs; antisymmetrize is the one function left
+that computes on ``data``.
 """
 
 from __future__ import annotations
