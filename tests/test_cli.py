@@ -283,6 +283,19 @@ class TestSubcommands:
         assert doc["quotient_dim"] == 1
         assert doc["pattern_count"] == 5
 
+    def test_mine_that_does_not_stabilize_exits_1(self, capsys, monkeypatch):
+        from hesslab import miner
+
+        def unstable(*args, **kwargs):
+            raise miner.StabilizationError("rank still increasing after 7 samples (rank 3)")
+
+        monkeypatch.setattr(miner, "mine", unstable)
+        code, out, err = run(capsys, "mine", "--dim", "4", "--degree", "2",
+                             "--max-samples", "7", "--no-meta")
+        assert code == 1
+        assert out == ""
+        assert err == "error: rank still increasing after 7 samples (rank 3)\n"
+
 
 class TestUsageErrors:
     # argv the parser refuses: what stderr names, before the subcommand's usage
