@@ -25,8 +25,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import __version__, cartan, hessmap, identities, jets, miner, ricci3d, rng, serialize
-from .tensor import Sym3Tensor
+from . import __version__
 
 SCHEMA = "hol/1"
 
@@ -82,6 +81,8 @@ def _read_json(path: str) -> dict:
 
 
 def _cmd_rho(args) -> int:
+    from . import hessmap, serialize
+    from .tensor import Sym3Tensor
     doc = _read_json(args.infile)
     try:
         t = serialize.tensor_from_json(doc)
@@ -104,12 +105,15 @@ def _cmd_rho(args) -> int:
 
 
 def _cmd_rank_census(args) -> int:
+    from . import hessmap
     report = hessmap.image_rank_census(args.dim, args.samples, args.seed,
                                        bound=args.bound)
     return _emit(args, "rank-census", report.to_json())
 
 
 def _verify_one(name, n, seed, degree):
+    from . import hessmap, identities
+    from .tensor import Sym3Tensor
     A = Sym3Tensor.random(n, seed=seed, bound=6)
     R = hessmap.rho(A)
     if name == "quad":
@@ -122,6 +126,7 @@ def _verify_one(name, n, seed, degree):
 
 
 def _cmd_verify(args) -> int:
+    from . import rng
     if args.identity != "pontryagin" and args.degree is not None:
         raise UsageError("--degree only applies to --identity pontryagin")
     degree = 2 if args.degree is None else args.degree
@@ -137,12 +142,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mine(args) -> int:
-    basis = miner.mine(args.dim, args.degree, max_samples=args.max_samples,
-                       seed=args.seed)
+    from . import miner
+    try:
+        basis = miner.mine(args.dim, args.degree, max_samples=args.max_samples,
+                           seed=args.seed)
+    except miner.StabilizationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     return _emit(args, "mine", basis.to_json())
 
 
 def _parse_matrix(doc) -> list:
+    from . import serialize
     rows = doc.get("rows") if isinstance(doc, dict) else None
     if (not isinstance(rows, list) or len(rows) != 3
             or any(not isinstance(r, list) or len(r) != 3 for r in rows)):
@@ -160,6 +171,7 @@ def _parse_matrix(doc) -> list:
 
 
 def _cmd_solve3d(args) -> int:
+    from . import ricci3d, serialize
     if args.mode == "exact" and args.tol is not None:
         raise UsageError("--tol only applies to --mode float")
     doc = _read_json(args.ricci)
@@ -181,6 +193,7 @@ def _cmd_solve3d(args) -> int:
 
 
 def _cmd_jets(args) -> int:
+    from . import jets
     report = jets.crossover(args.dim, args.cap)
     if args.output == "text":
         print(report.to_text())
@@ -189,6 +202,7 @@ def _cmd_jets(args) -> int:
 
 
 def _cmd_cartan2d(args) -> int:
+    from . import cartan, serialize
     if args.sweep:
         reports = cartan.parameter_sweep(args.sweep, args.seed)
         distinct = {r for r in reports}
@@ -210,6 +224,8 @@ def _cmd_cartan2d(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import serialize
+    from .tensor import Sym3Tensor
     doc = _read_json(args.infile)
     try:
         t = serialize.tensor_from_json(doc)
@@ -321,9 +337,6 @@ def run(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except miner.StabilizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except ValueError as exc:
         # a usage error, or a library call that rejected its arguments
         print(f"error: {exc}", file=sys.stderr)

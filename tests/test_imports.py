@@ -1,11 +1,16 @@
-"""Every module-level import in src/hesslab is referenced by its module.
+"""Import hygiene of src/hesslab.
 
-A deletion that leaves its import behind (a dataclass decorator, a class
-no longer named) fails here.  __init__.py is left out: its imports are the
-package's exports.
+Every module-level import is referenced by its module: a deletion that
+leaves its import behind (a dataclass decorator, a class no longer named)
+fails here.  And modules load on first use: in a fresh interpreter, importing
+the package or the CLI loads only what it names.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +42,63 @@ def test_the_check_finds_unread_imports():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_module_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def fresh(code: str) -> str:
+    """stdout of code run in a new interpreter that imports hesslab from src."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    return proc.stdout
+
+
+LOADED = ("import sys; print(json.dumps(sorted(m for m in sys.modules "
+          "if m == 'numpy' or m.startswith('hesslab.'))))")
+
+
+def loaded_after(code: str) -> list[str]:
+    """numpy and the hesslab submodules loaded after code runs in a new interpreter."""
+    return json.loads(fresh(f"import json\n{code}\n{LOADED}").splitlines()[-1])
+
+
+def test_import_hesslab_loads_no_submodule_and_no_numpy():
+    assert loaded_after("import hesslab") == []
+
+
+def test_import_cli_loads_only_the_cli():
+    assert loaded_after("import hesslab.cli") == ["hesslab.cli"]
+
+
+def test_jets_command_runs_without_numpy():
+    code = ("import contextlib, io\nfrom hesslab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.run(['jets', '--dim', '3', '--cap', '5']) == 0")
+    assert loaded_after(code) == ["hesslab.cli", "hesslab.jets"]
+
+
+def test_names_and_submodules_resolve_on_first_use():
+    doc = json.loads(fresh(f"""
+import json
+import hesslab
+listed = dir(hesslab)
+star = {{}}
+exec("from hesslab import *", star)
+try:
+    hesslab.nope
+    nope = None
+except AttributeError as exc:
+    nope = str(exc)
+print(json.dumps({{
+    "all": hesslab.__all__,
+    "dir": listed,
+    "star": [name for name in hesslab.__all__ if name in star],
+    "modules": [getattr(hesslab, m).__name__ for m in {[m[:-3] for m in MODULES]}],
+    "nope": nope,
+}}))
+"""))
+    assert len(doc["all"]) == len(set(doc["all"])) == 42
+    assert doc["star"] == doc["all"]
+    assert set(doc["all"]) <= set(doc["dir"])
+    assert doc["modules"] == [f"hesslab.{m[:-3]}" for m in MODULES]
+    assert doc["nope"] == "module 'hesslab' has no attribute 'nope'"
