@@ -22,6 +22,7 @@ import argparse
 import datetime
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -344,7 +345,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe raises here, inside the try
+    except BrokenPipeError:
+        # an unwritable stdout is a usage error, as an unwritable rho --out is;
+        # point it at devnull so the interpreter's flush at exit does not raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

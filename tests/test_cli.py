@@ -64,6 +64,21 @@ class TestGlobalBehavior:
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["all_zero"] is False
 
+    @pytest.mark.parametrize("argv", (
+        ("jets", "--dim", "3", "--cap", "5", "--no-meta"),
+        ("rank-census", "--dim", "4", "--samples", "1", "--output", "text"),
+    ))
+    def test_closed_stdout_exits_2_without_a_traceback(self, argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-m", "hesslab.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # the reader is gone before the command writes
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 2
+        assert b"Traceback" not in err
+
 
 class TestSharedParser:
     def test_repeated_runs_match_runs_alone(self, capsys, monkeypatch):
@@ -221,6 +236,7 @@ class TestSubcommands:
                            "--output", "text")
         assert code == 0
         assert "crossover k* = 12" in out
+        assert "schema:" not in out  # the bare table, not an _emit document
 
     def test_cartan_single(self, capsys):
         code, doc, _ = run_json(capsys, "cartan2d", "--alpha", "1/2",
