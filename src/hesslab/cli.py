@@ -1,9 +1,11 @@
 """Command-line frontend: one subcommand per laboratory module.
 
 Every invocation writes a single JSON document (or aligned text with
---output text) to standard output.  Exit code 0 means success, 1 means a
-verification failure (something expected to vanish did not), 2 means a
-usage error.  Seeded subcommands are bit-reproducible; --no-meta drops the
+--output text) to standard output; jets --output text prints the bare jet
+table, with no schema, command or meta lines.  Exit code 0 means success, 1
+means a verification failure (something expected to vanish did not), 2
+means a usage error, and also a standard output closed before it was
+written.  Seeded subcommands are bit-reproducible; --no-meta drops the
 timestamped metadata block so outputs can be compared byte for byte.
 
 The parser reports a missing --dim, a count below 1 and an unknown option
@@ -14,6 +16,9 @@ JSON is a usage error on every subcommand, validate included; validate's
 The argument parser is built on the first run() call and shared by every
 later call in the process; each call parses into a fresh Namespace, so
 callers must not mutate the parser that build_parser() returns.
+
+This module imports only the standard library; each _cmd_* function imports
+the hesslab modules it runs, so a command loads only those.
 """
 
 from __future__ import annotations
