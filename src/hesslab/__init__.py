@@ -43,9 +43,7 @@ def __getattr__(name):
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
-    globals()[name] = value  # later reads skip this function
-    return value
+    return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
 
 
 def __dir__():
