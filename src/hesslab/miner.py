@@ -6,10 +6,13 @@ up to the symmetries of the curvature tensor (pair antisymmetries with
 sign, pair exchange), factor reordering, and signed relabeling of the
 free indices.  One cached group of slot maps (_orbit_maps) and one integer
 key per pattern (_keys) serve both steps: canonicalize takes the least key
-over a pattern's images.  The enumeration keys only the raw patterns whose
-free slots sit in a normal form (_normal_frees), which every orbit meets,
-canonicalizes one per orbit and marks the rest by the image keys
-canonicalize computed (_orbit_keys), so each orbit is keyed once.
+over a pattern's images, choosing the maps one factor at a time so that it
+keys only those that can still reach the least key (_placements).  The
+enumeration keys only the raw patterns whose free slots sit in a normal
+form (_normal_frees), which every orbit meets, canonicalizes one per orbit
+and marks the rest by keying its images in normal form, so each orbit is
+marked once.  On a 2-CPU x86-64 host, enumerate_patterns(4) takes about
+0.45 s and 49 MB, and enumerate_patterns(3) about 17 ms in a new process.
 Evaluating every pattern on random points of the image of rho and on
 random generic curvature tensors turns the search for identities into
 exact nullspace computations.  Each pattern is one einsum spec, and one
@@ -22,6 +25,7 @@ module writes its forms as weighted slot tuples too, for alternating_form.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -101,36 +105,42 @@ def canonicalize(slots) -> tuple[tuple, int, bool]:
     to its canonical representative; is_zero means some symmetry fixes the
     pattern with sign -1, so it vanishes identically.  The canonical form
     is the image under _orbit_maps with the least _keys key; its sign is the
-    map's sign times the parity of the free-label renaming.  Raises
-    PatternError when slots is not a pattern of degree at most 4.
+    map's sign times the parity of the free-label renaming, taken at the
+    first such map.  Raises PatternError when slots is not a pattern of
+    degree at most 4.
+
+    The first 4k digits of a key depend only on which factors a map puts at
+    positions 0..k-1 and with which symmetries, so the maps are chosen one
+    factor at a time (_placements), keeping only those whose digits so far
+    are least: 184 maps are keyed for a pattern of degree 4 with no
+    symmetry, of the 98,304 in the group.
     """
     slots = ContractionPattern(len(slots) // 4, tuple(slots)).slots
     p = len(slots) // 4
     if p > 4:  # the keys fit in int64 up to degree 4
         raise PatternError(f"degree {p} not supported (use at most 4)")
-    keys, before = _orbit_keys(slots)
-    tied = np.flatnonzero(keys == keys.min())
-    signs = _orbit_maps(p)[1][tied]
-    total = signs * (1 - 2 * (np.triu(before[tied], 1).sum((1, 2)) % 2))
-    return _pattern(keys[tied[0]], p), int(total[0]), bool((total != total[0]).any())
+    maps, signs = _orbit_maps(p)
+    g = np.zeros(1, dtype=np.intp)
+    for offsets, rest in _placements(p):
+        g = (g[:, None] + offsets).reshape(-1)
+        keys, before = _keys(*_images(slots, maps[g]))
+        prefix = keys // rest
+        least = prefix == prefix.min()
+        g, keys, before = g[least], keys[least], before[least]
+    # the parity of the renaming counts the pairs of free labels out of order
+    inversions = before[:, [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]].sum(1)
+    total = signs[g] * (1 - 2 * (inversions % 2))
+    sign = total[g == g.min()][0]  # at the first least map of the group
+    return _pattern(keys[0], p), int(sign), bool((total != sign).any())
 
 
-def _images(slots):
-    """(free, a, b): under each map of _orbit_maps, one row of the new slots
-    of free labels 0..3 and of the two ends of each contraction."""
-    maps = _orbit_maps(len(slots) // 4)[0]
+def _images(slots, maps):
+    """(free, a, b): under each row of maps, a slot map of _orbit_maps, one
+    row of the new slots of free labels 0..3 and of the two ends of each
+    contraction."""
     ends = [(s, t) for s, t in enumerate(slots) if t > s]
     return (maps[:, [slots.index(-1 - label) for label in range(4)]],
             maps[:, [s for s, _ in ends]], maps[:, [t for _, t in ends]])
-
-
-@lru_cache(maxsize=1)
-def _orbit_keys(slots: tuple):
-    """_keys of the images of slots, read-only; kept for the last slots
-    asked, so that enumerate_patterns marks the orbit canonicalize keyed."""
-    keys, before = _keys(*_images(slots))
-    keys.flags.writeable = before.flags.writeable = False
-    return keys, before
 
 
 def _keys(free, a, b):
@@ -182,18 +192,45 @@ def _orbit_maps(p: int):
 
     Returns (maps, signs), read-only int8 arrays with one row per map:
     factor reordering times one _FACTOR_SYMS element per factor, p! * 8**p
-    maps in all.  maps[g] sends old slot s to new slot maps[g, s], and
-    signs[g] is the product of the factor symmetry signs.
+    maps in all, in the order that _placements reads.  maps[g] sends old
+    slot s to new slot maps[g, s], and signs[g] is the product of the
+    factor symmetry signs.
     """
     perms, signs = (np.array(x, dtype=np.int8) for x in zip(*_FACTOR_SYMS))
     # factor order (outer) times one symmetry per factor position (inner)
     order = np.array(list(itertools.permutations(range(p))), dtype=np.int8)[:, None, :, None]
     syms = np.indices((8,) * p, dtype=np.int8).reshape(p, -1).T
     # new slot 4 * f + q is old slot 4 * order[f] + perm[q], perm that of syms[f]
-    maps = (4 * order + perms[syms]).reshape(-1, 4 * p).argsort(axis=1).astype(np.int8)
+    old = (4 * order + perms[syms]).reshape(-1, 4 * p)
+    maps = np.empty_like(old)
+    np.put_along_axis(maps, old, np.arange(4 * p, dtype=np.int8), axis=1)
     signs = np.tile(signs[syms].prod(1), len(order)).astype(np.int8)
     maps.flags.writeable = signs.flags.writeable = False
     return maps, signs
+
+
+@lru_cache(maxsize=None)
+def _placements(p: int) -> tuple:
+    """The steps in which canonicalize chooses its maps, as (offsets, rest).
+
+    Map sum_k (c_k * (p-1-k)! * 8**p + s_k * 8**(p-1-k)) of _orbit_maps
+    puts the c_k-th factor not yet placed at position k, with factor
+    symmetry s_k, so a map whose later choices are all 0 stands for the
+    choices made so far.  A step adds each of its offsets to each map kept,
+    which places one more factor; the last step places the last two, since
+    one _keys call on their 128 choices costs less than two calls on 16 and
+    8.  rest is (2p + 4) ** (the digits the step leaves open), so key // rest
+    reads the digits decided so far.
+    """
+    steps = [((np.arange(p - k)[:, None] * math.factorial(p - 1 - k) * 8 ** p
+               + np.arange(8) * 8 ** (p - 1 - k)).reshape(-1), (2 * p + 4) ** (4 * (p - 1 - k)))
+             for k in range(p)]
+    if p > 1:
+        (last, _), (offsets, rest) = steps[-2:]
+        steps[-2:] = [((last[:, None] + offsets).reshape(-1), rest)]
+    for offsets, _ in steps:
+        offsets.flags.writeable = False
+    return tuple(steps)
 
 
 def _normal_frees(p: int) -> list[list[int]]:
@@ -222,12 +259,13 @@ def enumerate_patterns(p: int) -> tuple[ContractionPattern, ...]:
     those raws are keyed, in one _keys call; raws with a trace inside one
     antisymmetric index pair vanish and are dropped.  Until every key is
     marked, the least unmarked one is read back into its raw, which is
-    canonicalized, and the keys of its images under _orbit_maps, which
-    _orbit_keys kept from canonicalize, mark the keyed raws of its orbit.
-    Patterns that vanish by a sign-reversing symmetry go too.
+    canonicalized, and its images under the maps of _orbit_maps that carry
+    its free slots to a normal form are keyed: they are the keyed raws of
+    its orbit, which they mark.  Patterns that vanish by a sign-reversing
+    symmetry go too.  Degrees 2, 3 and 4 are supported.
     """
-    if p not in (2, 3):
-        raise PatternError(f"degree {p} not supported (use 2 or 3)")
+    if p not in (2, 3, 4):
+        raise PatternError(f"degree {p} not supported (use 2, 3 or 4)")
     frees = _normal_frees(p)
     rests = np.array([[s for s in range(4 * p) if s not in free] for free in frees],
                      dtype=np.int8)
@@ -239,7 +277,15 @@ def enumerate_patterns(p: int) -> tuple[ContractionPattern, ...]:
     # a trace inside an antisymmetric index pair is identically zero
     kept = (a // 2 != b // 2).all(1)
     # keys of distinct raws are distinct, so a sort does what np.unique would
-    keys = np.sort(_keys(free[kept], a[kept], b[kept])[0])
+    # (a stable sort runs the code of _pattern's argsort: numpy's quicksort
+    # would page in more of numpy for the whole process)
+    keys = np.sort(_keys(free[kept], a[kept], b[kept])[0], kind="stable")
+    # per normal free set, the maps that carry it to a normal free set
+    maps = _orbit_maps(p)[0]
+    normal = np.zeros(1 << 4 * p, dtype=bool)
+    normal[[sum(1 << s for s in f) for f in frees]] = True
+    into = {tuple(f): normal[(1 << maps[:, f].astype(np.int64)).sum(1)].nonzero()[0]
+            for f in frees}
     marked = np.zeros(len(keys), dtype=bool)
     canons = []
     while not marked.all():
@@ -247,10 +293,11 @@ def enumerate_patterns(p: int) -> tuple[ContractionPattern, ...]:
         canon, _, zero = canonicalize(raw)
         if not zero:
             canons.append(canon)
-        # most image keys are of raws outside the normal form, never keyed
-        orbit = _orbit_keys(raw)[0]
-        at = np.minimum(np.searchsorted(keys, orbit), len(keys) - 1)
-        marked[at[keys[at] == orbit]] = True
+        # maps carry index pairs to index pairs, so no image has a trace in
+        # one, and these images have their free slots in normal form: each
+        # is a keyed raw
+        moves = into[tuple(s for s, t in enumerate(raw) if t < 0)]
+        marked[np.searchsorted(keys, _keys(*_images(raw, maps[moves]))[0])] = True
     return tuple(ContractionPattern(p, c) for c in sorted(canons))
 
 

@@ -3,7 +3,8 @@
 Every module-level import is referenced by its module: a deletion that
 leaves its import behind (a dataclass decorator, a class no longer named)
 fails here.  And modules load on first use: in a fresh interpreter, importing
-the package or the CLI loads only what it names.
+the package or the CLI loads only what it names, and the miner builds its
+slot-map tables only when a search first asks for them.
 """
 
 import ast
@@ -102,3 +103,18 @@ print(json.dumps({{
     assert set(doc["all"]) <= set(doc["dir"])
     assert doc["modules"] == [f"hesslab.{m[:-3]}" for m in MODULES]
     assert doc["nope"] == "module 'hesslab' has no attribute 'nope'"
+
+
+def test_miner_builds_no_table_at_import():
+    doc = json.loads(fresh("""
+import json
+from hesslab import miner
+caches = {name: getattr(miner, name).cache_info().currsize
+          for name in ("_orbit_maps", "_placements", "enumerate_patterns")}
+tables = [[str(a.dtype), a.flags.writeable] for p in (1, 2, 3, 4) for a in miner._orbit_maps(p)]
+steps = [o.flags.writeable for p in (1, 2, 3, 4) for o, _ in miner._placements(p)]
+print(json.dumps({"caches": caches, "tables": tables, "steps": steps}))
+"""))
+    assert doc["caches"] == {"_orbit_maps": 0, "_placements": 0, "enumerate_patterns": 0}
+    assert doc["tables"] == [["int8", False]] * 8
+    assert doc["steps"] == [False] * len(doc["steps"])

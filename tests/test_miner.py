@@ -1,6 +1,9 @@
 import collections
+import hashlib
 import itertools
+import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +17,11 @@ from tensor_helpers import combine, identity_spans
 
 # golden values frozen at first enumeration; the degree-2 count is
 # independently cross-checked below by evaluation-based deduplication
-GOLDEN_PATTERN_COUNT = {2: 5, 3: 35}
+GOLDEN_PATTERN_COUNT = {2: 5, 3: 35, 4: 288}
+
+# SHA-256 of the JSON list of degree-4 slot tuples in enumeration order,
+# recorded from the enumeration that keyed every image of each orbit
+DEGREE4_DIGEST = "4a6c036ce1885423c69681d2df8559b58060dda93c580e2158ec7a629a953af7"
 
 # canonical slot tuples in enumeration order, recorded from the
 # brute-force enumerator (one canonicalize per raw pattern)
@@ -87,6 +94,18 @@ def brute_force_patterns(p):
     return tuple(sorted(seen))
 
 
+def random_raw(rnd, p):
+    """A seeded raw slot tuple of degree p: free labels on 4 random slots,
+    in random order, and a random matching of the rest, traces included."""
+    order = rnd.sample(range(4 * p), 4 * p)
+    slots = [None] * (4 * p)
+    for label, s in enumerate(order[:4]):
+        slots[s] = -1 - label
+    for s, t in zip(order[4::2], order[5::2]):
+        slots[s], slots[t] = t, s
+    return tuple(slots)
+
+
 def moved_pattern(slots, g):
     """Raw slots of a pattern moved by slot map g, free labels in slot order."""
     out = [None] * len(slots)
@@ -108,12 +127,23 @@ def patterns3():
     return miner.enumerate_patterns(3)
 
 
+@pytest.fixture(scope="module")
+def patterns4():
+    return miner.enumerate_patterns(4)
+
+
 class TestEnumeration:
     def test_degree2_count(self, patterns2):
         assert len(patterns2) == GOLDEN_PATTERN_COUNT[2]
 
     def test_degree3_count(self, patterns3):
         assert len(patterns3) == GOLDEN_PATTERN_COUNT[3]
+
+    def test_degree4_count_and_digest(self, patterns4):
+        assert len(patterns4) == GOLDEN_PATTERN_COUNT[4]
+        slots = json.dumps([list(pat.slots) for pat in patterns4])
+        assert hashlib.sha256(slots.encode()).hexdigest() == DEGREE4_DIGEST
+        assert list(patterns4) == sorted(patterns4, key=lambda p: p.slots)
 
     @pytest.mark.parametrize("p", (2, 3))
     def test_pinned_slot_tuples(self, p, patterns2, patterns3):
@@ -151,7 +181,7 @@ class TestEnumeration:
 
     def test_unsupported_degree(self):
         with pytest.raises(miner.PatternError):
-            miner.enumerate_patterns(4)
+            miner.enumerate_patterns(5)
 
     def test_canonicalization_idempotent(self, patterns2):
         for pat in patterns2:
@@ -256,7 +286,7 @@ class TestKeys:
     def test_orbit_keys_are_raw_keys_and_canonical_key_is_least(self, raws):
         p, _, keys = raws
         for slots in PINNED_PATTERNS[p]:
-            orbit = miner._keys(*miner._images(slots))[0]
+            orbit = miner._keys(*miner._images(slots, miner._orbit_maps(p)[0]))[0]
             assert np.isin(orbit, keys).all()
             own = (
                 np.array([[slots.index(-1 - label) for label in range(4)]]),
@@ -277,22 +307,50 @@ class TestKeys:
         assert tuple(pat.slots for pat in pats) == PINNED_PATTERNS[p]
         assert len(count) == calls
 
-    # one _keys call for the normal-form raws and one per orbit (6 at p = 2,
-    # 42 at p = 3), shared by canonicalize and the marking
+    # one _keys call for the normal-form raws and, besides canonicalize's own,
+    # one per orbit (6 at p = 2, 42 at p = 3) that marks it: the marking keys
+    # only keyed raws, and each keyed raw in one orbit only
     @pytest.mark.parametrize("p, sweeps, orbits", ((2, 1, 6), (3, 1, 42)))
     def test_each_orbit_is_keyed_once(self, p, sweeps, orbits, monkeypatch):
-        rows, keys = [], miner._keys
+        marks, inside = [], []
+        keys, canonicalize = miner._keys, miner.canonicalize
 
         def counted(*args):
-            rows.append(len(args[0]))
-            return keys(*args)
+            result = keys(*args)
+            if not inside:
+                marks.append(result[0])
+            return result
+
+        def canonical(slots):
+            inside.append(slots)
+            try:
+                return canonicalize(slots)
+            finally:
+                inside.pop()
 
         monkeypatch.setattr(miner, "_keys", counted)
-        miner._orbit_keys.cache_clear()
+        monkeypatch.setattr(miner, "canonicalize", canonical)
         pats = miner.enumerate_patterns.__wrapped__(p)  # bypass the cache
         assert tuple(pat.slots for pat in pats) == PINNED_PATTERNS[p]
-        assert len(rows) == sweeps + orbits
-        assert rows.count(len(miner._orbit_maps(p)[0])) == orbits
+        assert len(marks) == sweeps + orbits
+        swept, orbit_keys = marks[0], [np.unique(k) for k in marks[sweeps:]]
+        assert np.array_equal(np.sort(np.concatenate(orbit_keys)), np.sort(swept))
+
+    # the maps of a factor chosen with no tie: 8p for the first, 8(p - 1)
+    # for the second, then 128 for the last two together
+    @pytest.mark.parametrize("p, fewest, share", ((3, 152, 1), (4, 184, 7)))
+    def test_canonicalize_keys_part_of_the_group(self, p, fewest, share, monkeypatch):
+        rows, keys = [], miner._keys
+        monkeypatch.setattr(miner, "_keys",
+                            lambda *args: rows.append(len(args[0])) or keys(*args))
+        group = len(miner._orbit_maps(p)[0])
+        per_call = []
+        for pat in miner.enumerate_patterns(p):
+            rows.clear()
+            assert miner.canonicalize(pat.slots)[0] == pat.slots
+            per_call.append(sum(rows))
+        assert min(per_call) == fewest
+        assert max(per_call) * share < group
 
     # every raw at degree 2, every 97th at degree 3, which meets each of the
     # 495 free-slot sets (945 raws each)
@@ -305,13 +363,47 @@ class TestKeys:
             moved = (1 << maps[:, free]).sum(1)
             assert np.isin(moved, list(normal)).any()
 
-    def test_orbit_keys_are_read_only(self):
-        keys, before = miner._orbit_keys(PINNED_PATTERNS[3][0])
-        assert not keys.flags.writeable and not before.flags.writeable
+
+class TestCanonicalForms:
+    """canonicalize on seeded random raws, whose free slots are mostly not in
+    normal form and whose free labels come in any order, checked against
+    the whole group and by evaluation."""
+
+    @pytest.mark.parametrize("p, count", ((2, 300), (3, 150), (4, 30)))
+    def test_least_key_over_the_whole_group(self, p, count):
+        maps, signs = miner._orbit_maps(p)
+        normal = {tuple(free) for free in miner._normal_frees(p)}
+        rnd, outside = random.Random(100 + p), 0
+        for _ in range(count):
+            raw = random_raw(rnd, p)
+            outside += tuple(s for s, t in enumerate(raw) if t < 0) not in normal
+            keys, before = miner._keys(*miner._images(raw, maps))
+            tied = np.flatnonzero(keys == keys.min())
+            # the map's sign times the parity of the free-label renaming
+            total = signs[tied] * (1 - 2 * (np.triu(before[tied], 1).sum((1, 2)) % 2))
+            assert miner.canonicalize(raw) == (
+                miner._pattern(keys.min(), p), int(total[0]), bool((total != total[0]).any()))
+        assert outside > count // 2
+
+    @pytest.mark.parametrize("p, count", ((3, 40), (4, 30)))
+    def test_raws_evaluate_to_sign_times_canonical_form(self, p, count):
+        R = random_curvature(5, seed=p)
+        rnd, nonzero = random.Random(200 + p), 0
+        for _ in range(count):
+            raw = random_raw(rnd, p)
+            canon, sign, zero = miner.canonicalize(raw)
+            value = miner.evaluate_pattern(miner.ContractionPattern(p, raw), R)
+            if zero:
+                assert value.is_zero()
+            else:
+                canonical = miner.evaluate_pattern(miner.ContractionPattern(p, canon), R)
+                assert value == combine((sign, canonical))
+                nonzero += not value.is_zero()
+        assert nonzero > count // 4
 
 
 class TestGroup:
-    @pytest.mark.parametrize("p", (2, 3))
+    @pytest.mark.parametrize("p", (2, 3, 4))
     def test_maps_are_distinct_slot_permutations(self, p):
         maps, signs = miner._orbit_maps(p)
         assert maps.shape == (math.factorial(p) * 8 ** p, 4 * p)
@@ -328,6 +420,25 @@ class TestGroup:
             # row h of maps[:, maps[g]] is g followed by h
             composed = [index[hg] for hg in map(tuple, maps[:, maps[g]].tolist())]
             assert (signs[composed] == signs[g] * signs).all()
+
+    # each step of _placements decides the old slots of the next new slots:
+    # every map that completes a choice agrees there with the map that
+    # stands for it, and the completions of the last step are the group
+    @pytest.mark.parametrize("p", (1, 2, 3, 4))
+    def test_placements_choose_factors_in_order(self, p):
+        old = np.argsort(miner._orbit_maps(p)[0], axis=1)  # new slot -> old slot
+        steps = miner._placements(p)
+        g = np.zeros(1, dtype=np.intp)
+        for i, (offsets, rest) in enumerate(steps):
+            g = (g[:, None] + offsets).reshape(-1)
+            later = np.zeros(1, dtype=np.intp)
+            for more, _ in steps[i + 1:]:
+                later = (later[:, None] + more).reshape(-1)
+            placed = p if i == len(steps) - 1 else i + 1
+            assert rest == (2 * p + 4) ** (4 * (p - placed))
+            lead = old[g[:, None] + later][..., :4 * placed]
+            assert (lead == lead[:, :1]).all()
+        assert np.array_equal(np.sort(g), np.arange(len(old)))
 
 
 class TestEvaluation:

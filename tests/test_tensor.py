@@ -287,6 +287,19 @@ class TestBatchedRows:
         X = integer_sample(4, 12)
         self.check([X], [spec], [X], [1])
 
+    # every degree-4 pattern plans as three pairwise steps; the plans run on
+    # one sample, checked against the reference at every 24th spec
+    def test_every_degree4_plan_is_pairwise(self):
+        specs = [miner._einsum_spec(pat.slots) for pat in miner.enumerate_patterns(4)]
+        assert len(specs) == 288
+        for spec in specs:
+            assert [len(pos) for pos, _, _ in tensor._einsum_steps(spec)] == [2, 2, 2]
+        X = integer_sample(4, 13)
+        rows = alternating_rows([X], specs)[0]
+        assert rows.any()
+        for spec, row in list(zip(specs, rows))[::24]:
+            assert list(row) == list(alternating_contraction_reference(X, [(spec, 1)]))
+
     @pytest.mark.parametrize("n, specs, scale", [
         (4, ["ijkl->ijkl"], None),
         (6, IDENTITY_SPECS[1:], 20_000),
