@@ -10,7 +10,7 @@ conclusion is parameter-independent and checked as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -143,14 +143,7 @@ class CartanReport:
     involutive: bool
 
     def to_json(self) -> dict:
-        return {
-            "rank_symbol": self.rank_symbol,
-            "rank_prolonged": self.rank_prolonged,
-            "g01": self.g01,
-            "g02": self.g02,
-            "g12": self.g12,
-            "involutive": self.involutive,
-        }
+        return asdict(self)
 
 
 def cartan_test(p: SymbolParameters) -> CartanReport:

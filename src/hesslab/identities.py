@@ -4,9 +4,10 @@ All free indices are kept as tensor slots; an identity "vanishes" when
 every component is the exact rational zero.  Index placement follows the
 orthonormal frame, so upper and lower positions coincide.  Each form is a
 weighted list of the miner's slot tuples for miner.alternating_form, which
-contracts the integer form of R and works at sorted index tuples only: the
-degree-2 and degree-3 identities take the miner's slot maps, with the
-antisymmetrizer's 1/4! in their weights, and tr Omega^p is one cyclic tuple.
+contracts the integer form of R at sorted index tuples only and keeps
+integers until it stores the form's own: the degree-2 and degree-3
+identities take the miner's slot maps, with the antisymmetrizer's 1/4! in
+their weights, and tr Omega^p is one cyclic tuple.
 R is a CurvTensor, itself a Tensor, so its integer form is contracted with
 no unwrapping; a plain order-4 Tensor with the curvature symmetries is
 accepted the same way.

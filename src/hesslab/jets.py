@@ -10,7 +10,7 @@ while for n = 2 the deficit stays negative at every order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 
@@ -54,16 +54,7 @@ class JetReport:
         "inconsistent with those summations and is not used")
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "cap": self.cap,
-            "rows": [list(r) for r in self.rows],
-            "crossover": self.crossover,
-            "monotone_after_crossover": self.monotone_after_crossover,
-            "growth_exponent_metric": self.growth_exponent_metric,
-            "growth_exponent_hessian": self.growth_exponent_hessian,
-            "formula_note": self.formula_note,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         lines = [f"{'k':>4} {'dim J_k(g)':>16} {'dim J_k+2(x,phi)':>18} {'deficit':>14}"]

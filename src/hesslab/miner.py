@@ -19,7 +19,10 @@ exact nullspace computations.  Each pattern is one einsum spec, and one
 tensor.alternating_rows call evaluates a batch of samples: as many as a
 sampling phase can take before it could next stop, so the batches hold
 exactly the samples a one-at-a-time run would evaluate.  The identities
-module writes its forms as weighted slot tuples too, for alternating_form.
+module writes its forms as weighted slot tuples too, for alternating_form,
+the one form constructor: it weighs one tensor's integer rows over one
+denominator and scatters them, with their signs, into the form's own
+integer array.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ import numpy as np
 from . import linalg, rng
 from .curvature import curvature_space_dim, materialize
 from .hessmap import rho
-from .tensor import (Sym3Tensor, Tensor, alternating_contraction, alternating_rows,
-                     alternating_tensor, check_dim, sym3_dim)
+from .tensor import (Sym3Tensor, Tensor, _alternating_index, alternating_rows, check_dim,
+                     sym3_dim)
 
 # slot encoding: value >= 0 is the partner slot of a contraction,
 # value -(label+1) marks a free slot carrying label 0..5, named _LABELS[label]
@@ -358,13 +361,27 @@ def _einsum_spec(slots: tuple) -> str:
 def alternating_form(R: Tensor, terms) -> Tensor:
     """The alternating tensor of sum weight * (contraction of copies of R by
     slots) over the (slots, weight) terms, all with k free labels, with no
-    1/k! factor (callers put it in the weights).  Refuses n < k."""
+    1/k! factor (callers put it in the weights).  Refuses n < k.
+
+    The rows are of R's integer form D * R, so D**deg times the terms'
+    values: over L, the lcm of each weight's denominator times D**deg, the
+    weighted sum is one of integers, scattered with its signs into the
+    form's integer array over L.
+    """
     k = sum(s < 0 for s in terms[0][0])
     if R.n < k:
         raise ValueError(f"a degree-{k} antisymmetric form is identically zero "
                          f"for n={R.n} < {k}")
-    specs = [(_einsum_spec(slots), weight) for slots, weight in terms]
-    return alternating_tensor(R.n, k, alternating_contraction(R, specs))
+    rows = alternating_rows([R], [_einsum_spec(slots) for slots, _ in terms])[0]
+    _, D, rational = R._int
+    scales = [weight.denominator * D ** (len(slots) // 4) for slots, weight in terms]
+    L = math.lcm(*scales)
+    values = sum(weight.numerator * (L // scale) * row
+                 for (_, weight), scale, row in zip(terms, scales, rows))
+    at, signs = _alternating_index(R.n, k)
+    X = np.zeros((R.n,) * k, dtype=object)
+    X[at] = values[:, None] * signs
+    return Tensor.from_integers(X, L, rational or any(isinstance(w, Fraction) for _, w in terms))
 
 
 def evaluate_pattern(pat: ContractionPattern, R) -> Tensor:
@@ -372,18 +389,6 @@ def evaluate_pattern(pat: ContractionPattern, R) -> Tensor:
     if not isinstance(R, Tensor):
         R = Tensor(len(R), R)
     return alternating_form(R, [(pat.slots, Fraction(1, 24))])
-
-
-def _evaluate_rows(patterns, samples):
-    """Per sample, 24 x (antisymmetrized pattern values) at the sorted index
-    quadruples, as ints: one row per quadruple, one entry per pattern.
-
-    samples are integer Tensors or arrays; the uniform factor 24 clears the
-    antisymmetrizer denominator, which leaves the nullspace unchanged.  One
-    alternating_rows call evaluates every pattern on every sample.
-    """
-    specs = [_einsum_spec(pat.slots) for pat in patterns]
-    return alternating_rows(samples, specs).transpose(0, 2, 1).tolist()
 
 
 def _int_sym3(n: int, seed: int, bound: int) -> Sym3Tensor:
@@ -453,6 +458,7 @@ def mine(n: int, p: int, max_samples: int | None = None,
     cap = len(patterns) + 40 if max_samples is None else max_samples
     if cap < len(patterns) + 5:
         raise ValueError("max_samples must be >= pattern count + 5")
+    specs = [_einsum_spec(pat.slots) for pat in patterns]
 
     def collect(make_sample):
         used, stable = 0, 0
@@ -460,7 +466,11 @@ def mine(n: int, p: int, max_samples: int | None = None,
             # no sample before the last of this batch can end the run, so
             # the batch holds exactly the samples the run evaluates
             size = min(cap - used, max(_STABLE_RUN - stable, _STABLE_RUN + 1 - used))
-            for rows in _evaluate_rows(patterns, [make_sample(used + i) for i in range(size)]):
+            batch = [make_sample(used + i) for i in range(size)]
+            # per sample, one row per sorted quadruple of 24 x the pattern
+            # values: the samples are integer, and the uniform 24 leaves the
+            # nullspace unchanged
+            for rows in alternating_rows(batch, specs).transpose(0, 2, 1).tolist():
                 grew = any([space.add(r) for r in rows])
                 used += 1
                 stable = 0 if grew else stable + 1

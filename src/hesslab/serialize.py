@@ -23,6 +23,7 @@ def format_rational(x) -> str:
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # no point, exponent, space or "_"
+_INDEX = re.compile(r"([0-9]+( [0-9]+)*)?")  # ASCII digits, one space apart; "" at order 0
 
 
 def parse_rational(s: str) -> Fraction:
@@ -50,6 +51,8 @@ def tensor_to_json(t) -> dict:
 def _parse_index(key) -> tuple:
     if not isinstance(key, str):
         raise TypeError(f"index key {key!r} is not a string")
+    if not _INDEX.fullmatch(key):
+        raise ValueError(f"index key {key!r} is not ASCII digits separated by single spaces")
     return tuple(int(s) for s in key.split())
 
 

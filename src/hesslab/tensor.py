@@ -9,17 +9,17 @@ holds its integer form: an integer array X and one denominator D, the
 tensor being X / D, reduced by their gcd.  Tensor(n, data) clears the
 given entries into its own X once, and Sym3Tensor(n, packed) its packed
 entries, gathered into the dense X; rho_raw, materialize, cyclic_sum and
-alternating_tensor build X directly.  The entries are made only if
+miner.alternating_form build X directly.  The entries are made only if
 ``data`` is read.  integer_form hands the form over (int64 where the
 caller's a-priori bound rules out overflow, Python ints otherwise).  The
 one evaluator, alternating_rows, runs a list of einsum specs on a batch
 of samples: their integer forms are stacked, each pairwise step of a
 spec's plan (made once, whatever n is) is one np.matmul over the sample
 axis, a first step that specs share up to renaming of letters runs once,
-and each spec is read at the sorted index tuples as soon as it is done;
-only those values become ``Fraction``.  alternating_contraction weighs
-the rows of one tensor, and alternating_tensor scatters such values into
-an antisymmetric Tensor (miner.alternating_form joins the two).
+and each spec is read at the sorted index tuples as soon as it is done.
+Its rows stay integers, D**deg times a sample's values:
+miner.alternating_form weighs them over one denominator and scatters
+them into an antisymmetric Tensor.
 
 A Tensor, a Sym3Tensor too, has no +, - or scalar multiple, which
 nothing in the package needs; antisymmetrize is the one function left
@@ -285,8 +285,9 @@ def alternating_rows(batch, specs) -> np.ndarray:
 
     batch is a list of Tensors or arrays of one dimension n, and every spec
     has k free slots.  No 1/k! factor.  Returns a (len(batch), len(specs),
-    C(n, k)) object array: a sample's rows are Fractions if it holds
-    Fractions, divided by its own D**deg, and Python ints otherwise.
+    C(n, k)) object array of Python ints: X is a sample's integer form,
+    X = D * sample, so a row of degree deg is D**deg times the sample's
+    values (the values themselves for an integer sample, D = 1).
 
     The samples' integer forms are stacked, so each pairwise step runs once
     for the batch, and a step on the inputs that several specs share up to
@@ -300,9 +301,8 @@ def alternating_rows(batch, specs) -> np.ndarray:
     n = batch[0].n if isinstance(batch[0], Tensor) else len(batch[0])
     k = len(specs[0].split("->")[1])
     sizes = [_term_size(spec) for spec in specs]
-    forms = [integer_form(data, lambda M: max(n**s * M**deg for deg, s in sizes))
-             for data in batch]
-    X = np.stack([X for X, _, _ in forms])
+    X = np.stack([integer_form(data, lambda M: max(n**s * M**deg for deg, s in sizes))[0]
+                  for data in batch])
     M = max(int(X.max()), -int(X.min())) if X.dtype == np.int64 else None
     at, signs = _alternating_index(n, k)
     plans = [_einsum_steps(spec) for spec in specs]
@@ -316,31 +316,7 @@ def alternating_rows(batch, specs) -> np.ndarray:
         if M is not None and math.factorial(k) * n**s * M**deg >= 2**62:
             values = values.astype(object)
         rows.append(values @ signs.astype(values.dtype))
-    out = np.stack(rows, axis=1).astype(object)
-    for b, (_, D, rational) in enumerate(forms):
-        if rational:
-            out[b] = [[Fraction(v, D**deg) for v in row]
-                      for row, (deg, _) in zip(out[b].tolist(), sizes)]
-    return out
-
-
-def alternating_contraction(data, terms) -> np.ndarray:
-    """sum_s sign(s) T[q_s(1), ..., q_s(k)] at each sorted k-tuple q of range(n).
-
-    T is the sum of weight * einsum(spec, data, ..., data) over the
-    (spec, weight) terms: the weighted sum of their alternating_rows.
-    """
-    rows = alternating_rows([data], [spec for spec, _ in terms])[0]
-    return sum(weight * row for (_, weight), row in zip(terms, rows))
-
-
-def alternating_tensor(n: int, k: int, values: np.ndarray) -> Tensor:
-    """The antisymmetric order-k tensor whose sorted-tuple entries are values."""
-    at, signs = _alternating_index(n, k)
-    v, D, rational = _clear(values)
-    X = np.zeros((n,) * k, dtype=object)
-    X[at] = v[:, None] * signs
-    return Tensor.from_integers(X, D, rational)
+    return np.stack(rows, axis=1).astype(object)
 
 
 # --- packed fully symmetric order-3 storage -------------------------------

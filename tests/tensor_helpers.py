@@ -10,6 +10,15 @@ from hesslab import linalg, rng
 from hesslab.tensor import Sym3Tensor, Tensor, signed_permutations, sym3_dim, sym3_triples
 
 
+# by name, order-3 index keys that int() and str.split() would read as a
+# sorted index of n = 3, yet are not ASCII digits one space apart
+MALFORMED_INDEX_KEYS = {
+    "underscore": "0_0 0 1", "plus": "+0 1 1", "minus": "-0 1 1",
+    "arabic-indic-digit": "\u0661 1 1", "double-space": "0  1 1",
+    "leading-space": " 0 1 1", "trailing-space": "0 1 1 ", "tab": "0\t1 1",
+}
+
+
 def combine(*terms) -> Tensor:
     """sum c * T over the (c, T) terms, computed on the entries T.data.
 
@@ -89,7 +98,8 @@ def sym3_basis(n: int) -> list[Sym3Tensor]:
 
 
 def alternating_contraction_reference(data, terms) -> np.ndarray:
-    """tensor.alternating_contraction by einsum on the entries themselves.
+    """sum_s sign(s) T[q_s(1), ..., q_s(k)] at each sorted k-tuple q, T the sum
+    of weight * einsum(spec, data, ..., data) over the (spec, weight) terms.
 
     Every product and sum runs in the entries' own number type, over the
     whole n**k array, before the sorted k-tuples are read.

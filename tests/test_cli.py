@@ -10,6 +10,7 @@ import pytest
 
 from hesslab import cli, rng, serialize
 from hesslab.tensor import Sym3Tensor
+from tensor_helpers import MALFORMED_INDEX_KEYS
 
 
 def run(capsys, *argv):
@@ -269,7 +270,8 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("entries", [
         [[0, "1/1"]], [[None, "1/1"]], [["0 0 0", "1/1"], ["0 0 0", "2/1"]],
-    ], ids=["int-key", "null-key", "repeated-index"])
+        *([[key, "1/1"]] for key in MALFORMED_INDEX_KEYS.values()),
+    ], ids=["int-key", "null-key", "repeated-index", *MALFORMED_INDEX_KEYS])
     @pytest.mark.parametrize("command, exit_code", [("validate", 1), ("rho", 2)])
     def test_malformed_entries_refused(self, capsys, tmp_path, entries, command, exit_code):
         path = tmp_path / "f.json"

@@ -251,13 +251,13 @@ GENERIC_SAMPLES = {
 def _mine_samples(n, monkeypatch):
     """Every sample array mine(n, 2, seed=0) evaluates, and how many are rho samples.
 
-    The miner hands _evaluate_rows integer-backed tensors; their entries are
-    read here only to pin them.
+    The miner hands alternating_rows integer-backed tensors; their entries
+    are read here only to pin them.
     """
     seen = []
-    evaluate = miner._evaluate_rows
-    monkeypatch.setattr(miner, "_evaluate_rows", lambda patterns, batch: seen.extend(
-        t.data for t in batch) or evaluate(patterns, batch))
+    evaluate = miner.alternating_rows
+    monkeypatch.setattr(miner, "alternating_rows", lambda batch, specs: seen.extend(
+        t.data for t in batch) or evaluate(batch, specs))
     result = miner.mine(n, 2, seed=0)
     return seen, result.rho_samples_used
 

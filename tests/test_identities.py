@@ -1,11 +1,13 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hesslab import miner, tensor
-from hesslab.curvature import CurvTensor, random_curvature
+from hesslab.curvature import (CurvTensor, curvature_space_dim, materialize,
+                               random_curvature)
 from hesslab.hessmap import rho
 from hesslab.identities import (bianchi_residual, cubic_identity,
                                 pontryagin_form, pontryagin_quadratic)
@@ -178,11 +180,37 @@ class TestOneFormConstructor:
     ], ids=["quad", "cubic", "p1", "p2", "p3"])
     def test_specs_and_weights(self, form, terms, monkeypatch):
         seen = []
-        contraction = miner.alternating_contraction
-        monkeypatch.setattr(miner, "alternating_contraction",
-                            lambda data, specs: seen.append(specs) or contraction(data, specs))
-        form(random_curvature(6, seed=1))
-        assert seen == [terms]
+        rows = miner.alternating_rows
+
+        def spy(batch, specs):
+            seen.append((specs, rows(batch, specs)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(miner, "alternating_rows", spy)
+        R = random_curvature(6, seed=1)
+        got = form(R)
+        [(specs, [values])] = seen
+        assert specs == [spec for spec, _ in terms]
+        # the rows are of D * R: each term's weight over D**deg
+        D = math.lcm(*(x.denominator for x in R.data.flat))
+        expect = sum(Fraction(weight, D ** (spec.count(",") + 1)) * row
+                     for (spec, weight), row in zip(terms, values))
+        tuples = itertools.combinations(range(6), got.order)
+        assert [got.data[q] for q in tuples] == list(expect)
+        assert {type(x) for x in got.data.flat} == {Fraction}
+
+    def test_number_type_follows_data_and_weights(self):
+        """A form of an integer tensor reads back ints under integer weights
+        and Fractions under a Fraction weight; of a rational tensor, Fractions."""
+        R = materialize(4, list(range(-9, curvature_space_dim(4) - 9)))
+        assert {type(x) for x in R.data.flat} == {int}
+        ints, fractions = pontryagin_form(R, 2), pontryagin_quadratic(R)
+        assert not ints.is_zero() and {type(x) for x in ints.data.flat} == {int}
+        assert {type(x) for x in fractions.data.flat} == {Fraction}
+        assert combine((24, fractions)) == ints
+        rational = pontryagin_form(combine((Fraction(1, 3), R)), 2)
+        assert {type(x) for x in rational.data.flat} == {Fraction}
+        assert combine((9, rational)) == ints
 
     @pytest.mark.parametrize("form, k", [
         (pontryagin_quadratic, 4), (cubic_identity, 4), (pontryagin(2), 4),
@@ -192,7 +220,7 @@ class TestOneFormConstructor:
         def refuse(*args, **kwargs):
             raise AssertionError("contracted before checking the dimension")
 
-        monkeypatch.setattr(miner, "alternating_contraction", refuse)
+        monkeypatch.setattr(miner, "alternating_rows", refuse)
         for n in range(2, k):
             with pytest.raises(ValueError, match=f"degree-{k} .* n={n} < {k}"):
                 form(random_curvature(n, seed=1))

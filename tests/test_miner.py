@@ -484,7 +484,8 @@ class TestEvaluation:
         quads = list(itertools.combinations(range(n), 4))
         generic = materialize(n, list(range(-3, curvature_space_dim(n) - 3))).data
         for data in (rho(miner._int_sym3(n, 2, 5)).data, generic):
-            rows = miner._evaluate_rows(pats, [data])[0]
+            specs = [miner._einsum_spec(pat.slots) for pat in pats]
+            rows = miner.alternating_rows([data], specs)[0].T.tolist()
             vals = [miner.evaluate_pattern(pat, data) for pat in pats]
             assert rows == [[24 * v.data[q] for v in vals] for q in quads]
             assert all(type(x) is int for row in rows for x in row)
@@ -582,9 +583,9 @@ class TestMine:
         add = linalg.RowSpace.add
         monkeypatch.setattr(linalg.RowSpace, "add", lambda self, row: add(self, row) or True)
         batches = []
-        evaluate = miner._evaluate_rows
-        monkeypatch.setattr(miner, "_evaluate_rows", lambda patterns, samples: (
-            batches.append(len(samples)) or evaluate(patterns, samples)))
+        evaluate = miner.alternating_rows
+        monkeypatch.setattr(miner, "alternating_rows", lambda samples, specs: (
+            batches.append(len(samples)) or evaluate(samples, specs)))
         cap = GOLDEN_PATTERN_COUNT[3] + 5
         with pytest.raises(miner.StabilizationError) as err:
             miner.mine(5, 3, max_samples=cap, seed=1)

@@ -7,8 +7,8 @@ import pytest
 from hesslab import serialize
 from hesslab.serialize import (format_rational, parse_rational,
                                tensor_from_json, tensor_to_json)
-from hesslab.tensor import Sym3Tensor
-from tensor_helpers import random_rational
+from hesslab.tensor import Sym3Tensor, sym3_triples
+from tensor_helpers import MALFORMED_INDEX_KEYS, random_rational
 
 
 class TestRationals:
@@ -80,6 +80,14 @@ class TestTensorDocuments:
         doc = {"n": n, "order": order, "packing": packing, "entries": []}
         with pytest.raises(ValueError):
             tensor_from_json(doc)
+
+    @pytest.mark.parametrize("key", MALFORMED_INDEX_KEYS.values(), ids=MALFORMED_INDEX_KEYS)
+    def test_index_key_is_ascii_digits_one_space_apart(self, key):
+        doc = {"n": 3, "order": 3, "packing": "sym3", "entries": [[key, "1/1"]]}
+        with pytest.raises(ValueError, match="malformed tensor document: index key"):
+            tensor_from_json(doc)
+        doc["entries"] = [["0 1 1", "1/1"]]
+        assert tensor_from_json(doc).packed[sym3_triples(3).index((0, 1, 1))] == 1
 
     def test_sym3_requires_sorted_indices(self):
         doc = tensor_to_json(Sym3Tensor.random(2, seed=2))

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from hesslab import miner, rng, tensor
-from hesslab.tensor import (Sym3Tensor, Tensor, alternating_contraction,
-                            alternating_rows, alternating_tensor, antisymmetrize,
+from hesslab.tensor import (Sym3Tensor, Tensor, alternating_rows, antisymmetrize,
                             signed_permutations, sym3_dim, sym3_triples)
 from tensor_helpers import (alternating_contraction_reference, contract,
                             integer_form_dtypes, random_rational, sym3_basis,
@@ -115,14 +114,17 @@ class TestAlternators:
     def test_alternating_contraction_matches_antisymmetrize(self, n, k):
         t = random_rational(n, k, seed=n + k)
         slots = "ijkl"[:k]
-        values = alternating_contraction(t.data, [(f"{slots}->{slots}", 1)])
-        got = alternating_tensor(n, k, values * Fraction(1, math.factorial(k)))
-        assert got == antisymmetrize(t, list(range(k)))
+        row = alternating_rows([t], [f"{slots}->{slots}"])[0, 0]
+        # the row is of the integer form D * t, and has no 1/k! factor
+        scale = Fraction(1, denominator(t.data) * math.factorial(k))
+        anti = antisymmetrize(t, list(range(k)))
+        assert [scale * v for v in row] == [
+            anti.data[q] for q in itertools.combinations(range(n), k)]
 
     def test_alternating_contraction_weights_terms(self):
         t = random_rational(3, 2, seed=5)
-        one = alternating_contraction(t.data, [("ij->ij", 1)])
-        both = alternating_contraction(t.data, [("ij->ij", 3), ("ji->ij", 1)])
+        one, transpose = alternating_rows([t], ["ij->ij", "ji->ij"])[0]
+        both = 3 * one + transpose
         assert list(both) == list(one * 2)  # the transpose enters with sign -1
 
     @pytest.mark.parametrize("seed", [7, 8])
@@ -150,15 +152,24 @@ ORACLE_CASES = [
 ]
 
 
+def denominator(data) -> int:
+    """D of the integer form D * data: the lcm of the entries' denominators."""
+    return math.lcm(*(Fraction(x).denominator for x in np.asarray(data).flat))
+
+
 class TestIntegerContraction:
     @pytest.mark.parametrize("n, terms", ORACLE_CASES)
     def test_types_and_values_match_reference(self, n, terms, monkeypatch):
-        seen = integer_form_dtypes(monkeypatch, tensor)
         rational = random_rational(n, 4, seed=n, bound=3).data
         ints = np.array([x.numerator for x in rational.flat], dtype=object).reshape(rational.shape)
-        for data, kind in ((rational, Fraction), (ints, int), (ints.astype(np.int64), int)):
-            got = alternating_contraction(data, terms)
-            assert {type(x) for x in got} == {kind}
+        seen = integer_form_dtypes(monkeypatch, tensor)
+        for data in (rational, ints, ints.astype(np.int64)):
+            D = denominator(data)
+            rows = alternating_rows([data], [spec for spec, _ in terms])[0]
+            assert {type(x) for x in rows.flat} == {int}
+            # the weighted sum of the rows, each over its own D**deg
+            got = sum(Fraction(weight, D ** (spec.count(",") + 1)) * row
+                      for (spec, weight), row in zip(terms, rows))
             assert list(got) == list(alternating_contraction_reference(data, terms))
         assert seen == [np.dtype(np.int64)] * 3
 
@@ -179,30 +190,49 @@ def numerators(data):
 
 
 class TestAlternatingRows:
-    def check_rows(self, data, kind):
+    def check_rows(self, data, D):
+        """Each row is D**deg times its spec's reference values, in Python ints."""
         rows = alternating_rows([data], MIXED_SPECS)[0]
         assert rows.shape == (len(MIXED_SPECS), math.comb(data.shape[0], 4))
-        assert {type(x) for x in rows.flat} == {kind}
+        assert {type(x) for x in rows.flat} == {int}
         assert all(any(row) for row in rows)
         for spec, row in zip(MIXED_SPECS, rows):
-            assert list(row) == list(alternating_contraction_reference(data, [(spec, 1)]))
+            deg = spec.count(",") + 1
+            expect = alternating_contraction_reference(data, [(spec, 1)])
+            assert list(row) == [D**deg * v for v in expect]
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_each_row_is_its_spec_alone(self, n, monkeypatch):
-        seen = integer_form_dtypes(monkeypatch, tensor)
         rational = random_rational(n, 4, seed=n, bound=3).data
         ints = numerators(rational)
-        for data, kind in ((rational, Fraction), (ints, int), (ints.astype(np.int64), int)):
-            self.check_rows(data, kind)
+        D = denominator(rational)
+        assert D > 1
+        seen = integer_form_dtypes(monkeypatch, tensor)
+        for data, scale in ((rational, D), (ints, 1), (ints.astype(np.int64), 1)):
+            self.check_rows(data, scale)
         # one integer_form per evaluation, whatever the number of specs
         assert seen == [np.dtype(np.int64)] * 3
 
     def test_large_entries_take_the_object_path(self, monkeypatch):
-        seen = integer_form_dtypes(monkeypatch, tensor)
         rational = random_rational(4, 4, seed=2, bound=3).data * (2**31 + 1)
-        for data, kind in ((rational, Fraction), (numerators(rational), int)):
-            self.check_rows(data, kind)
+        D = denominator(rational)
+        seen = integer_form_dtypes(monkeypatch, tensor)
+        for data, scale in ((rational, D), (numerators(rational), 1)):
+            self.check_rows(data, scale)
         assert seen == [np.dtype(object)] * 2
+
+    @pytest.mark.parametrize("make", [lambda X: Tensor(4, over(X, 6)), lambda X: over(X, 6)],
+                             ids=["tensor", "array"])
+    def test_rational_sample_makes_no_fraction(self, make):
+        """A sample X / 6 gives 6**deg times its values: the rows of X itself."""
+        X = integer_sample(4, 3)
+        rows = alternating_rows([make(X)], MIXED_SPECS)[0]
+        assert {type(x) for x in rows.flat} == {int}
+        assert rows.tolist() == alternating_rows([X], MIXED_SPECS)[0].tolist()
+        for spec, row in zip(MIXED_SPECS, rows):
+            deg = spec.count(",") + 1
+            expect = alternating_contraction_reference(over(X, 6), [(spec, 1)])
+            assert list(row) == [6**deg * v for v in expect]
 
 
 # the forms identities evaluates: three of order 4, the Pontryagin forms
@@ -224,20 +254,19 @@ def over(X, D):
 
 class TestBatchedRows:
     """One alternating_rows call on a batch equals one call per sample, and
-    the reference: a sample X / D of degree-deg spec values ref(X) / D**deg."""
+    the reference: a sample X / D has the integer form X, so its degree-deg
+    rows are D**deg times its values ref(X) / D**deg, that is ref(X)."""
 
-    def check(self, batch, specs, numerators, dens):
+    def check(self, batch, specs, numerators):
         rows = alternating_rows(batch, specs)
         k = len(specs[0].split("->")[1])
         n = len(numerators[0])
         assert rows.shape == (len(batch), len(specs), math.comb(n, k))
-        for sample, got, X, D in zip(batch, rows, numerators, dens):
+        for sample, got, X in zip(batch, rows, numerators):
             assert got.tolist() == alternating_rows([sample], specs)[0].tolist()
-            assert {type(x) for x in got.flat} == {Fraction if D > 1 else int}
+            assert {type(x) for x in got.flat} == {int}
             for spec, row in zip(specs, got):
-                deg = spec.count(",") + 1
-                expect = alternating_contraction_reference(X, [(spec, 1)])
-                assert list(row) == [Fraction(v, D**deg) for v in expect]
+                assert list(row) == list(alternating_contraction_reference(X, [(spec, 1)]))
         return rows
 
     @pytest.mark.parametrize("n", [4, 5, 6])
@@ -248,7 +277,7 @@ class TestBatchedRows:
         seen = integer_form_dtypes(monkeypatch, tensor)
         # an int sample and two Fraction samples with different denominators
         batch = [X[0], Tensor(n, over(X[1], 6)), over(X[2], 35)]
-        rows = self.check(batch, specs, X, [1, 6, 35])
+        rows = self.check(batch, specs, X)
         assert seen[:3] == [np.dtype(np.int64)] * 3
         assert all(row.any() for sample in rows for row in sample)
 
@@ -257,13 +286,13 @@ class TestBatchedRows:
         seen = integer_form_dtypes(monkeypatch, tensor)
         # 2**31 * 5 past int64 at degree 3: the whole batch takes Python ints
         big, small = integer_sample(5, 4, scale=2**31), integer_sample(5, 5)
-        self.check([big, over(small, 6)], specs, [big, small], [1, 6])
+        self.check([big, over(small, 6)], specs, [big, small])
         assert seen[:2] == [np.dtype(object), np.dtype(np.int64)]
 
     @pytest.mark.parametrize("spec", PONTRYAGIN_SPECS)
     def test_other_orders(self, spec):
         X = [integer_sample(6, seed) for seed in (6, 7)]
-        self.check([X[0], over(X[1], 10)], [spec], X, [1, 10])
+        self.check([X[0], over(X[1], 10)], [spec], X)
 
     def test_shared_first_steps_run_once(self, monkeypatch):
         specs = [miner._einsum_spec(pat.slots) for pat in miner.enumerate_patterns(3)]
@@ -285,7 +314,7 @@ class TestBatchedRows:
         steps = tensor._einsum_steps(spec)
         assert len(steps) == 3 and all(len(pos) == 2 for pos, _, _ in steps)
         X = integer_sample(4, 12)
-        self.check([X], [spec], [X], [1])
+        self.check([X], [spec], [X])
 
     # every degree-4 pattern plans as three pairwise steps; the plans run on
     # one sample, checked against the reference at every 24th spec
@@ -317,7 +346,7 @@ class TestBatchedRows:
             deg, s = tensor._term_size(spec)
             assert n**s * M**deg < 2**62 <= 24 * n**s * M**deg
         seen = integer_form_dtypes(monkeypatch, tensor)
-        self.check([X], specs, [X], [1])
+        self.check([X], specs, [X])
         assert seen[0] == np.dtype(np.int64)
 
 
