@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="form degree parameter for --identity pontryagin (default 2)")
 
     p = command("mine", _cmd_mine, "search for identities on the image")
-    p.add_argument("--degree", type=int, required=True, choices=(2, 3))
+    p.add_argument("--degree", type=int, required=True)
     p.add_argument("--max-samples", type=int)
 
     p = command("solve3d", _cmd_solve3d, "prescribe the Ricci image in dimension 3",

@@ -5,9 +5,10 @@ every component is the exact rational zero.  Index placement follows the
 orthonormal frame, so upper and lower positions coincide.  Each form is a
 weighted list of the miner's slot tuples for miner.alternating_form, which
 contracts the integer form of R at sorted index tuples only and keeps
-integers until it stores the form's own: the degree-2 and degree-3
-identities take the miner's slot maps, with the antisymmetrizer's 1/4! in
-their weights, and tr Omega^p is one cyclic tuple.
+integers until it stores the form's own.  The module builds no slot tuple
+itself: tr Omega^p is miner.trace_pattern(p), the degree-2 identity
+trace_pattern(2) and the degree-3 one miner.cubic_identity_combination, the
+last two with the antisymmetrizer's 1/4! in their weights.
 R is a CurvTensor, itself a Tensor, so its integer form is contracted with
 no unwrapping; a plain order-4 Tensor with the curvature symmetries is
 accepted the same way.
@@ -18,13 +19,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .curvature import CurvTensor, cyclic_sum
-from .miner import alternating_form, cubic_identity_combination, quadratic_trace_pattern
+from .miner import alternating_form, cubic_identity_combination, trace_pattern
 from .tensor import MAX_ORDER, Tensor
 
 
 def pontryagin_quadratic(R: CurvTensor) -> Tensor:
     """Antisymmetrization over (i,j,k,l) of sum_{ab} R_{ijab} R_{klba}."""
-    return alternating_form(R, [(quadratic_trace_pattern(), Fraction(1, 24))])
+    return alternating_form(R, [(trace_pattern(2), Fraction(1, 24))])
 
 
 def cubic_identity(R: CurvTensor) -> Tensor:
@@ -48,11 +49,7 @@ def pontryagin_form(R: CurvTensor, p: int) -> Tensor:
         raise ValueError("p must be >= 1")
     if 2 * p > MAX_ORDER:
         raise ValueError(f"form degree 2p={2 * p} exceeds the maximum order {MAX_ORDER}")
-    # factor f carries free labels 2f and 2f + 1, and its last slot contracts
-    # with the third slot of the next factor, cyclically
-    slots = tuple(s for f in range(p)
-                  for s in (-2 * f - 1, -2 * f - 2, 4 * ((f - 1) % p) + 3, 4 * ((f + 1) % p) + 2))
-    return alternating_form(R, [(slots, 1)])
+    return alternating_form(R, [(trace_pattern(p), 1)])
 
 
 def bianchi_residual(R: Tensor) -> Tensor:

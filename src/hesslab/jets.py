@@ -81,10 +81,8 @@ def crossover(n: int, cap: int) -> JetReport:
             report.crossover = k
     if report.crossover is not None:
         tail = [r[3] for r in report.rows[report.crossover:]]
-        report.monotone_after_crossover = all(
-            b > a for a, b in zip(tail, tail[1:])) if len(tail) > 1 else True
-        if any(d <= 0 for d in tail):
-            report.monotone_after_crossover = False
+        report.monotone_after_crossover = (all(d > 0 for d in tail)
+                                           and all(b > a for a, b in zip(tail, tail[1:])))
     if cap < 2:
         return report  # the estimate compares orders cap // 2 >= 1 and cap
     half = cap // 2

@@ -18,8 +18,10 @@ random generic curvature tensors turns the search for identities into
 exact nullspace computations.  Each pattern is one einsum spec, and one
 tensor.alternating_rows call evaluates a batch of samples: as many as a
 sampling phase can take before it could next stop, so the batches hold
-exactly the samples a one-at-a-time run would evaluate.  The identities
-module writes its forms as weighted slot tuples too, for alternating_form,
+exactly the samples a one-at-a-time run would evaluate.  This module alone
+owns the pattern language: enumerate_patterns decides which degrees exist,
+and the identities module writes its forms as weighted slot tuples taken
+from trace_pattern and cubic_identity_combination, for alternating_form,
 the one form constructor: it weighs one tensor's integer rows over one
 denominator and scatters them, with their signs, into the form's own
 integer array.
@@ -321,9 +323,12 @@ def pattern_from_slot_names(names) -> tuple:
     return tuple(slots)
 
 
-def quadratic_trace_pattern() -> tuple:
-    """Raw slot map of the double-trace pattern R_{ijab} R_{klba}."""
-    return pattern_from_slot_names(["i", "j", "a", "b", "k", "l", "b", "a"])
+def trace_pattern(p: int) -> tuple:
+    """Raw slot tuple of tr Omega^p: factor f carries free labels 2f and
+    2f + 1, and its slot 3 contracts with slot 2 of factor (f + 1) mod p;
+    trace_pattern(2) is the double trace R_{ijab} R_{klba}."""
+    return tuple(s for f in range(p)
+                 for s in (-2 * f - 1, -2 * f - 2, 4 * ((f - 1) % p) + 3, 4 * ((f + 1) % p) + 2))
 
 
 def cubic_identity_combination() -> list[tuple[tuple, Fraction]]:

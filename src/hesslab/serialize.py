@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tensor import MAX_DIM, MAX_ORDER, Sym3Tensor, Tensor, sym3_triples
+from .tensor import MAX_DIM, MAX_ORDER, Sym3Tensor, Tensor, integer_form, sym3_triples
 
 
 def format_rational(x) -> str:
@@ -36,16 +36,15 @@ def parse_rational(s: str) -> Fraction:
 
 
 def tensor_to_json(t) -> dict:
-    if isinstance(t, Sym3Tensor):
-        entries = [[" ".join(map(str, ijk)), format_rational(v)]
-                   for ijk, v in zip(sym3_triples(t.n), t.packed) if v != 0]
-        return {"n": t.n, "order": 3, "packing": "sym3", "entries": entries}
-    if isinstance(t, Tensor):
-        entries = [[" ".join(map(str, idx)), format_rational(t.data[idx])]
-                   for idx in itertools.product(range(t.n), repeat=t.order)
-                   if t.data[idx] != 0]
-        return {"n": t.n, "order": t.order, "packing": "dense", "entries": entries}
-    raise TypeError(f"cannot serialize {type(t).__name__}")
+    if not isinstance(t, Tensor):
+        raise TypeError(f"cannot serialize {type(t).__name__}")
+    X, D, _ = integer_form(t, lambda M: M)
+    sym3 = isinstance(t, Sym3Tensor)
+    indices = sym3_triples(t.n) if sym3 else itertools.product(range(t.n), repeat=t.order)
+    entries = [[" ".join(map(str, idx)), format_rational(Fraction(int(X[idx]), D))]
+               for idx in indices if X[idx]]
+    return {"n": t.n, "order": t.order, "packing": "sym3" if sym3 else "dense",
+            "entries": entries}
 
 
 def _parse_index(key) -> tuple:

@@ -75,7 +75,7 @@ class TestCriterion07MinerRecoversIdentities:
     def test_degree2_quotient_contains_double_trace(self):
         basis = miner.mine(4, 2, seed=3)
         vec = miner.coefficient_vector(
-            basis.patterns, [(miner.quadratic_trace_pattern(), 1)])
+            basis.patterns, [(miner.trace_pattern(2), 1)])
         image, universal = identity_spans(basis)
         assert basis.quotient_dim >= 1
         assert image.contains(vec)

@@ -425,6 +425,19 @@ class TestUsageErrors:
         assert out == ""
         assert "maximum order" in err
 
+    @pytest.mark.parametrize("degree", ("1", "5"))
+    def test_mine_unsupported_degree_exits_2_through_the_miner(self, capsys, monkeypatch,
+                                                               degree):
+        # the parser leaves the degree range to the miner, whose PatternError
+        # refuses it before a sample is drawn
+        def refuse(*args):
+            raise AssertionError("drew a random value before validating the degree")
+
+        monkeypatch.setattr(rng, "integer_at", refuse)
+        code, out, err = run(capsys, "mine", "--dim", "4", "--degree", degree, "--no-meta")
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: degree {degree} not supported (use 2, 3 or 4)"]
+
     @pytest.mark.parametrize("packing, order", (("dense", 4), ("sym3", 3)))
     def test_huge_dimension_rejected_before_allocating(self, capsys, monkeypatch,
                                                        tmp_path, packing, order):

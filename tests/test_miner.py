@@ -182,6 +182,11 @@ class TestEnumeration:
     def test_unsupported_degree(self):
         with pytest.raises(miner.PatternError):
             miner.enumerate_patterns(5)
+        # mine checks the dimension, then the degree
+        with pytest.raises(miner.PatternError, match="degree 5 not supported"):
+            miner.mine(4, 5)
+        with pytest.raises(ValueError, match="dimension must be in"):
+            miner.mine(100000, 5)
 
     def test_canonicalization_idempotent(self, patterns2):
         for pat in patterns2:
@@ -189,7 +194,9 @@ class TestEnumeration:
             assert canon == pat.slots and sign == 1 and not zero
 
     def test_contains_double_trace_pattern(self, patterns2):
-        canon, _, zero = miner.canonicalize(miner.quadratic_trace_pattern())
+        # tr Omega^2 is R_{ijab} R_{klba}
+        assert miner.trace_pattern(2) == miner.pattern_from_slot_names(list("ijabklba"))
+        canon, _, zero = miner.canonicalize(miner.trace_pattern(2))
         assert not zero
         assert canon in {p.slots for p in patterns2}
 
@@ -453,7 +460,7 @@ class TestEvaluation:
         from hesslab.identities import pontryagin_quadratic
         R = random_curvature(4, seed=7)
         vec = miner.coefficient_vector(
-            patterns2, [(miner.quadratic_trace_pattern(), 1)])
+            patterns2, [(miner.trace_pattern(2), 1)])
         acc = combine(*[(c, miner.evaluate_pattern(pat, R))
                         for pat, c in zip(patterns2, vec) if c])
         assert acc == pontryagin_quadratic(R)
@@ -513,7 +520,7 @@ def mined42():
 class TestMine:
     def test_quotient_contains_double_trace(self, mined42):
         vec = miner.coefficient_vector(
-            mined42.patterns, [(miner.quadratic_trace_pattern(), 1)])
+            mined42.patterns, [(miner.trace_pattern(2), 1)])
         image, universal = identity_spans(mined42)
         assert mined42.quotient_dim >= 1
         assert image.contains(vec)
