@@ -60,6 +60,8 @@ COMMANDS = {
         "b56245f70eece2c00319dc4a4234d316ef1334f75756ff63659a1c5f8fa4b117"),
     "mine n=5 p=2": (["mine", "--dim", "5", "--degree", "2", "--seed", "1"], 0,
         "0b22d53bfd2681423a6bd3768d5a91ee94ab8223093d8d89af08dcf048e1ef4f"),
+    "mine n=4 p=4": (["mine", "--dim", "4", "--degree", "4", "--seed", "1"], 0,
+        "0bb1f940fc4e8204b987a2bdf93123861369705e02311d6f4e1d501da3775d9b"),
     "rank-census n=4": (["rank-census", "--dim", "4", "--samples", "1", "--seed", "1"],
                         0,
         "c63844550f3aa0cf4f42f96e50b092d04b3abfcd9601609e5941c17fa9abebcb"),
