@@ -92,6 +92,11 @@ COMMANDS = {
         "b66480e7cb2e472570ffbadde7e57203408522d54d71b8b4a709ddea2487ce3f"),
     "cartan2d": (["cartan2d"], 0,
         "3491987aeed558900076eb4e96329f9ed833240de2cd764af88f01f573756b75"),
+    "cartan2d sweep=5 seed=2": (["cartan2d", "--sweep", "5", "--seed", "2"], 0,
+        "9a5c2909304175192c0cf75a2cd5cc60423d14197aaec5ae65983b281a7f6b1a"),
+    "rank-census n=3 text": (["rank-census", "--dim", "3", "--samples", "2", "--seed", "1",
+                              "--output", "text"], 0,
+        "691c0b9659fc8156372aa508c14896c1751ea3ae25af510cbbfc84fe88766643"),
 }
 
 
@@ -202,6 +207,37 @@ def test_document_command_output_is_unchanged(command, tmp_path):
     path = tmp_path / "sym3.json"
     path.write_text(json.dumps(SYM3_DOCUMENT))
     assert _run([command, "--in", str(path)]) == (0, DOCUMENT_COMMANDS[command])
+
+
+# solve3d inputs: a diagonal matrix, a plane rotation of one, and all 4s,
+# whose spectrum 0, 0, 12 takes the repeated-eigenvalue branch
+RICCI_DOCUMENTS = {
+    "diagonal": ({"rows": [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]},
+                 "c093c429a4c1220ebbf733387e04a98a7493c84306ca2b680c4c75610b53eef9"),
+    "quarter turn": ({"rows": [["2", "1", "0"], ["1", "2", "0"], ["0", "0", "5"]]},
+                     "d62c3f3d03273f9728fbac5bf9d5a1b5fef338ad57614cd43fcd69de4628de71"),
+    "repeated eigenvalue": ({"rows": [["4", "4", "4"]] * 3},
+                            "926351bc7f778ea34db8ad792650735790c3b6cabb29e95b7b590dcde79cd562"),
+}
+
+
+@pytest.mark.parametrize("name", list(RICCI_DOCUMENTS))
+def test_solve3d_output_is_unchanged(name, tmp_path):
+    doc, digest = RICCI_DOCUMENTS[name]
+    path = tmp_path / "ricci.json"
+    path.write_text(json.dumps(doc))
+    assert _run(["solve3d", "--ricci", str(path)]) == (0, digest)
+
+
+@pytest.mark.parametrize("dim, message", [
+    ("1", "error: dimension must be >= 2, got 1\n"),
+    ("9", "error: dimension must be in [2, 8], got 9\n"),
+])
+def test_rank_census_dimension_errors_are_unchanged(dim, message):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(["rank-census", "--dim", dim, "--no-meta"])
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", message)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -118,6 +118,13 @@ def test_cli_exit_code_is_0_1_or_2(tmp_path_factory, argv):
         for name, doc in FILES.items():
             (folder / name).write_text(doc if name == "bad.json" else json.dumps(doc))
     argv = [str(folder / x[1:]) if x.startswith("@") else x for x in argv]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.run(argv)
     assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+    elif "text" not in argv:
+        # one JSON document, naming the subcommand that wrote it
+        doc = json.loads(out.getvalue())
+        assert (doc["schema"], doc["command"]) == ("hol/1", argv[0])
