@@ -9,9 +9,10 @@ written.  Seeded subcommands are bit-reproducible; --no-meta drops the
 timestamped metadata block so outputs can be compared byte for byte.
 
 The parser reports a missing --dim, a count below 1 and an unknown option
-with the subcommand's usage.  An input file that cannot be read or is not
-JSON is a usage error on every subcommand, validate included; validate's
-"valid": false (exit 1) is only for JSON that is not a valid tensor document.
+with the subcommand's usage.  An unreadable or non-JSON input file is a usage
+error on every subcommand, validate included, and so is an option the chosen
+mode ignores; validate's "valid": false (exit 1) is only for JSON that is not
+a valid tensor document.
 
 The argument parser is built on the first run() call and shared by every
 later call in the process; each call parses into a fresh Namespace, so
@@ -44,8 +45,8 @@ class UsageError(ValueError):
     pass
 
 
-def _emit(args, command: str, payload: dict, failures=None) -> int:
-    doc = {"schema": SCHEMA, "command": command}
+def _emit(args, payload: dict, failed: bool = False) -> int:
+    doc = {"schema": SCHEMA, "command": args.command}
     if not args.no_meta:
         doc["meta"] = {
             "version": __version__,
@@ -56,7 +57,7 @@ def _emit(args, command: str, payload: dict, failures=None) -> int:
         print(_as_text(doc))
     else:
         print(json.dumps(doc, indent=2))
-    return EXIT_VERIFY if failures else EXIT_OK
+    return EXIT_VERIFY if failed else EXIT_OK
 
 
 def _as_text(doc: dict, indent: str = "") -> str:
@@ -107,28 +108,27 @@ def _cmd_rho(args) -> int:
                 json.dump(out, fh, indent=2)
         except OSError as exc:
             raise UsageError(f"cannot write {args.outfile}: {exc}") from exc
-    return _emit(args, "rho", {"n": t.n, "curvature": out})
+    return _emit(args, {"n": t.n, "curvature": out})
 
 
 def _cmd_rank_census(args) -> int:
     from . import hessmap
     report = hessmap.image_rank_census(args.dim, args.samples, args.seed,
                                        bound=args.bound)
-    return _emit(args, "rank-census", report.to_json())
+    return _emit(args, report.to_json())
+
+
+# each verify --identity name and the hesslab.identities function it checks
+IDENTITIES = {"quad": "pontryagin_quadratic", "cubic": "cubic_identity",
+              "pontryagin": "pontryagin_form", "bianchi": "bianchi_residual"}
 
 
 def _verify_one(name, n, seed, degree):
     from . import hessmap, identities
     from .tensor import Sym3Tensor
-    A = Sym3Tensor.random(n, seed=seed, bound=6)
-    R = hessmap.rho(A)
-    if name == "quad":
-        return identities.pontryagin_quadratic(R).is_zero()
-    if name == "cubic":
-        return identities.cubic_identity(R).is_zero()
-    if name == "pontryagin":
-        return identities.pontryagin_form(R, degree).is_zero()
-    return identities.bianchi_residual(R).is_zero()
+    R = hessmap.rho(Sym3Tensor.random(n, seed=seed, bound=6))
+    form = getattr(identities, IDENTITIES[name])
+    return (form(R, degree) if name == "pontryagin" else form(R)).is_zero()
 
 
 def _cmd_verify(args) -> int:
@@ -144,7 +144,7 @@ def _cmd_verify(args) -> int:
     payload = {"identity": args.identity, "n": args.dim,
                "seeds": args.seeds, "all_zero": not failures,
                "failures": failures}
-    return _emit(args, "verify", payload, failures=failures)
+    return _emit(args, payload, failed=bool(failures))
 
 
 def _cmd_mine(args) -> int:
@@ -155,7 +155,7 @@ def _cmd_mine(args) -> int:
     except miner.StabilizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    return _emit(args, "mine", basis.to_json())
+    return _emit(args, basis.to_json())
 
 
 def _parse_matrix(doc) -> list:
@@ -187,7 +187,7 @@ def _cmd_solve3d(args) -> int:
         rotation, A, residual = ricci3d.solve_from_ricci(rows, mode=args.mode, tol=tol)
     except ricci3d.VerificationError as exc:
         payload = {"verified": False, "error": str(exc)}
-        return _emit(args, "solve3d", payload, failures=[str(exc)])
+        return _emit(args, payload, failed=True)
     payload = {
         "rotation": [[float(x) for x in row] for row in rotation],
         "A": serialize.tensor_to_json(A),
@@ -195,7 +195,7 @@ def _cmd_solve3d(args) -> int:
         "residual": "0" if args.mode == "exact" else residual,
         "mode": args.mode,
     }
-    return _emit(args, "solve3d", payload)
+    return _emit(args, payload)
 
 
 def _cmd_jets(args) -> int:
@@ -204,29 +204,30 @@ def _cmd_jets(args) -> int:
     if args.output == "text":
         print(report.to_text())
         return EXIT_OK
-    return _emit(args, "jets", report.to_json())
+    return _emit(args, report.to_json())
 
 
 def _cmd_cartan2d(args) -> int:
     from . import cartan, serialize
+    symbol = (args.alpha, args.beta, args.gamma)
     if args.sweep:
-        reports = cartan.parameter_sweep(args.sweep, args.seed)
-        distinct = {r for r in reports}
+        if symbol != (None, None, None):
+            raise UsageError("--alpha, --beta and --gamma only apply without --sweep")
+        seed = 0 if args.seed is None else args.seed
+        reports = cartan.parameter_sweep(args.sweep, seed)
+        identical = len(set(reports)) == 1
         payload = {
             "sweep": args.sweep,
-            "seed": args.seed,
-            "all_identical": len(distinct) == 1,
+            "seed": seed,
+            "all_identical": identical,
             "report": reports[0].to_json(),
         }
-        failures = [] if reports[0].involutive and len(distinct) == 1 else ["sweep"]
-        return _emit(args, "cartan2d", payload, failures=failures)
-    params = cartan.SymbolParameters(
-        serialize.parse_rational(args.alpha),
-        serialize.parse_rational(args.beta),
-        serialize.parse_rational(args.gamma))
-    report = cartan.cartan_test(params)
-    failures = [] if report.involutive else ["not involutive"]
-    return _emit(args, "cartan2d", report.to_json(), failures=failures)
+        return _emit(args, payload, failed=not (reports[0].involutive and identical))
+    if args.seed is not None:
+        raise UsageError("--seed only applies to --sweep")
+    report = cartan.cartan_test(cartan.SymbolParameters(
+        *(serialize.parse_rational("0/1" if x is None else x) for x in symbol)))
+    return _emit(args, report.to_json(), failed=not report.involutive)
 
 
 def _cmd_validate(args) -> int:
@@ -236,18 +237,17 @@ def _cmd_validate(args) -> int:
     try:
         t = serialize.tensor_from_json(doc)
     except ValueError as exc:
-        return _emit(args, "validate", {"valid": False, "error": str(exc)},
-                     failures=[str(exc)])
+        return _emit(args, {"valid": False, "error": str(exc)}, failed=True)
     info = {"valid": True, "n": t.n,
             "packing": "sym3" if isinstance(t, Sym3Tensor) else "dense",
-            "order": 3 if isinstance(t, Sym3Tensor) else t.order}
-    if info["packing"] == "dense" and t.order == 4:
+            "order": t.order}
+    if t.order == 4:
         from .curvature import symmetry_failures
         bad = symmetry_failures(t, limit=4)
         info["curvature_symmetries"] = not bad
         info["symmetry_failures"] = [{"invariant": n, "index": list(i)}
                                      for n, i in bad]
-    return _emit(args, "validate", info)
+    return _emit(args, info)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -301,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=10)
 
     p = command("verify", _cmd_verify, "check an identity on random image points")
-    p.add_argument("--identity", required=True,
-                   choices=("quad", "cubic", "pontryagin", "bianchi"))
+    p.add_argument("--identity", required=True, choices=tuple(IDENTITIES))
     p.add_argument("--seeds", type=count, default=100)
     p.add_argument("--degree", type=int,
                    help="form degree parameter for --identity pontryagin (default 2)")
@@ -320,11 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("jets", _cmd_jets, "jet-dimension census and crossover order", seed=False)
     p.add_argument("--cap", type=int, default=50)
 
+    # no defaults, so that _cmd_cartan2d can refuse what its mode ignores
     p = command("cartan2d", _cmd_cartan2d, "planar symbol ranks and Cartan's test",
-                dim=False)
-    p.add_argument("--alpha", default="0/1")
-    p.add_argument("--beta", default="0/1")
-    p.add_argument("--gamma", default="0/1")
+                seed=False, dim=False)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--alpha")
+    p.add_argument("--beta")
+    p.add_argument("--gamma")
     p.add_argument("--sweep", type=count)
 
     p = command("validate", _cmd_validate, "validate a tensor JSON file",

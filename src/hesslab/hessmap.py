@@ -10,7 +10,7 @@ entries cleared by the lcm of their denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -96,44 +96,18 @@ class ImageRankReport:
     n: int
     dim_s3: int
     dim_curv: int
-    ranks: list[int] = field(default_factory=list)
-    seed: int = 0
-    samples: int = 0
-    bound: int = 10
-
-    @property
-    def max_rank(self) -> int:
-        return max(self.ranks) if self.ranks else 0
-
-    @property
-    def codim(self) -> int:
-        return self.dim_curv - self.max_rank
-
-    @property
-    def max_rank_fraction(self) -> float:
-        if not self.ranks:
-            return 0.0
-        return sum(r == self.max_rank for r in self.ranks) / len(self.ranks)
-
-    @property
-    def degenerate_flag(self) -> bool:
-        # generic-rank protocol: flag if under 80% of samples reach the max
-        return self.max_rank_fraction < 0.8
+    ranks: list[int]
+    max_rank: int
+    codim: int
+    samples: int
+    seed: int
+    bound: int
+    max_rank_fraction: float
+    # generic-rank protocol: flag if under 80% of samples reach the max
+    degenerate_flag: bool
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "dim_s3": self.dim_s3,
-            "dim_curv": self.dim_curv,
-            "ranks": self.ranks,
-            "max_rank": self.max_rank,
-            "codim": self.codim,
-            "samples": self.samples,
-            "seed": self.seed,
-            "bound": self.bound,
-            "max_rank_fraction": self.max_rank_fraction,
-            "degenerate_flag": self.degenerate_flag,
-        }
+        return asdict(self)
 
 
 def image_rank_census(n: int, samples: int, seed: int,
@@ -146,10 +120,10 @@ def image_rank_census(n: int, samples: int, seed: int,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    report = ImageRankReport(n=n, dim_s3=sym3_dim(n),
-                             dim_curv=curvature_space_dim(n),
-                             seed=seed, samples=samples, bound=bound)
-    for i in range(samples):
-        A = Sym3Tensor.random(n, seed=rng.sample_seed(seed, i), bound=bound)
-        report.ranks.append(jacobian_rank(A))
-    return report
+    dim_s3, dim_curv = sym3_dim(n), curvature_space_dim(n)
+    ranks = [jacobian_rank(Sym3Tensor.random(n, seed=rng.sample_seed(seed, i), bound=bound))
+             for i in range(samples)]
+    max_rank = max(ranks)
+    fraction = ranks.count(max_rank) / samples
+    return ImageRankReport(n, dim_s3, dim_curv, ranks, max_rank, dim_curv - max_rank,
+                           samples, seed, bound, fraction, fraction < 0.8)

@@ -198,19 +198,18 @@ def _exact_eigenvectors(rows, lams):
 def solve_from_ricci(r, mode: str = "exact", tol: float = 1e-9):
     """Diagonalize a symmetric 3x3 matrix and solve the diagonal problem.
 
+    r is a RicciTensor, or rows that RicciTensor.from_rows reads and checks.
     Returns (rotation, A, residual) with rotation an orthogonal matrix of
     floats whose columns are the eigenvectors; residual is the measured
     float round-trip error, at most tol (finite and >= 0), or 0 in exact
     mode, where the round-trip rotation @ diag(lams) @ rotation.T == r is
     verified exactly.
     """
-    rows = r.data.tolist() if isinstance(r, RicciTensor) else [list(row) for row in r]
-    if len(rows) != 3 or any(len(row) != 3 for row in rows):
+    if not isinstance(r, RicciTensor):
+        r = RicciTensor.from_rows(r)
+    if r.n != 3:
         raise ValueError("expected a 3x3 matrix")
-    for i in range(3):
-        for j in range(i):
-            if rows[i][j] != rows[j][i]:
-                raise ValueError(f"matrix is not symmetric at ({i}, {j})")
+    rows = r.data.tolist()
 
     if mode == "float":
         if not 0 <= tol < math.inf:  # "resid > nan" is never true

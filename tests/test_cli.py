@@ -251,6 +251,26 @@ class TestSubcommands:
         assert code == 0
         assert doc["all_identical"]
 
+    @pytest.mark.parametrize("argv, option", [
+        (("--sweep", "2", "--alpha", "1/2"), "--alpha"),
+        (("--sweep", "2", "--gamma", "0/1"), "--gamma"),
+        (("--seed", "5"), "--seed"),
+        (("--seed", "0", "--beta", "1/2"), "--seed"),
+    ])
+    def test_cartan_refuses_options_its_mode_ignores(self, capsys, argv, option):
+        # the sweep dropped the symbol, and the single test the seed, with exit 0
+        code, out, err = run(capsys, "cartan2d", *argv, "--no-meta")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and option in err and "--sweep" in err
+
+    def test_cartan_unset_options_are_the_zero_symbol_and_seed_0(self, capsys):
+        zero = ("--alpha", "0/1", "--beta", "0/1", "--gamma", "0/1")
+        assert run_json(capsys, "cartan2d") == run_json(capsys, "cartan2d", *zero)
+        code, doc, _ = run_json(capsys, "cartan2d", "--sweep", "2")
+        assert code == 0 and doc["seed"] == 0
+        assert (code, doc) == run_json(capsys, "cartan2d", "--sweep", "2", "--seed", "0")[:2]
+
     def test_validate_good_and_bad(self, capsys, tmp_path):
         good = tmp_path / "g.json"
         good.write_text(json.dumps(
@@ -313,6 +333,24 @@ class TestSubcommands:
         assert code == 1
         assert out == ""
         assert err == "error: rank still increasing after 7 samples (rank 3)\n"
+
+
+class TestSingleSources:
+    def test_identity_table_names_identities_and_choices(self, capsys):
+        from hesslab import identities
+        assert all(callable(getattr(identities, f)) for f in cli.IDENTITIES.values())
+        code, out, _ = run(capsys, "verify", "--help")
+        assert code == 0
+        assert "--identity {" + ",".join(cli.IDENTITIES) + "}" in out
+
+    def test_census_report_fields_are_its_json(self, capsys):
+        from dataclasses import fields
+
+        from hesslab.hessmap import ImageRankReport
+        code, doc, _ = run_json(capsys, "rank-census", "--dim", "3", "--samples", "2")
+        assert code == 0
+        assert list(doc)[:2] == ["schema", "command"]
+        assert [f.name for f in fields(ImageRankReport)] == list(doc)[2:]
 
 
 class TestUsageErrors:
