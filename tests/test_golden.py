@@ -97,6 +97,10 @@ COMMANDS = {
     "rank-census n=3 text": (["rank-census", "--dim", "3", "--samples", "2", "--seed", "1",
                               "--output", "text"], 0,
         "691c0b9659fc8156372aa508c14896c1751ea3ae25af510cbbfc84fe88766643"),
+    # a list of lists in text output: the basis rows
+    "mine n=4 p=2 text": (["mine", "--dim", "4", "--degree", "2", "--seed", "1",
+                           "--output", "text"], 0,
+        "e078e8d28a95e4be37c703f116129332351b86f3fed49a8f4fffacc05ae8e086"),
 }
 
 
@@ -209,8 +213,10 @@ def test_document_command_output_is_unchanged(command, tmp_path):
     assert _run([command, "--in", str(path)]) == (0, DOCUMENT_COMMANDS[command])
 
 
-# solve3d inputs: a diagonal matrix, a plane rotation of one, and all 4s,
-# whose spectrum 0, 0, 12 takes the repeated-eigenvalue branch
+# solve3d inputs: a diagonal matrix, a plane rotation of one, all 4s, whose
+# spectrum 0, 0, 12 takes the repeated-eigenvalue branch, and the identity and
+# zero matrices, whose single-point spectra take the isotropic branch; the
+# identity also in text output, which prints the rotation as a list of lists
 RICCI_DOCUMENTS = {
     "diagonal": ({"rows": [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]},
                  "c093c429a4c1220ebbf733387e04a98a7493c84306ca2b680c4c75610b53eef9"),
@@ -218,6 +224,12 @@ RICCI_DOCUMENTS = {
                      "d62c3f3d03273f9728fbac5bf9d5a1b5fef338ad57614cd43fcd69de4628de71"),
     "repeated eigenvalue": ({"rows": [["4", "4", "4"]] * 3},
                             "926351bc7f778ea34db8ad792650735790c3b6cabb29e95b7b590dcde79cd562"),
+    "identity": ({"rows": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+                 "d4588948314c46cfb03d0e7a3f69b48937e5644b171464ad668cc820f55837ad"),
+    "identity text": ({"rows": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+                      "29ca6272c2d61541b172f8adc3874e01d70df58e89bfa2680f1f9c0edfba5caf"),
+    "zero": ({"rows": [["0"] * 3] * 3},
+             "5755e1274780a078a64cad407f07e3abb626d96ce85dbba7b3b7e0608db5a813"),
 }
 
 
@@ -226,7 +238,8 @@ def test_solve3d_output_is_unchanged(name, tmp_path):
     doc, digest = RICCI_DOCUMENTS[name]
     path = tmp_path / "ricci.json"
     path.write_text(json.dumps(doc))
-    assert _run(["solve3d", "--ricci", str(path)]) == (0, digest)
+    text = ["--output", "text"] if name.endswith(" text") else []
+    assert _run(["solve3d", "--ricci", str(path)] + text) == (0, digest)
 
 
 @pytest.mark.parametrize("dim, message", [
