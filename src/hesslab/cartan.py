@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import linalg, rng
 from .tensor import Sym3Tensor
 
 # scalar_curvature(rho(A)) = SCALAR_CURVATURE_SCALE * s, where s is the
@@ -161,7 +161,6 @@ def cartan_test(p: SymbolParameters) -> CartanReport:
 
 def parameter_sweep(count: int, seed: int) -> list[CartanReport]:
     """Reports at `count` random rational parameter triples."""
-    from . import rng
     out = []
     for i in range(count):
         p = SymbolParameters(*(rng.rational_at("cartan-sweep", seed, 3 * i + j, 10)

@@ -83,47 +83,33 @@ def _permute_sym3(A: Sym3Tensor, perm) -> Sym3Tensor:
     return Sym3Tensor.from_integers(X[np.ix_(perm, perm, perm)], D, rational)
 
 
-def _diag_ricci(lams) -> RicciTensor:
-    return RicciTensor.from_rows(
-        [[lams[i] if i == j else Fraction(0) for j in range(3)] for i in range(3)])
-
-
 def solve_from_eigenvalues(l1, l2, l3) -> Sym3Tensor:
     """A symmetric 3-tensor with rho2(A) = diag(l1, l2, l3), exact.
 
-    Eigenvalues are permuted so the closed-form branch (slots 1 and 3
-    distinct) applies whenever the spectrum is not a single point; the
-    fully isotropic case dispatches to solve_isotropic.  The result is
-    verified by evaluating rho2 before returning.
+    A single-point spectrum takes the isotropic formula; any other is
+    permuted so that the closed-form branch (slots 1 and 3 distinct)
+    applies.  Either way the result is verified by evaluating rho2 before
+    it is returned.
     """
     lams = tuple(map(Fraction, (l1, l2, l3)))
-    if lams[0] == lams[1] == lams[2]:
-        return solve_isotropic(lams[0])
-    perm = next(p for p in itertools.permutations(range(3))
-                if lams[p[0]] != lams[p[2]])
-    mu = [lams[p] for p in perm]
     scale = 1 / RHO2_DISPLAY_SCALE
-    coeffs = ansatz_coefficients(*(scale * m for m in mu))
-    solved = build_ansatz(*coeffs)
-    inv = [perm.index(i) for i in range(3)]
-    A = _permute_sym3(solved, inv)
-    if rho2(A) != _diag_ricci(lams):
-        raise VerificationError(
-            f"closed-form solution failed verification: rho2 = {rho2(A).data.tolist()}")
+    if lams[0] == lams[1] == lams[2]:
+        A = Sym3Tensor.from_monomials(3, isotropic_coefficients(scale * lams[0]))
+    else:
+        perm = next(p for p in itertools.permutations(range(3))
+                    if lams[p[0]] != lams[p[2]])
+        solved = build_ansatz(*ansatz_coefficients(*(scale * lams[p] for p in perm)))
+        A = _permute_sym3(solved, [perm.index(i) for i in range(3)])
+    actual = rho2(A)
+    if actual != RicciTensor.from_rows([[lam if i == j else 0 for j in range(3)]
+                                        for i, lam in enumerate(lams)]):
+        raise VerificationError(f"solution failed verification: rho2 = {actual.data.tolist()}")
     return A
 
 
 def solve_isotropic(lam) -> Sym3Tensor:
-    """A with rho2(A) = lam * identity, guarded by a runtime oracle."""
-    lam = Fraction(lam)
-    A = Sym3Tensor.from_monomials(
-        3, isotropic_coefficients(lam / RHO2_DISPLAY_SCALE))
-    actual = rho2(A)
-    if actual != _diag_ricci((lam, lam, lam)):
-        raise VerificationError(
-            "isotropic formula did not reproduce lam * identity; "
-            f"rho2 = {actual.data.tolist()}")
-    return A
+    """A with rho2(A) = lam * identity: the single-point case of solve_from_eigenvalues."""
+    return solve_from_eigenvalues(lam, lam, lam)
 
 
 # --- diagonalization of a general symmetric input -------------------------
@@ -173,26 +159,25 @@ def _rational_eigenvalues(rows) -> list[Fraction]:
     return sorted(Fraction(y, d) for y in (hi, (-e1 - s) // 2, (-e1 + s) // 2))
 
 
-def _exact_eigenvectors(rows, lams):
-    """Rational eigenvector columns V (unnormalized, pairwise orthogonal)."""
-    seen: dict[Fraction, list] = {}
-    cols = []
-    for lam in lams:
-        if lam not in seen:
-            shifted = [[Fraction(rows[i][j]) - (lam if i == j else 0)
-                        for j in range(3)] for i in range(3)]
-            basis = linalg.nullspace(shifted)
-            # exact Gram-Schmidt without normalization keeps entries rational
-            ortho: list = []
-            for v in basis:
-                w = list(v)
-                for u in ortho:
-                    f = sum(a * b for a, b in zip(w, u)) / sum(a * a for a in u)
-                    w = [a - f * b for a, b in zip(w, u)]
-                ortho.append(w)
-            seen[lam] = ortho
-        cols.append(seen[lam].pop(0))
-    return [[cols[j][i] for j in range(3)] for i in range(3)]  # columns
+def _exact_eigenvectors(rows, lams) -> list[list[Fraction]]:
+    """One rational eigenvector of rows per entry of the sorted lams, in order.
+
+    The vectors are unnormalized and pairwise orthogonal: each eigenspace's
+    nullspace basis is orthogonalized by exact Gram-Schmidt, which keeps
+    the entries rational.
+    """
+    vectors = []
+    for lam in sorted(set(lams)):
+        shifted = [[Fraction(rows[i][j]) - (lam if i == j else 0)
+                    for j in range(3)] for i in range(3)]
+        eigenspace: list = []
+        for v in linalg.nullspace(shifted):
+            for u in eigenspace:
+                f = sum(a * b for a, b in zip(v, u)) / sum(a * a for a in u)
+                v = [a - f * b for a, b in zip(v, u)]
+            eigenspace.append(v)
+        vectors += eigenspace
+    return vectors
 
 
 def solve_from_ricci(r, mode: str = "exact", tol: float = 1e-9):
@@ -216,28 +201,24 @@ def solve_from_ricci(r, mode: str = "exact", tol: float = 1e-9):
             raise ValueError(f"tol must be a finite number >= 0, got {tol}")
         try:  # an entry, or an eigenvalue, past float range
             sym = np.array([[float(x) for x in row] for row in rows])
-            w, q = np.linalg.eigh(sym)
+            w, rotation = np.linalg.eigh(sym)
             lams = [Fraction(float(x)) for x in w]
         except OverflowError as exc:
             raise ValueError(f"float mode needs values within float range: {exc}") from exc
-        A = solve_from_eigenvalues(*lams)
-        back = q @ np.diag([float(x) for x in lams]) @ q.T
-        resid = float(np.max(np.abs(back - sym)))
-        if resid > tol:
-            raise VerificationError(f"float round-trip residual {resid} > {tol}")
-        return q, A, resid
-    if mode != "exact":
+        residual = float(np.max(np.abs(rotation @ np.diag(w) @ rotation.T - sym)))
+        if residual > tol:
+            raise VerificationError(f"float round-trip residual {residual} > {tol}")
+    elif mode == "exact":
+        lams = _rational_eigenvalues(rows)
+        V = _exact_eigenvectors(rows, lams)
+        # exact round-trip: sum of lam v v^T / |v|^2 over the eigenvectors v == r
+        norms = [sum(x * x for x in v) for v in V]
+        if any(sum(v[i] * lam / norm * v[j] for v, lam, norm in zip(V, lams, norms))
+               != Fraction(rows[i][j]) for i in range(3) for j in range(3)):
+            raise VerificationError("exact eigendecomposition round-trip failed")
+        rotation = np.array([[float(v[i]) / math.sqrt(float(norm)) for v, norm in zip(V, norms)]
+                             for i in range(3)])
+        residual = 0
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-
-    lams = _rational_eigenvalues(rows)
-    V = _exact_eigenvectors(rows, lams)
-    # exact round-trip: V diag(lam_i / |v_i|^2) V^T == r
-    norms = [sum(V[i][j] ** 2 for i in range(3)) for j in range(3)]
-    back = [[sum(V[i][k] * lams[k] / norms[k] * V[j][k] for k in range(3))
-             for j in range(3)] for i in range(3)]
-    if any(back[i][j] != Fraction(rows[i][j]) for i in range(3) for j in range(3)):
-        raise VerificationError("exact eigendecomposition round-trip failed")
-    A = solve_from_eigenvalues(*lams)
-    rotation = np.array([[float(V[i][j]) / math.sqrt(float(norms[j]))
-                          for j in range(3)] for i in range(3)])
-    return rotation, A, 0
+    return rotation, solve_from_eigenvalues(*lams), residual

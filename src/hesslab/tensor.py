@@ -169,18 +169,20 @@ def _alternating_index(n: int, k: int):
 
 
 @lru_cache(maxsize=None)
-def _einsum_steps(spec: str) -> tuple[tuple[tuple[int, ...], str, str | None], ...]:
+def _einsum_steps(spec: str) -> tuple[tuple[tuple[int, ...], tuple | str, str | None], ...]:
     """numpy's greedy pairwise plan for spec, made once for every dimension.
 
     The plan is made at n = MAX_DIM with no memory limit, so numpy never
     leaves three or more operands in one step for want of room (its default
     limit, the largest input or output, did so for degree-4 specs whose
-    every pairwise intermediate has n**6 entries).  Each step pops the
-    operands at its positions and appends their contraction by its own
-    two-operand spec, which keeps every letter a later step or the output
-    still needs.  A step whose operands are all inputs carries a key, its
-    spec with the letters renamed in order of first appearance: steps with
-    equal keys compute the same array.
+    every pairwise intermediate has n**6 entries).  Each step is (pos,
+    plan, key): it pops the operands at positions pos and appends their
+    contraction, which keeps every letter a later step or the output still
+    needs.  plan is how _step runs it: _matmul_plan's for two operands, an
+    einsum spec for the one operand of a degree-1 spec.  A step whose
+    operands are all inputs carries a key, its spec with the letters
+    renamed in order of first appearance: steps with equal keys compute the
+    same array.
     """
     inputs, output = spec.split("->")
     subs = inputs.split(",")
@@ -192,61 +194,50 @@ def _einsum_steps(spec: str) -> tuple[tuple[tuple[int, ...], str, str | None], .
         taken = [subs.pop(p) for p in pos]
         on_inputs = all([is_input.pop(p) for p in pos])
         keep = set("".join(subs) + output)
-        result = "".join(dict.fromkeys(c for c in "".join(taken) if c in keep))
-        subs.append(result if subs else output)
+        out = "".join(dict.fromkeys(c for c in "".join(taken) if c in keep)) if subs else output
+        subs.append(out)
         is_input.append(False)
-        step = ",".join(taken) + "->" + subs[-1]
+        plan = _matmul_plan(*taken, out) if len(taken) == 2 else f"...{taken[0]}->...{out}"
         names: dict = {}
         key = "".join(names.setdefault(c, chr(97 + len(names))) if c.isalpha() else c
-                      for c in step)
-        steps.append((pos, step, key if on_inputs else None))
+                      for c in ",".join(taken) + "->" + out)
+        steps.append((pos, plan, key if on_inputs else None))
     return tuple(steps)
 
 
-@lru_cache(maxsize=None)
-def _matmul_plan(step: str):
-    """How _step runs a two-operand step as one np.matmul per sample.
+def _matmul_plan(a: str, b: str, out: str):
+    """How _step runs the step a,b->out as one np.matmul per sample.
 
     A letter of both operands and the output is a matmul batch axis, one of
     both operands only is summed by the matmul, and the other output
     letters are the rows of the first operand and the columns of the
-    second.  Returns, per operand, an einsum spec when a letter is
-    repeated or summed inside it and its transpose axes otherwise; the
-    sizes of the four letter groups; and the transpose onto the output
-    letters.
+    second.  Returns, per operand, the einsum spec that arranges it as
+    batch, rows, summed or batch, summed, columns; the sizes of the four
+    letter groups; and the transpose of the product onto the output letters.
     """
-    inputs, out = step.split("->")
-    a, b = inputs.split(",")
     batch = [c for c in out if c in a and c in b]
     rows = [c for c in dict.fromkeys(a) if c in out and c not in b]
     cols = [c for c in dict.fromkeys(b) if c in out and c not in a]
     summed = [c for c in dict.fromkeys(a) if c in b and c not in out]
-
-    def arrange(sub, order):
-        if len(sub) == len(order):
-            return (0,) + tuple(1 + sub.index(c) for c in order)
-        return f"...{sub}->...{''.join(order)}"
-
     product = batch + rows + cols
-    return (arrange(a, batch + rows + summed), arrange(b, batch + summed + cols),
+    return (f"...{a}->...{''.join(batch + rows + summed)}",
+            f"...{b}->...{''.join(batch + summed + cols)}",
             (len(batch), len(rows), len(summed), len(cols)),
             (0,) + tuple(1 + product.index(c) for c in out))
 
 
-def _step(step: str, operands: list, n: int) -> np.ndarray:
+def _step(plan, operands: list, n: int) -> np.ndarray:
     """One step of a plan on operands that carry a leading sample axis.
 
-    Two operands are transposed, reshaped and multiplied by np.matmul over
-    the sample axis, and the product is transposed onto the output letters
-    as a view; np.einsum only reduces a letter repeated or summed inside
-    one operand.
+    Each of two operands is arranged by np.einsum, a view unless a letter
+    is repeated or summed inside it, reshaped and multiplied by np.matmul
+    over the sample axis; the product is transposed onto the output letters
+    as a view.  One operand is contracted by np.einsum alone.
     """
     if len(operands) == 1:
-        inputs, out = step.split("->")
-        return np.einsum(f"...{inputs}->...{out}", operands[0])
-    plan_a, plan_b, (nb, nr, ns, nc), back = _matmul_plan(step)
-    a, b = (np.einsum(how, x) if isinstance(how, str) else x.transpose(how)
-            for x, how in zip(operands, (plan_a, plan_b)))
+        return np.einsum(plan, operands[0])
+    spec_a, spec_b, (nb, nr, ns, nc), back = plan
+    a, b = np.einsum(spec_a, operands[0]), np.einsum(spec_b, operands[1])
     S = len(a)
     product = np.matmul(a.reshape(S, n**nb, n**nr, n**ns), b.reshape(S, n**nb, n**ns, n**nc))
     return product.reshape((S,) + (n,) * (nb + nr + nc)).transpose(back)
@@ -260,14 +251,14 @@ def _contract(steps, X: np.ndarray, deg: int, shared: dict) -> np.ndarray:
     """
     n = X.shape[-1]
     operands = [X] * deg
-    for pos, step, key in steps:
+    for pos, plan, key in steps:
         taken = [operands.pop(p) for p in pos]
         if key is None:
-            operands.append(_step(step, taken, n))
+            operands.append(_step(plan, taken, n))
             continue
         entry = shared[key]
         if entry[0] is None:
-            entry[0] = _step(step, taken, n)
+            entry[0] = _step(plan, taken, n)
         entry[1] -= 1
         operands.append(entry[0] if entry[1] else shared.pop(key)[0])
     return operands[0]

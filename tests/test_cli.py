@@ -194,6 +194,18 @@ class TestSubcommands:
         assert code == 0
         assert doc["verified"] and doc["residual"] == "0"
 
+    def test_solve3d_reports_a_failed_verification(self, capsys, tmp_path, monkeypatch):
+        from hesslab import ricci3d
+
+        def planted(*args, **kwargs):
+            raise ricci3d.VerificationError("planted")
+
+        monkeypatch.setattr(ricci3d, "solve_from_ricci", planted)
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"rows": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]}))
+        assert run_json(capsys, "solve3d", "--ricci", str(path)) == (1, {
+            "schema": "hol/1", "command": "solve3d", "verified": False, "error": "planted"}, "")
+
     def test_solve3d_float_reports_measured_residual(self, capsys, tmp_path):
         path = tmp_path / "r.json"
         path.write_text(json.dumps({"rows": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]}))
@@ -303,6 +315,13 @@ class TestSubcommands:
         if command == "validate":
             assert json.loads(out)["valid"] is False
 
+    def test_validate_refuses_sym3_of_another_order(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"n": 3, "order": 2, "packing": "sym3", "entries": []}))
+        assert run_json(capsys, "validate", "--in", str(path)) == (1, {
+            "schema": "hol/1", "command": "validate", "valid": False,
+            "error": "sym3 packing requires order 3"}, "")
+
     def test_validate_reports_symmetry_failures(self, capsys, tmp_path):
         doc = {"n": 2, "order": 4, "packing": "dense",
                "entries": [["0 1 0 1", "1/1"]]}  # missing antisymmetric partners
@@ -384,6 +403,20 @@ class TestUsageErrors:
         if argv in self.PARSE_ERRORS:
             assert self.PARSE_ERRORS[argv] in err.splitlines()[0]
             assert err.splitlines()[1].startswith(f"usage: hesslab {argv[0]} ")
+
+    @pytest.mark.parametrize("argv, doc, message", [
+        (("rho", "--dim", "4", "--in"),
+         {"n": 3, "order": 3, "packing": "sym3", "entries": [["0 0 0", "1/2"]]},
+         "--dim 4 does not match tensor dimension 3"),
+        (("solve3d", "--ricci"), {"rows": [["1/0", 0, 0], [0, 2, 0], [0, 0, 3]]},
+         "bad matrix entry: zero denominator in '1/0'"),
+        (("solve3d", "--ricci"), {"rows": [[1, 0, 0], [0, 2, 0]]},
+         'expected {"rows": [[...], [...], [...]]} with 3x3 entries'),
+    ], ids=["rho-dim", "solve3d-zero-denominator", "solve3d-two-rows"])
+    def test_refused_input_file_exits_2(self, capsys, tmp_path, argv, doc, message):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, *argv, str(path), "--no-meta") == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("text", ("{not json", "[" * 200_000), ids=["syntax", "deep"])
     @pytest.mark.parametrize("command", ("validate", "rho"))

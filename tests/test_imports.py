@@ -1,8 +1,9 @@
 """Import hygiene of src/hesslab.
 
-Every module-level import is referenced by its module: a deletion that
-leaves its import behind (a dataclass decorator, a class no longer named)
-fails here.  And modules load on first use: in a fresh interpreter, importing
+Every module-level import is referenced by its module, and every import
+inside a function by that function: a deletion that leaves its import
+behind (a dataclass decorator, a class no longer named, a module a command
+no longer runs) fails here.  And modules load on first use: in a fresh interpreter, importing
 the package or the CLI loads only what it names, and the miner builds its
 slot-map tables only when a search first asks for them.
 """
@@ -20,24 +21,57 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "hesslab"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
-def unused_imports(source: str) -> list[str]:
-    """Names bound by the module-level imports of source that nothing reads."""
-    tree = ast.parse(source)
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
+def _bound(nodes) -> list[str]:
+    """Names bound by the imports among nodes."""
     bound = []
-    for node in tree.body:
+    for node in nodes:
         if isinstance(node, ast.Import):
             bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound += [alias.asname or alias.name for alias in node.names]
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [name for name in bound if name not in read]
+    return bound
+
+
+def _own_nodes(func) -> list:
+    """The nodes of func's body, not those of a function or class nested in it."""
+    nodes, todo = [], list(func.body)
+    while todo:
+        node = todo.pop(0)
+        nodes.append(node)
+        if not isinstance(node, SCOPES):
+            todo += ast.iter_child_nodes(node)
+    return nodes
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import of source that its scope never reads.
+
+    A module-level import must be read somewhere in the module, and an
+    import inside a function somewhere in the innermost function holding it.
+    """
+    tree = ast.parse(source)
+    scopes = [(tree, tree.body)] + [(node, _own_nodes(node)) for node in ast.walk(tree)
+                                     if isinstance(node, SCOPES[:2])]
+    unread = []
+    for scope, nodes in scopes:
+        read = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        unread += [name for name in _bound(nodes) if name not in read]
+    return unread
 
 
 def test_the_check_finds_unread_imports():
     source = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
               "import xml.dom\nfrom x import y, z as w\n"
-              "def f():\n    import sys\n    return np.zeros(y) + xml.dom\n")
-    assert unused_imports(source) == ["os", "w"]
+              "def f():\n    import sys\n    return np.zeros(y) + xml.dom\n"
+              "def g(a):\n    from . import json, re as r\n    if a:\n"
+              "        from x import v\n"
+              "        def h():\n            import glob\n            return glob\n"
+              "        return h, json, sys\n")
+    # sys is read in g, not in f, which imports it
+    assert unused_imports(source) == ["os", "w", "sys", "r", "v"]
 
 
 @pytest.mark.parametrize("module", MODULES)

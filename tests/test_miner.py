@@ -465,6 +465,13 @@ class TestEvaluation:
                         for pat, c in zip(patterns2, vec) if c])
         assert acc == pontryagin_quadratic(R)
 
+    def test_unpaired_names_and_patterns_outside_the_basis_refused(self, patterns2):
+        with pytest.raises(miner.PatternError, match=r"unpaired contraction names: \['a', 'c'\]"):
+            miner.pattern_from_slot_names(list("ijabklbc"))
+        # the cubic combination's degree-3 patterns are not in the degree-2 basis
+        with pytest.raises(miner.PatternError, match="pattern is not in the enumerated basis"):
+            miner.coefficient_vector(patterns2, miner.cubic_identity_combination())
+
     def test_cubic_combination_matches_cubic_identity(self, patterns3):
         from hesslab.identities import cubic_identity
         R = random_curvature(4, seed=8)

@@ -237,6 +237,27 @@ class TestSolveFromRicci:
         assert np.allclose(back, np.array(r, dtype=float))
 
 
+class TestVerificationGuards:
+    """The exact checks that guard every 3D solution refuse a wrong one."""
+
+    @pytest.mark.parametrize("solve, args", [
+        (ricci3d.solve_from_eigenvalues, (1, 2, 3)),
+        (ricci3d.solve_from_eigenvalues, (4, 4, 4)),
+        (ricci3d.solve_isotropic, (4,)),
+    ], ids=["closed-form", "isotropic", "solve_isotropic"])
+    def test_wrong_ricci_image_refused(self, monkeypatch, solve, args):
+        monkeypatch.setattr(ricci3d, "rho2", lambda A: diag(0, 0, 1))
+        with pytest.raises(ricci3d.VerificationError, match="rho2 = "):
+            solve(*args)
+
+    def test_wrong_eigenvectors_refused(self, monkeypatch):
+        # the identity is symmetric: the same vectors read by row or by column
+        monkeypatch.setattr(ricci3d, "_exact_eigenvectors",
+                            lambda rows, lams: [[int(i == j) for j in range(3)] for i in range(3)])
+        with pytest.raises(ricci3d.VerificationError, match="round-trip failed"):
+            ricci3d.solve_from_ricci([[2, 1, 0], [1, 2, 0], [0, 0, 5]])
+
+
 class TestSurjectivityWitness:
     def test_every_sampled_3d_curvature_has_a_preimage(self):
         # in dimension 3 the curvature tensor is determined by its Ricci

@@ -49,6 +49,10 @@ class TestTensorDocuments:
         t = random_rational(2, 2, seed=9)
         json.dumps(tensor_to_json(t))
 
+    def test_only_a_tensor_is_serialized(self):
+        with pytest.raises(TypeError, match="cannot serialize list"):
+            tensor_to_json([1, 2])
+
     def test_malformed_documents_rejected(self):
         good = tensor_to_json(random_rational(2, 2, seed=1))
         for mutate in (

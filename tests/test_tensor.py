@@ -372,6 +372,11 @@ class TestRandomRational:
         b = [rng.rational_at("t", 1, i, 10) for i in reversed(range(5))]
         assert a == list(reversed(b))
 
+    @pytest.mark.parametrize("draw", [rng.rational_at, rng.integer_at])
+    def test_bound_below_one_refused(self, draw):
+        with pytest.raises(ValueError, match="bound must be >= 1, got 0"):
+            draw("t", 0, 0, 0)
+
 
 class TestSym3:
     @pytest.mark.parametrize("n", range(2, 9))
@@ -426,6 +431,10 @@ class TestSym3:
         d = A.to_dense().data
         assert d[0, 0, 1] == d[0, 1, 0] == d[1, 0, 0] == Fraction(1, 3)
         assert d[0, 0, 0] == 0
+
+    def test_monomial_out_of_range_refused(self):
+        with pytest.raises(ValueError, match=r"index triple \(0, 0, 5\) out of range for n=2"):
+            Sym3Tensor.from_monomials(2, {(0, 0, 5): 1})
 
 
 class TestTensorValidation:
