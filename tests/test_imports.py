@@ -3,9 +3,9 @@
 Every module-level import is referenced by its module, and every import
 inside a function by that function: a deletion that leaves its import
 behind (a dataclass decorator, a class no longer named, a module a command
-no longer runs) fails here.  And modules load on first use: in a fresh interpreter, importing
-the package or the CLI loads only what it names, and the miner builds its
-slot-map tables only when a search first asks for them.
+no longer runs) fails here.  And modules load on first use: in a fresh
+interpreter, importing the package or the CLI loads only what it names, and
+the miner builds its slot-map tables only when a search first asks for them.
 """
 
 import ast
@@ -21,7 +21,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "hesslab"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
-SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _bound(nodes) -> list[str]:
@@ -36,12 +36,12 @@ def _bound(nodes) -> list[str]:
 
 
 def _own_nodes(func) -> list:
-    """The nodes of func's body, not those of a function or class nested in it."""
+    """The nodes of func's body, not those of a function nested in it."""
     nodes, todo = [], list(func.body)
     while todo:
         node = todo.pop(0)
         nodes.append(node)
-        if not isinstance(node, SCOPES):
+        if not isinstance(node, FUNCTIONS):
             todo += ast.iter_child_nodes(node)
     return nodes
 
@@ -54,7 +54,7 @@ def unused_imports(source: str) -> list[str]:
     """
     tree = ast.parse(source)
     scopes = [(tree, tree.body)] + [(node, _own_nodes(node)) for node in ast.walk(tree)
-                                     if isinstance(node, SCOPES[:2])]
+                                     if isinstance(node, FUNCTIONS)]
     unread = []
     for scope, nodes in scopes:
         read = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
