@@ -165,6 +165,37 @@ class TestSymbolMatrices:
             [0, 0, 3, 0, -1, 0],
         ]
 
+    def test_matrices_at_rational_parameters(self):
+        a, b, g = Fraction(2, 3), Fraction(-5, 7), Fraction(1, 2)
+        p = cartan.SymbolParameters.from_scalars(a, b, g)
+        sym = cartan.symbol_matrix(p)
+        assert sym == [
+            [1, 0, 0, a, b, g],
+            [0, 1, 0, -1, 0, 0],
+            [0, 0, 3, 0, -1, 0],
+        ]
+        assert cartan.restricted_symbol_matrix(p) == [row[:3] for row in sym]
+        prolonged = cartan.prolonged_symbol_matrix(p)
+        assert prolonged == [
+            [1, a, 0, 0, b, 0, 0, g, 0],
+            [0, -1, 0, 1, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, -1, 0, 3, 0, 0],
+            [0, 1, a, 0, 0, b, 0, 0, g],
+            [0, 0, -1, 0, 1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, -1, 0, 3, 0],
+        ]
+        for m in (sym, cartan.restricted_symbol_matrix(p), prolonged):
+            assert all(type(x) is Fraction for row in m for x in row)
+        # the first prolongation: entry (3d + i, 3j + d + e) is symbol entry
+        # (i, 3e + j) for d, e in {0, 1}, and every other entry is 0
+        expected = [[0] * 9 for _ in range(6)]
+        for d in range(2):
+            for e in range(2):
+                for i in range(3):
+                    for j in range(3):
+                        expected[3 * d + i][3 * j + d + e] = sym[i][3 * e + j]
+        assert prolonged == expected
+
     def test_prolonged_shape_and_rank(self):
         m = cartan.prolonged_symbol_matrix(self.params())
         assert len(m) == 6 and len(m[0]) == 9

@@ -3,9 +3,12 @@
 Every module-level import is referenced by its module, and every import
 inside a function by that function: a deletion that leaves its import
 behind (a dataclass decorator, a class no longer named, a module a command
-no longer runs) fails here.  And modules load on first use: in a fresh
-interpreter, importing the package or the CLI loads only what it names, and
-the miner builds its slot-map tables only when a search first asks for them.
+no longer runs) fails here.  So does a module-level private name (a
+helper, class or constant starting with one "_") that no module of the
+package reads, as a deletion can leave one behind.  And modules load on
+first use: in a fresh interpreter, importing the package or the CLI loads
+only what it names, and the miner builds its slot-map tables only when a
+search first asks for them.
 """
 
 import ast
@@ -77,6 +80,57 @@ def test_the_check_finds_unread_imports():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_module_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def _defined(tree) -> list[str]:
+    """Names that tree's module-level defs, classes and assignments bind."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Name)]
+    return names
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """module.name for each module-level _name of sources that no source reads.
+
+    A name is read where it is loaded, taken as an attribute or imported
+    from a module; dunder names are the interpreter's and are not checked.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{module}.{name}" for module, tree in trees.items() for name in _defined(tree)
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_the_check_finds_unread_private_names():
+    sources = {
+        "a": ("_USED, _LEFT = 1, 2\n_T: int = 3\n__all__ = []\n"
+              "def _helper():\n    return _USED\n"
+              "def _orphan():\n    return _helper()\n"
+              "class _Gone:\n    pass\n"
+              "def public():\n    pass\n"),
+        "b": "from .a import _T\nfrom . import c\n_K = c._shared\n",
+        "c": "def _shared():\n    pass\n",
+    }
+    assert unread_private_names(sources) == ["a._LEFT", "a._orphan", "a._Gone", "b._K"]
+
+
+def test_no_unread_private_names():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
 
 
 def fresh(code: str) -> str:

@@ -372,6 +372,19 @@ class TestRandomRational:
         b = [rng.rational_at("t", 1, i, 10) for i in reversed(range(5))]
         assert a == list(reversed(b))
 
+    @pytest.mark.parametrize("bound", [1, 7, 10])
+    def test_integer_draw_is_the_rational_numerator(self, bound):
+        # integer_at is the numerator p that rational_at draws before
+        # Fraction reduces p / q, so p / rational_at is the denominator q
+        for counter in range(50):
+            p = rng.integer_at("t", 3, counter, bound)
+            x = rng.rational_at("t", 3, counter, bound)
+            if x == 0:
+                assert p == 0
+            else:
+                q = p / x
+                assert q.denominator == 1 and 1 <= q <= bound
+
     @pytest.mark.parametrize("draw", [rng.rational_at, rng.integer_at])
     def test_bound_below_one_refused(self, draw):
         with pytest.raises(ValueError, match="bound must be >= 1, got 0"):
