@@ -3,9 +3,10 @@
 Everything here is finite exact linear algebra: the scalar relation on the
 four components of a symmetric 3-tensor in the plane, the 3x6 symbol matrix
 of the resulting first-order system, its 6x9 first prolongation, the kernel
-dimensions g_{i,m}, and the involutivity verdict they imply.  The three
-symbol entries alpha, beta, gamma are kept as opaque parameters; every
-conclusion is parameter-independent and checked as such.
+dimensions g_{i,m}, and the involutivity verdict they imply.  The symbol
+and its prolongation are tables whose entries are each a rational or one
+of the three parameters alpha, beta, gamma; every conclusion is
+parameter-independent and checked as such.
 """
 
 from __future__ import annotations
@@ -15,11 +16,6 @@ from fractions import Fraction
 
 from . import linalg, rng
 from .tensor import Sym3Tensor
-
-# scalar_curvature(rho(A)) = SCALAR_CURVATURE_SCALE * s, where s is the
-# value of the display polynomial (4/9)(3ac + 3bd - b^2 - c^2); frozen by
-# exact evaluation.
-SCALAR_CURVATURE_SCALE = Fraction(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -68,39 +64,18 @@ def solve_a(b, c, d, s) -> Fraction:
     return (Fraction(9, 4) * s + b * b + c * c - 3 * b * d) / (3 * c)
 
 
-# --- symbol matrices: entries are linear polynomials in (alpha, beta, gamma)
-# encoded as 4-tuples (constant, alpha-, beta-, gamma-coefficient) ----------
+# --- symbol matrices: each entry a rational, or a, b, g for alpha, beta, gamma
 
-_Z = (Fraction(0),) * 4
+_SYMBOL = ("1  0  0  a  b  g",
+           "0  1  0 -1  0  0",
+           "0  0  3  0 -1  0")
 
-
-def _const(x):
-    return (Fraction(x), Fraction(0), Fraction(0), Fraction(0))
-
-
-_ALPHA = (Fraction(0), Fraction(1), Fraction(0), Fraction(0))
-_BETA = (Fraction(0), Fraction(0), Fraction(1), Fraction(0))
-_GAMMA = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
-
-
-def _symbolic_symbol():
-    return [
-        [_const(1), _Z, _Z, _ALPHA, _BETA, _GAMMA],
-        [_Z, _const(1), _Z, _const(-1), _Z, _Z],
-        [_Z, _Z, _const(3), _Z, _const(-1), _Z],
-    ]
-
-
-def _symbolic_prolonged():
-    c = _const
-    return [
-        [c(1), _ALPHA, _Z, _Z, _BETA, _Z, _Z, _GAMMA, _Z],
-        [_Z, c(-1), _Z, c(1), _Z, _Z, _Z, _Z, _Z],
-        [_Z, _Z, _Z, _Z, c(-1), _Z, c(3), _Z, _Z],
-        [_Z, c(1), _ALPHA, _Z, _Z, _BETA, _Z, _Z, _GAMMA],
-        [_Z, _Z, c(-1), _Z, c(1), _Z, _Z, _Z, _Z],
-        [_Z, _Z, _Z, _Z, _Z, c(-1), _Z, c(3), _Z],
-    ]
+_PROLONGED = ("1  a  0  0  b  0  0  g  0",
+              "0 -1  0  1  0  0  0  0  0",
+              "0  0  0  0 -1  0  3  0  0",
+              "0  1  a  0  0  b  0  0  g",
+              "0  0 -1  0  1  0  0  0  0",
+              "0  0  0  0  0 -1  0  3  0")
 
 
 @dataclass(frozen=True)
@@ -113,14 +88,15 @@ class SymbolParameters:
     def from_scalars(cls, alpha, beta, gamma) -> "SymbolParameters":
         return cls(Fraction(alpha), Fraction(beta), Fraction(gamma))
 
-    def _eval(self, entry) -> Fraction:
-        c0, ca, cb, cg = entry
-        return c0 + ca * self.alpha + cb * self.beta + cg * self.gamma
+    def _read(self, table) -> list[list[Fraction]]:
+        """The rows of a symbol table at these parameters."""
+        named = {"a": self.alpha, "b": self.beta, "g": self.gamma}
+        return [[Fraction(named.get(t, t)) for t in row.split()] for row in table]
 
 
 def symbol_matrix(p: SymbolParameters):
     """The 3x6 symbol of the first-order system, at concrete parameters."""
-    return [[p._eval(e) for e in row] for row in _symbolic_symbol()]
+    return p._read(_SYMBOL)
 
 
 def restricted_symbol_matrix(p: SymbolParameters):
@@ -130,7 +106,7 @@ def restricted_symbol_matrix(p: SymbolParameters):
 
 def prolonged_symbol_matrix(p: SymbolParameters):
     """The 6x9 first prolongation of the symbol, at concrete parameters."""
-    return [[p._eval(e) for e in row] for row in _symbolic_prolonged()]
+    return p._read(_PROLONGED)
 
 
 @dataclass(frozen=True)

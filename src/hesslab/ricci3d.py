@@ -20,9 +20,9 @@ from .curvature import RicciTensor
 from .hessmap import rho2
 from .tensor import Sym3Tensor, integer_form
 
-# rho2 of the ansatz family equals exactly 1/72 of the quadratic display
-# polynomials below (frozen by exact evaluation); the solvers compensate by
-# feeding 72*lambda into the closed forms.
+# rho2 of the ansatz family is exactly 1/72 of its quadratic display
+# polynomials (ansatz_ricci_scaled in tests/test_ricci3d.py); the solvers
+# compensate by feeding 72*lambda into the closed forms.
 RHO2_DISPLAY_SCALE = Fraction(1, 72)
 
 
@@ -36,21 +36,6 @@ def build_ansatz(a1, a2, a3, b13, b31) -> Sym3Tensor:
         (0, 0, 0): a1, (1, 1, 1): a2, (2, 2, 2): a3,
         (0, 0, 2): b13, (1, 1, 0): 1, (1, 1, 2): 1, (2, 2, 0): b31,
     })
-
-
-def ansatz_ricci_scaled(a1, a3, b13, b31):
-    """(alpha, beta, gamma, delta) = 72 * the nonzero entries of rho2(ansatz).
-
-    alpha, beta, gamma are the diagonal entries and delta the (1,3) entry,
-    each scaled by 1/RHO2_DISPLAY_SCALE.  The e2-cube coefficient a2 drops
-    out entirely.
-    """
-    a1, a3, b13, b31 = map(Fraction, (a1, a3, b13, b31))
-    alpha = 8 * (1 - (1 + 3 * a3) * b13 + b13 ** 2 + b31 ** 2 - 3 * a1 * (1 + b31))
-    beta = -8 * (-2 + 3 * a1 + 3 * a3 + b13 + b31)
-    gamma = 8 * (1 + b13 ** 2 - 3 * a3 * (1 + b13) - b31 - 3 * a1 * b31 + b31 ** 2)
-    delta = -8 * (-1 + b13 + b31)
-    return alpha, beta, gamma, delta
 
 
 def ansatz_coefficients(l1, l2, l3):
@@ -114,9 +99,8 @@ def solve_isotropic(lam) -> Sym3Tensor:
 
 # --- diagonalization of a general symmetric input -------------------------
 
-def _char_poly(r) -> list[Fraction]:
-    """Coefficients [c0, c1, c2] of det(xI - r) = x^3 + c2 x^2 + c1 x + c0."""
-    m = [[Fraction(r[i][j]) for j in range(3)] for i in range(3)]
+def _char_poly(m) -> list[Fraction]:
+    """Coefficients [c0, c1, c2] of det(xI - m) = x^3 + c2 x^2 + c1 x + c0."""
     tr = m[0][0] + m[1][1] + m[2][2]
     minors = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i]
                  for i in range(3) for j in range(i + 1, 3))
@@ -168,8 +152,7 @@ def _exact_eigenvectors(rows, lams) -> list[list[Fraction]]:
     """
     vectors = []
     for lam in sorted(set(lams)):
-        shifted = [[Fraction(rows[i][j]) - (lam if i == j else 0)
-                    for j in range(3)] for i in range(3)]
+        shifted = [[rows[i][j] - (lam if i == j else 0) for j in range(3)] for i in range(3)]
         eigenspace: list = []
         for v in linalg.nullspace(shifted):
             for u in eigenspace:
@@ -214,7 +197,7 @@ def solve_from_ricci(r, mode: str = "exact", tol: float = 1e-9):
         # exact round-trip: sum of lam v v^T / |v|^2 over the eigenvectors v == r
         norms = [sum(x * x for x in v) for v in V]
         if any(sum(v[i] * lam / norm * v[j] for v, lam, norm in zip(V, lams, norms))
-               != Fraction(rows[i][j]) for i in range(3) for j in range(3)):
+               != rows[i][j] for i in range(3) for j in range(3)):
             raise VerificationError("exact eigendecomposition round-trip failed")
         rotation = np.array([[float(v[i]) / math.sqrt(float(norm)) for v, norm in zip(V, norms)]
                              for i in range(3)])

@@ -11,9 +11,13 @@ import hashlib
 from fractions import Fraction
 
 
-def _digest(tag: str, seed: int, counter: int) -> bytes:
-    msg = f"{tag}|{seed}|{counter}".encode()
-    return hashlib.blake2b(msg, digest_size=16).digest()
+def _draw(tag: str, seed: int, counter: int, bound: int) -> tuple[int, int]:
+    """The integer draw p in [-bound, bound] and a second 64-bit word v."""
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    d = hashlib.blake2b(f"{tag}|{seed}|{counter}".encode(), digest_size=16).digest()
+    u, v = int.from_bytes(d[:8], "big"), int.from_bytes(d[8:], "big")
+    return u % (2 * bound + 1) - bound, v
 
 
 def sample_seed(seed: int, i: int) -> int:
@@ -26,20 +30,10 @@ def rational_at(tag: str, seed: int, counter: int, bound: int) -> Fraction:
 
     The same (tag, seed, counter, bound) always yields the same value.
     """
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    d = _digest(tag, seed, counter)
-    u = int.from_bytes(d[:8], "big")
-    v = int.from_bytes(d[8:], "big")
-    p = u % (2 * bound + 1) - bound
-    q = v % bound + 1
-    return Fraction(p, q)
+    p, v = _draw(tag, seed, counter, bound)
+    return Fraction(p, v % bound + 1)
 
 
 def integer_at(tag: str, seed: int, counter: int, bound: int) -> int:
-    """Uniform integer in [-bound, bound], counter-addressed like rational_at."""
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    d = _digest(tag, seed, counter)
-    u = int.from_bytes(d[:8], "big")
-    return u % (2 * bound + 1) - bound
+    """Uniform integer in [-bound, bound]: the numerator p that rational_at draws."""
+    return _draw(tag, seed, counter, bound)[0]

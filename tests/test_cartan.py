@@ -9,6 +9,12 @@ from hesslab.rng import rational_at
 from hesslab.tensor import Sym3Tensor
 
 
+# scalar_curvature(rho(A)) = SCALAR_CURVATURE_SCALE * s, where s is the
+# value of the display polynomial (4/9)(3ac + 3bd - b^2 - c^2); frozen by
+# exact evaluation.
+SCALAR_CURVATURE_SCALE = Fraction(-1, 2)
+
+
 def random_components(seed):
     return cartan.TwoDSym3(*(rational_at("c2d", seed, i, 9) for i in range(4)))
 
@@ -51,18 +57,16 @@ def reconcile_signs(samples=10) -> tuple[Fraction, Fraction]:
     return cands[0]
 
 
+def nonzero_rational(token):
+    return token not in ("a", "b", "g") and Fraction(token) != 0
+
+
 def echelon_column_permutation():
     """A column order making the prolonged symbol upper-echelon for every
-    parameter value: each pivot is a nonzero constant with identical zeros
+    parameter value: each pivot is a nonzero rational token with "0" tokens
     below it.  Existence certifies rank 6 irrespective of the parameters."""
-    m = cartan._symbolic_prolonged()
+    m = [row.split() for row in cartan._PROLONGED]
     rows, cols = len(m), len(m[0])
-
-    def nonzero_const(e):
-        return e[0] != 0 and all(x == 0 for x in e[1:])
-
-    def is_zero(e):
-        return all(x == 0 for x in e)
 
     def search(k, used):
         if k == rows:
@@ -70,8 +74,8 @@ def echelon_column_permutation():
         for c in range(cols):
             if c in used:
                 continue
-            if nonzero_const(m[k][c]) and all(is_zero(m[j][c])
-                                              for j in range(k + 1, rows)):
+            if nonzero_rational(m[k][c]) and all(m[j][c] == "0"
+                                                 for j in range(k + 1, rows)):
                 rest = search(k + 1, used | {c})
                 if rest is not None:
                     return [c] + rest
@@ -109,7 +113,7 @@ class TestScalarRelation:
         # times the display polynomial value
         t = random_components(seed)
         s_curv = scalar_curvature(rho(t.to_sym3()))
-        assert s_curv == cartan.SCALAR_CURVATURE_SCALE * cartan.display_polynomial(t)
+        assert s_curv == SCALAR_CURVATURE_SCALE * cartan.display_polynomial(t)
 
     def test_sign_reconciliation_unique(self):
         assert reconcile_signs() == (Fraction(2), Fraction(-2))
@@ -213,13 +217,12 @@ class TestSymbolMatrices:
     def test_echelon_column_permutation_exists(self):
         perm = echelon_column_permutation()
         assert sorted(perm) == list(range(9))
-        # pivots are parameter-independent nonzero constants with zero below
-        sym = cartan._symbolic_prolonged()
+        # pivots are parameter-independent nonzero rationals with zero below
+        sym = [row.split() for row in cartan._PROLONGED]
         for row in range(6):
-            e = sym[row][perm[row]]
-            assert e[0] != 0 and all(x == 0 for x in e[1:])
+            assert nonzero_rational(sym[row][perm[row]])
             for below in range(row + 1, 6):
-                assert all(x == 0 for x in sym[below][perm[row]])
+                assert sym[below][perm[row]] == "0"
 
 
 class TestCartanTest:

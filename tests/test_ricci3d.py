@@ -29,6 +29,21 @@ def test_permute_sym3_matches_dense_relabeling():
             assert ricci3d._permute_sym3(A, perm) == permute_sym3_reference(A, perm)
 
 
+def ansatz_ricci_scaled(a1, a3, b13, b31):
+    """(alpha, beta, gamma, delta) = 72 * the nonzero entries of rho2(ansatz).
+
+    alpha, beta, gamma are the diagonal entries and delta the (1,3) entry,
+    each scaled by 1/RHO2_DISPLAY_SCALE.  The e2-cube coefficient a2 drops
+    out entirely.
+    """
+    a1, a3, b13, b31 = map(Fraction, (a1, a3, b13, b31))
+    alpha = 8 * (1 - (1 + 3 * a3) * b13 + b13 ** 2 + b31 ** 2 - 3 * a1 * (1 + b31))
+    beta = -8 * (-2 + 3 * a1 + 3 * a3 + b13 + b31)
+    gamma = 8 * (1 + b13 ** 2 - 3 * a3 * (1 + b13) - b31 - 3 * a1 * b31 + b31 ** 2)
+    delta = -8 * (-1 + b13 + b31)
+    return alpha, beta, gamma, delta
+
+
 def diag(l1, l2, l3):
     return RicciTensor.from_rows([[l1, 0, 0], [0, l2, 0], [0, 0, l3]])
 
@@ -47,7 +62,7 @@ class TestClosedForms:
     def test_alpha_minus_gamma_is_affine(self):
         # second difference of an affine function vanishes identically
         def ag(u):
-            alpha, _, gamma, _ = ricci3d.ansatz_ricci_scaled(*u)
+            alpha, _, gamma, _ = ansatz_ricci_scaled(*u)
             return alpha - gamma
 
         zero = (Fraction(0),) * 4
@@ -59,7 +74,7 @@ class TestClosedForms:
 
     def test_delta_component_vanishes(self):
         coeffs = ricci3d.ansatz_coefficients(1, 2, 3)
-        _, _, _, delta = ricci3d.ansatz_ricci_scaled(
+        _, _, _, delta = ansatz_ricci_scaled(
             coeffs[0], coeffs[2], coeffs[3], coeffs[4])
         assert delta == 0
 
@@ -68,7 +83,7 @@ class TestClosedForms:
         a1, a3, b13, b31 = vals
         A = ricci3d.build_ansatz(a1, Fraction(1), a3, b13, b31)
         r = rho2(A)
-        alpha, beta, gamma, delta = ricci3d.ansatz_ricci_scaled(a1, a3, b13, b31)
+        alpha, beta, gamma, delta = ansatz_ricci_scaled(a1, a3, b13, b31)
         scale = ricci3d.RHO2_DISPLAY_SCALE
         assert r[0, 0] == scale * alpha
         assert r[1, 1] == scale * beta
