@@ -69,7 +69,9 @@ def _as_text(doc: dict, indent: str = "") -> str:
         elif isinstance(val, list) and val and isinstance(val[0], (list, dict)):
             lines.append(f"{indent}{key}:")
             for item in val:
-                lines.append(f"{indent}  {item}")
+                if isinstance(item, dict):
+                    item = [f"{k}: {v}" for k, v in item.items()]
+                lines.append(f"{indent}  " + ", ".join(map(str, item)))
         else:
             lines.append(f"{indent}{key}: {val}")
     return "\n".join(lines)

@@ -251,6 +251,16 @@ class TestSubcommands:
         assert "crossover k* = 12" in out
         assert "schema:" not in out  # the bare table, not an _emit document
 
+    def test_text_output_prints_list_items_as_values(self, capsys):
+        # an item of a list of lists or of dicts is its values, not a repr
+        assert cli._as_text({"rows": [["0 0 0", "5/3"], [1.0, 0.0]],
+                             "failures": [{"seed": 7, "index": "0 1"}]}) == (
+            "rows:\n  0 0 0, 5/3\n  1.0, 0.0\nfailures:\n  seed: 7, index: 0 1")
+        code, out, _ = run(capsys, "verify", "--identity", "cubic", "--dim", "5",
+                           "--seeds", "2", "--seed", "1", "--output", "text", "--no-meta")
+        assert code == 1
+        assert out.endswith("failures:\n  seed: 1000003\n  seed: 1000004\n")
+
     def test_cartan_single(self, capsys):
         code, doc, _ = run_json(capsys, "cartan2d", "--alpha", "1/2",
                                 "--beta=-2/3", "--gamma", "7/1")
