@@ -100,7 +100,7 @@ COMMANDS = {
     # a list of lists in text output: the basis rows
     "mine n=4 p=2 text": (["mine", "--dim", "4", "--degree", "2", "--seed", "1",
                            "--output", "text"], 0,
-        "e078e8d28a95e4be37c703f116129332351b86f3fed49a8f4fffacc05ae8e086"),
+        "c0f7fdc8c22d8057bfae73fd63a080d88ca0d368406d8d1db4ef505a95f8d626"),
 }
 
 
@@ -227,7 +227,7 @@ RICCI_DOCUMENTS = {
     "identity": ({"rows": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
                  "d4588948314c46cfb03d0e7a3f69b48937e5644b171464ad668cc820f55837ad"),
     "identity text": ({"rows": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
-                      "29ca6272c2d61541b172f8adc3874e01d70df58e89bfa2680f1f9c0edfba5caf"),
+                      "9d45e468fd7bde99b3b6ac7ce39bdab92d33e1100d5c00306b0e43e403ece40f"),
     "zero": ({"rows": [["0"] * 3] * 3},
              "5755e1274780a078a64cad407f07e3abb626d96ce85dbba7b3b7e0608db5a813"),
 }
