@@ -562,6 +562,18 @@ class TestUsageErrors:
         code, doc, _ = run_json(capsys, "solve3d", "--ricci", str(path))
         assert code == 0 and doc["verified"] is True
 
+    def test_solve3d_exact_eigenvectors_past_float_range(self, capsys, tmp_path):
+        # float(norm) of the unscaled eigenvector (1, 10**200, 0) overflowed
+        # into a traceback, though the exact solution exists and is verified
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(
+            {"rows": [[1, 10 ** 200, 0], [10 ** 200, 10 ** 400, 0], [0, 0, 0]]}))
+        code, doc, err = run_json(capsys, "solve3d", "--ricci", str(path))
+        assert (code, err) == (0, "")
+        assert doc["verified"] is True and doc["residual"] == "0"
+        rotation = np.array(doc["rotation"])
+        assert np.allclose(rotation.T @ rotation, np.eye(3), rtol=0, atol=1e-12)
+
     def test_jets_growth_exponents_past_float_range(self, capsys):
         code, doc, _ = run_json(capsys, "jets", "--dim", "100000000", "--cap", "200")
         assert code == 0
