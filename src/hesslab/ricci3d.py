@@ -148,7 +148,9 @@ def _exact_eigenvectors(rows, lams) -> list[list[Fraction]]:
 
     The vectors are unnormalized and pairwise orthogonal: each eigenspace's
     nullspace basis is orthogonalized by exact Gram-Schmidt, which keeps
-    the entries rational.
+    the entries rational.  Each is scaled by a power of two that brings its
+    largest entry into (1/2, 2): its float conversions cannot overflow, and
+    away from subnormals the scaling leaves every rounded rotation entry as is.
     """
     vectors = []
     for lam in sorted(set(lams)):
@@ -158,7 +160,9 @@ def _exact_eigenvectors(rows, lams) -> list[list[Fraction]]:
             for u in eigenspace:
                 f = sum(a * b for a, b in zip(v, u)) / sum(a * a for a in u)
                 v = [a - f * b for a, b in zip(v, u)]
-            eigenspace.append(v)
+            top = max(map(abs, v))
+            eigenspace.append([x * Fraction(2) ** (top.denominator.bit_length()
+                                                   - top.numerator.bit_length()) for x in v])
         vectors += eigenspace
     return vectors
 

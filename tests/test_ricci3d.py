@@ -212,6 +212,20 @@ class TestSolveFromRicci:
         with pytest.raises(ValueError, match="tol"):
             ricci3d.solve_from_ricci([[1, 0, 0], [0, 2, 0], [0, 0, 3]], mode="float", tol=tol)
 
+    def test_zero_tol_refuses_a_nonzero_float_residual(self):
+        # the irrational eigenvectors of this matrix cannot round-trip exactly
+        with pytest.raises(ricci3d.VerificationError, match="residual"):
+            ricci3d.solve_from_ricci([[1, 1, 0], [1, 2, 0], [0, 0, 3]], mode="float", tol=0)
+
+    def test_unknown_mode_refused(self):
+        with pytest.raises(ValueError, match="unknown mode 'fuzzy'"):
+            ricci3d.solve_from_ricci([[1, 0, 0], [0, 2, 0], [0, 0, 3]], mode="fuzzy")
+
+    def test_exact_eigenvectors_are_scaled_into_float_range(self):
+        rows = [[1, 10 ** 200, 0], [10 ** 200, 10 ** 400, 0], [0, 0, 0]]
+        for v in ricci3d._exact_eigenvectors(rows, ricci3d._rational_eigenvalues(rows)):
+            assert Fraction(1, 2) < max(map(abs, v)) < 2
+
     def test_irrational_spectrum_needs_float_mode(self):
         rows = [[1, 1, 0], [1, 2, 0], [0, 0, 3]]
         with pytest.raises(ValueError):
