@@ -1,12 +1,12 @@
 """Command-line frontend: one subcommand per laboratory module.
 
-Every invocation writes a single JSON document (or aligned text with
---output text) to standard output; jets --output text prints the bare jet
-table, with no schema, command or meta lines.  Exit code 0 means success, 1
-means a verification failure (something expected to vanish did not), 2
-means a usage error, and also a standard output closed before it was
-written.  Seeded subcommands are bit-reproducible; --no-meta drops the
-timestamped metadata block so outputs can be compared byte for byte.
+Every run that exits 0 or 1 writes one JSON document (or aligned text
+with --output text) to standard output; jets --output text prints the bare
+jet table.  Exit code 0 means success, 1 a verification failure (something
+expected to vanish did not, or mine did not stabilize), and 2 a usage
+error or a standard output closed before it was written; standard error
+is written only with exit 2.  Seeded subcommands are bit-reproducible;
+--no-meta drops the timestamped metadata block for byte-for-byte checks.
 
 The parser reports a missing --dim, a count below 1 and an unknown option
 with the subcommand's usage.  An unreadable or non-JSON input file is a usage
@@ -125,27 +125,20 @@ IDENTITIES = {"quad": "pontryagin_quadratic", "cubic": "cubic_identity",
               "pontryagin": "pontryagin_form", "bianchi": "bianchi_residual"}
 
 
-def _verify_one(name, n, seed, degree):
-    from . import hessmap, identities
-    from .tensor import Sym3Tensor
-    R = hessmap.rho(Sym3Tensor.random(n, seed=seed, bound=6))
-    form = getattr(identities, IDENTITIES[name])
-    return (form(R, degree) if name == "pontryagin" else form(R)).is_zero()
-
-
 def _cmd_verify(args) -> int:
-    from . import rng
+    from . import hessmap, identities, rng
+    from .tensor import Sym3Tensor
     if args.identity != "pontryagin" and args.degree is not None:
         raise UsageError("--degree only applies to --identity pontryagin")
+    form = getattr(identities, IDENTITIES[args.identity])
     degree = 2 if args.degree is None else args.degree
-    failures = []
-    for i in range(args.seeds):
-        seed = rng.sample_seed(args.seed, i)
-        if not _verify_one(args.identity, args.dim, seed, degree):
-            failures.append({"seed": seed})
-    payload = {"identity": args.identity, "n": args.dim,
-               "seeds": args.seeds, "all_zero": not failures,
-               "failures": failures}
+    extra = (degree,) if args.identity == "pontryagin" else ()
+    seeds = (rng.sample_seed(args.seed, i) for i in range(args.seeds))
+    failures = [{"seed": s} for s in seeds
+                if not form(hessmap.rho(Sym3Tensor.random(args.dim, seed=s, bound=6)),
+                            *extra).is_zero()]
+    payload = {"identity": args.identity, "n": args.dim, "seeds": args.seeds,
+               "all_zero": not failures, "failures": failures}
     return _emit(args, payload, failed=bool(failures))
 
 
@@ -155,8 +148,7 @@ def _cmd_mine(args) -> int:
         basis = miner.mine(args.dim, args.degree, max_samples=args.max_samples,
                            seed=args.seed)
     except miner.StabilizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        return _emit(args, {"stabilized": False, "error": str(exc)}, failed=True)
     return _emit(args, basis.to_json())
 
 
@@ -325,9 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("cartan2d", _cmd_cartan2d, "planar symbol ranks and Cartan's test",
                 seed=False, dim=False)
     p.add_argument("--seed", type=int)
-    p.add_argument("--alpha")
-    p.add_argument("--beta")
-    p.add_argument("--gamma")
+    for name in ("--alpha", "--beta", "--gamma"):
+        p.add_argument(name, help=f"a rational; write a negative one as {name}=-5/7")
     p.add_argument("--sweep", type=count)
 
     p = command("validate", _cmd_validate, "validate a tensor JSON file",

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -407,12 +407,12 @@ class MinedIdentityBasis:
     n: int
     degree: int
     patterns: tuple
-    image_identities: list = field(default_factory=list)     # basis of N1
-    universal_identities: list = field(default_factory=list)  # basis of N2
-    quotient_representatives: list = field(default_factory=list)
-    rho_samples_used: int = 0
-    generic_samples_used: int = 0
-    seed: int = 0
+    image_identities: list      # basis of N1
+    universal_identities: list  # basis of N2
+    quotient_representatives: list
+    rho_samples_used: int
+    generic_samples_used: int
+    seed: int
 
     @property
     def quotient_dim(self) -> int:

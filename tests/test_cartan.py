@@ -129,6 +129,10 @@ class TestScalarRelation:
         assert cartan.TwoDSym3.from_sym3(A) == cartan.TwoDSym3(
             d[0, 0, 0], 3 * d[0, 0, 1], 3 * d[0, 1, 1], d[1, 1, 1])
 
+    def test_from_sym3_refuses_another_dimension(self):
+        with pytest.raises(ValueError, match="planar"):
+            cartan.TwoDSym3.from_sym3(Sym3Tensor.random(3, seed=1))
+
 
 class TestSolveA:
     def test_unit_case(self):

@@ -267,6 +267,15 @@ class TestSubcommands:
         assert code == 0
         assert doc["involutive"]
 
+    def test_cartan_negative_rational_after_an_equals_sign(self, capsys):
+        # a space-separated -5/7 reads as an option; the help names this form
+        code, doc, _ = run_json(capsys, "cartan2d", "--alpha", "2/3",
+                                "--beta=-5/7", "--gamma", "1/2")
+        assert code == 0 and doc["involutive"]
+        code, out, _ = run(capsys, "cartan2d", "--help")
+        assert code == 0
+        assert all(f"{x}=-5/7" in out for x in ("--alpha", "--beta", "--gamma"))
+
     def test_cartan_sweep(self, capsys):
         code, doc, _ = run_json(capsys, "cartan2d", "--sweep", "10",
                                 "--seed", "3")
@@ -357,11 +366,11 @@ class TestSubcommands:
             raise miner.StabilizationError("rank still increasing after 7 samples (rank 3)")
 
         monkeypatch.setattr(miner, "mine", unstable)
-        code, out, err = run(capsys, "mine", "--dim", "4", "--degree", "2",
-                             "--max-samples", "7", "--no-meta")
-        assert code == 1
-        assert out == ""
-        assert err == "error: rank still increasing after 7 samples (rank 3)\n"
+        # the failure is a document, as solve3d's and validate's are
+        assert run_json(capsys, "mine", "--dim", "4", "--degree", "2",
+                        "--max-samples", "7") == (1, {
+            "schema": "hol/1", "command": "mine", "stabilized": False,
+            "error": "rank still increasing after 7 samples (rank 3)"}, "")
 
 
 class TestSingleSources:

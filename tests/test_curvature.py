@@ -97,6 +97,14 @@ class TestInvariants:
             CurvTensor(t)
         assert "index" in str(err.value)
 
+    @pytest.mark.parametrize("order", [2, 3, 5])
+    def test_order_other_than_4_refused(self, order):
+        t = random_rational(2, order, seed=1)
+        with pytest.raises(ValueError, match="order-4"):
+            cyclic_sum(t)
+        with pytest.raises(ValueError, match="order 4"):
+            CurvTensor(t)
+
     def test_failures_past_int64(self, monkeypatch):
         # one entry broken by 2**62 fails all four invariants first at its
         # own index, and scaling the tensor changes none of the residuals' zeros

@@ -49,6 +49,8 @@ class TestDimensions:
             jets.jet_dim_metric(1, 0)
         with pytest.raises(ValueError):
             jets.jet_dim_metric(2, -1)
+        with pytest.raises(ValueError):
+            jets.jet_dim_hessian_data(1, 0)
 
 
 class TestCrossover:

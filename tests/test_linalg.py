@@ -48,6 +48,8 @@ class TestNullspace:
 
     def test_empty_matrix_full_kernel(self):
         assert len(linalg.nullspace([], cols=4)) == 4
+        with pytest.raises(ValueError, match="cols required"):
+            linalg.nullspace([])
 
 
 class TestSpan:

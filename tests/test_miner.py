@@ -465,6 +465,14 @@ class TestEvaluation:
                         for pat, c in zip(patterns2, vec) if c])
         assert acc == pontryagin_quadratic(R)
 
+    def test_vanishing_raw_pattern_adds_nothing(self, patterns2):
+        # R_{aaij} R_{klbb} traces both antisymmetric pairs: it is zero
+        raw = miner.pattern_from_slot_names(list("aaijklbb"))
+        assert miner.canonicalize(raw)[2]
+        trace = [(miner.trace_pattern(2), 1)]
+        assert miner.coefficient_vector(patterns2, [(raw, 5)] + trace) == \
+            miner.coefficient_vector(patterns2, trace)
+
     def test_unpaired_names_and_patterns_outside_the_basis_refused(self, patterns2):
         with pytest.raises(miner.PatternError, match=r"unpaired contraction names: \['a', 'c'\]"):
             miner.pattern_from_slot_names(list("ijabklbc"))

@@ -10,7 +10,7 @@ import io
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hesslab import cli, serialize
@@ -48,6 +48,9 @@ FILES = {
     "T.json": serialize.tensor_to_json(Tensor(2, np.eye(2, dtype=object))),
     "rational.json": {"rows": [["1/2", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]},
     "irrational.json": {"rows": [[1, 1, 0], [1, 2, 0], [0, 0, 3]]},
+    # exact eigenvectors, and sym3 entries, past float range
+    "overflow.json": {"rows": [[1, 10 ** 200, 0], [10 ** 200, 10 ** 400, 0], [0, 0, 0]]},
+    "digits.json": serialize.tensor_to_json(Sym3Tensor(2, (10 ** 399, -3 * 10 ** 399, 0, 7))),
     "huge.json": {"n": 10 ** 6, "order": 3, "packing": "sym3", "entries": []},
     "list.json": [1, 2, 3],
     "bad.json": "{not json",
@@ -111,6 +114,10 @@ def command_lines(draw):
 
 @settings(SETTINGS, max_examples=200)
 @given(command_lines())
+# the inputs past float range, which the 200 generated lines may not name
+@example(argv=["solve3d", "--ricci", "@overflow.json"])
+@example(argv=["rho", "--in", "@digits.json"])
+@example(argv=["validate", "--in", "@digits.json", "--output", "text"])
 def test_cli_exit_code_is_0_1_or_2(tmp_path_factory, argv):
     folder = tmp_path_factory.getbasetemp() / "cli-inputs"
     if not folder.exists():
@@ -118,13 +125,16 @@ def test_cli_exit_code_is_0_1_or_2(tmp_path_factory, argv):
         for name, doc in FILES.items():
             (folder / name).write_text(doc if name == "bad.json" else json.dumps(doc))
     argv = [str(folder / x[1:]) if x.startswith("@") else x for x in argv]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""
-    elif "text" not in argv:
+        return
+    # standard error is only for usage errors
+    assert err.getvalue() == ""
+    if "text" not in argv:
         # one JSON document, naming the subcommand that wrote it
         doc = json.loads(out.getvalue())
         assert (doc["schema"], doc["command"]) == ("hol/1", argv[0])

@@ -94,6 +94,8 @@ class TestAlternators:
         t = random_rational(2, 3, seed=4)
         with pytest.raises(ValueError):
             antisymmetrize(t, [0, 0])
+        with pytest.raises(ValueError, match="axis 3 out of range for order 3"):
+            antisymmetrize(t, [0, 3])
 
     @pytest.mark.parametrize("k", range(6))
     def test_signed_permutations_by_cycle_parity(self, k):
@@ -430,7 +432,7 @@ class TestSym3:
     def test_constructor_checks_its_entries(self):
         with pytest.raises(ValueError, match="expected 4 packed entries, got 3"):
             Sym3Tensor(2, (1, 2, 3))
-        with pytest.raises(AttributeError):
+        with pytest.raises(ValueError, match="entry 1.5 is not an integer or a Fraction"):
             Sym3Tensor(2, (1.5, 0, 0, 0))
 
     def test_from_dense_rejects_asymmetric(self):
@@ -460,3 +462,15 @@ class TestTensorValidation:
     def test_order_bounds(self):
         with pytest.raises(ValueError):
             random_rational(2, 7, seed=0)
+
+    def test_shape_must_be_n_per_slot(self):
+        with pytest.raises(ValueError, match=r"expected shape \(2, 2\), got \(2, 3\)"):
+            Tensor(2, [[1, 2, 3], [4, 5, 6]])
+
+    @pytest.mark.parametrize("data, entry", [
+        ([[1, 2], [3]], r"\[1, 2\]"),  # a ragged list reads as an order-1 array of lists
+        ([[0.5, 0], [0, 1]], "0.5"),
+    ])
+    def test_entries_must_be_exact(self, data, entry):
+        with pytest.raises(ValueError, match=f"entry {entry} is not an integer or a Fraction"):
+            Tensor(2, data)
