@@ -146,11 +146,10 @@ def _rational_eigenvalues(rows) -> list[Fraction]:
 def _exact_eigenvectors(rows, lams) -> list[list[Fraction]]:
     """One rational eigenvector of rows per entry of the sorted lams, in order.
 
-    The vectors are unnormalized and pairwise orthogonal: each eigenspace's
-    nullspace basis is orthogonalized by exact Gram-Schmidt, which keeps
-    the entries rational.  Each is scaled by a power of two that brings its
-    largest entry into (1/2, 2): its float conversions cannot overflow, and
-    away from subnormals the scaling leaves every rounded rotation entry as is.
+    The vectors are pairwise orthogonal: exact Gram-Schmidt on each
+    eigenspace's nullspace basis keeps the entries rational.  A power of two
+    scales each vector's largest entry into (1/2, 2), so its float conversions
+    cannot overflow and, away from subnormals, round as the unscaled ones do.
     """
     vectors = []
     for lam in sorted(set(lams)):
