@@ -133,10 +133,12 @@ def _cmd_verify(args) -> int:
     form = getattr(identities, IDENTITIES[args.identity])
     degree = 2 if args.degree is None else args.degree
     extra = (degree,) if args.identity == "pontryagin" else ()
-    seeds = (rng.sample_seed(args.seed, i) for i in range(args.seeds))
-    failures = [{"seed": s} for s in seeds
-                if not form(hessmap.rho(Sym3Tensor.random(args.dim, seed=s, bound=6)),
-                            *extra).is_zero()]
+    failures = []
+    for i in range(args.seeds):
+        seed = rng.sample_seed(args.seed, i)
+        if not form(hessmap.rho(Sym3Tensor.random(args.dim, seed=seed, bound=6)),
+                    *extra).is_zero():
+            failures.append({"seed": seed})
     payload = {"identity": args.identity, "n": args.dim, "seeds": args.seeds,
                "all_zero": not failures, "failures": failures}
     return _emit(args, payload, failed=bool(failures))

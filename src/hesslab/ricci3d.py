@@ -146,10 +146,9 @@ def _rational_eigenvalues(rows) -> list[Fraction]:
 def _exact_eigenvectors(rows, lams) -> list[list[Fraction]]:
     """One rational eigenvector of rows per entry of the sorted lams, in order.
 
-    The vectors are pairwise orthogonal: exact Gram-Schmidt on each
-    eigenspace's nullspace basis keeps the entries rational.  A power of two
-    scales each vector's largest entry into (1/2, 2), so its float conversions
-    cannot overflow and, away from subnormals, round as the unscaled ones do.
+    The vectors are unnormalized and pairwise orthogonal: each eigenspace's
+    nullspace basis is orthogonalized by exact Gram-Schmidt, which keeps
+    the entries rational.
     """
     vectors = []
     for lam in sorted(set(lams)):
@@ -159,7 +158,7 @@ def _exact_eigenvectors(rows, lams) -> list[list[Fraction]]:
             for u in eigenspace:
                 f = sum(a * b for a, b in zip(v, u)) / sum(a * a for a in u)
                 v = [a - f * b for a, b in zip(v, u)]
-            top = max(map(abs, v))
+            top = max(map(abs, v))  # scaled into (1/2, 2), so float() cannot overflow
             eigenspace.append([x * Fraction(2) ** (top.denominator.bit_length()
                                                    - top.numerator.bit_length()) for x in v])
         vectors += eigenspace

@@ -138,9 +138,8 @@ def _entries(X: np.ndarray, D: int, rational: bool) -> np.ndarray:
 def _clear(a: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """(X, D, rational) of integer_form for the entries of a, in a new array."""
     flat = a.ravel().tolist()
-    bad = [x for x in flat if not hasattr(x, "denominator")]
-    if bad:
-        raise ValueError(f"entry {bad[0]!r} is not an integer or a Fraction")
+    for x in [x for x in flat if not hasattr(x, "denominator")]:
+        raise ValueError(f"entry {x!r} is not an integer or a Fraction")
     D = math.lcm(*(x.denominator for x in flat))
     X = np.array([x.numerator * (D // x.denominator) for x in flat], dtype=object)
     return X.reshape(a.shape), D, any(isinstance(x, Fraction) for x in flat)
