@@ -470,7 +470,7 @@ class TestTensorValidation:
     @pytest.mark.parametrize("data, entry", [
         ([[1, 2], [3]], r"\[1, 2\]"),  # a ragged list reads as an order-1 array of lists
         ([[0.5, 0], [0, 1]], "0.5"),
-    ])
+    ], ids=["ragged", "float"])
     def test_entries_must_be_exact(self, data, entry):
         with pytest.raises(ValueError, match=f"entry {entry} is not an integer or a Fraction"):
             Tensor(2, data)
