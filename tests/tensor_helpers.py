@@ -18,6 +18,13 @@ MALFORMED_INDEX_KEYS = {
     "leading-space": " 0 1 1", "trailing-space": "0 1 1 ", "tab": "0\t1 1",
 }
 
+# an n = 3 sym3 document with 2,500-digit entries at every other sorted
+# triple and "5" at the rest: its curvature has entries longer than the
+# 4,300 digits Python converts between int and str by default
+LONG_DIGITS_DOCUMENT = {"n": 3, "order": 3, "packing": "sym3", "entries": [
+    [" ".join(map(str, ijk)), "7" * 2500 if i % 2 == 0 else "5"]
+    for i, ijk in enumerate(sym3_triples(3))]}
+
 
 def combine(*terms) -> Tensor:
     """sum c * T over the (c, T) terms, computed on the entries T.data.

@@ -10,7 +10,7 @@ import pytest
 
 from hesslab import cli, rng, serialize
 from hesslab.tensor import Sym3Tensor
-from tensor_helpers import MALFORMED_INDEX_KEYS
+from tensor_helpers import LONG_DIGITS_DOCUMENT, MALFORMED_INDEX_KEYS
 
 
 def run(capsys, *argv):
@@ -594,3 +594,37 @@ class TestUsageErrors:
         assert [row[0] for row in doc["rows"]] == [0, 1]
         assert doc["growth_exponent_metric"] is None
         assert doc["growth_exponent_hessian"] is None
+
+
+class TestLongValues:
+    """Exact values longer than the interpreter's int-string digit limit."""
+
+    @pytest.mark.parametrize("argv", (
+        ("rho", "--in", "A.json"),
+        ("solve3d", "--ricci", "r.json"),
+        ("jets", "--dim", "10000000", "--cap", "1000"),
+    ), ids=["rho", "solve3d", "jets"])
+    def test_long_values_exit_0(self, capsys, tmp_path, argv):
+        (tmp_path / "A.json").write_text(json.dumps(LONG_DIGITS_DOCUMENT))
+        (tmp_path / "r.json").write_text(json.dumps(
+            {"rows": [["7" * 2500, "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]}))
+        argv = [str(tmp_path / x) if x.endswith(".json") else x for x in argv]
+        code, out, err = run(capsys, *argv, "--no-meta")
+        assert (code, err) == (0, "")
+        # jets writes integers too long for json.loads to convert by default
+        doc = json.loads(out, parse_int=str)
+        assert (doc["schema"], doc["command"]) == ("hol/1", argv[0])
+
+    def test_run_restores_the_digit_limit(self, capsys):
+        before = sys.get_int_max_str_digits()
+        for argv in (("jets", "--dim", "3", "--cap", "1"), ("jets", "--dim", "1")):
+            run(capsys, *argv)
+            assert sys.get_int_max_str_digits() == before
+
+    def test_rho_output_file_is_valid(self, capsys, tmp_path):
+        path, out_path = tmp_path / "A.json", tmp_path / "R.json"
+        path.write_text(json.dumps(LONG_DIGITS_DOCUMENT))
+        assert run_json(capsys, "rho", "--in", str(path), "--out", str(out_path))[0] == 0
+        code, doc, _ = run_json(capsys, "validate", "--in", str(out_path))
+        assert code == 0
+        assert doc["valid"] is True and doc["curvature_symmetries"] is True
