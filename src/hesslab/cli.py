@@ -337,12 +337,19 @@ def run(argv=None) -> int:
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    # exact values have any length: lift int-str conversion's digit limit
+    # (Python 3.10.7 and later) while the command runs, then restore it
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
+        set_limit(0)
         return args.func(args)
     except ValueError as exc:
         # a usage error, or a library call that rejected its arguments
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        set_limit(limit)
 
 
 def main() -> None:
