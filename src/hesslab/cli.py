@@ -196,11 +196,7 @@ def _cmd_solve3d(args) -> int:
 
 def _cmd_jets(args) -> int:
     from . import jets
-    report = jets.crossover(args.dim, args.cap)
-    if args.output == "text":
-        print(report.to_text())
-        return EXIT_OK
-    return _emit(args, report.to_json())
+    return _emit(args, jets.crossover(args.dim, args.cap).to_json())
 
 
 def _cmd_cartan2d(args) -> int:

@@ -133,7 +133,8 @@ def _bianchi_kernel(n: int):
     no ij|kl), 1 there and 0 at the other free columns, and at ij|kl +1
     for the free column ik|jl and -1 for il|jk.  A vector weighs the
     symmetric products e_ij e_kl + e_kl e_ij of 2-forms, so its diagonal
-    coordinates c[ij,ij] count twice in R_ijij.
+    coordinates c[ij,ij] count twice in R_ijij.  So the coordinates with
+    one term are exactly the free columns, in the order of their vectors.
 
     Returns, per coordinate, the (vector, integer value) pairs of the
     kernel that are nonzero there, and for every dense index the coordinate
@@ -192,21 +193,11 @@ def random_curvature(n: int, seed: int, bound: int = 10) -> CurvTensor:
 def _coordinate_data(n: int):
     """Flat dense positions and values that read off basis coordinates.
 
-    Each Bianchi-kernel vector is 1 at its own free column and 0 at the
-    other free columns, so it is the only vector nonzero at that pair
-    coordinate, and curvature_basis(n)[m] is the only basis tensor nonzero
-    at the coordinate's dense index.  The first such lone coordinate of
-    each vector is read from the kernel's terms, and the check fails if a
-    vector has none: the positions are checked, not assumed.
+    Kernel vector m alone is nonzero at the m-th coordinate with one term, so
+    curvature_basis(n)[m] alone is nonzero at that coordinate's dense index.
     """
     terms, where = _bianchi_kernel(n)
-    lone = {}
-    for c, t in enumerate(terms):
-        if len(t) == 1:
-            lone.setdefault(t[0][0], (c, t[0][1]))
-    if len(lone) != curvature_space_dim(n):
-        raise AssertionError("a Bianchi-kernel vector has no lone nonzero coordinate")
-    cols, values = zip(*(lone[m] for m in range(len(lone))))
+    cols, values = zip(*((c, t[0][1]) for c, t in enumerate(terms) if len(t) == 1))
     # where reads coordinate c with a plus sign at its first dense index
     first = np.unique(where.ravel(), return_index=True)[1]
     return first[list(cols)], np.array([Fraction(v) for v in values], dtype=object)

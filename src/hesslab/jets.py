@@ -43,7 +43,7 @@ def deficit(n: int, k: int) -> int:
 class JetReport:
     n: int
     cap: int
-    rows: list = field(default_factory=list)  # (k, dim_metric, dim_hessian, deficit)
+    rows: list = field(default_factory=list)  # [k, dim_metric, dim_hessian, deficit]
     crossover: int | None = None
     monotone_after_crossover: bool = True
     growth_exponent_metric: float | None = None   # None when cap < 2
@@ -55,13 +55,6 @@ class JetReport:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-    def to_text(self) -> str:
-        lines = [f"{'k':>4} {'dim J_k(g)':>16} {'dim J_k+2(x,phi)':>18} {'deficit':>14}"]
-        for k, dm, dh, df in self.rows:
-            lines.append(f"{k:>4} {dm:>16} {dh:>18} {df:>14}")
-        lines.append(f"crossover k* = {self.crossover}")
-        return "\n".join(lines)
 
 
 def crossover(n: int, cap: int) -> JetReport:
@@ -76,7 +69,7 @@ def crossover(n: int, cap: int) -> JetReport:
     for k in range(cap + 1):
         dm = jet_dim_metric(n, k)
         dh = jet_dim_hessian_data(n, k)
-        report.rows.append((k, dm, dh, dm - dh))
+        report.rows.append([k, dm, dh, dm - dh])
         if dm > dh and report.crossover is None:
             report.crossover = k
     if report.crossover is not None:

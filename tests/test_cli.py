@@ -248,8 +248,10 @@ class TestSubcommands:
         code, out, _ = run(capsys, "jets", "--dim", "3", "--cap", "15",
                            "--output", "text")
         assert code == 0
-        assert "crossover k* = 12" in out
-        assert "schema:" not in out  # the bare table, not an _emit document
+        # the one writer's document: each row a line of its values
+        assert out.startswith("schema: hol/1\ncommand: jets\nmeta:\n")
+        assert "\n  12, 2730, 2720, 10\n  13, 3360, 3264, 96\n" in out
+        assert "\ncrossover: 12\n" in out
 
     def test_text_output_prints_list_items_as_values(self, capsys):
         # an item of a list of lists or of dicts is its values, not a repr

@@ -230,13 +230,3 @@ class TestCoordinates:
         R = random_curvature(n, seed=8)
         rebuilt = combine(*zip(coordinates(R), curvature_basis(n)))
         assert rebuilt == R
-
-    def test_basis_without_a_lone_entry_is_rejected(self, monkeypatch):
-        # kernel vector 1 made equal to vector 0: they share every nonzero
-        # coordinate, so neither has one of its own
-        terms, where = curvature._bianchi_kernel(3)
-        shared = tuple(tuple((m, v) for m, v in t if m != 1)
-                       + tuple((1, v) for m, v in t if m == 0) for t in terms)
-        monkeypatch.setattr(curvature, "_bianchi_kernel", lambda n: (shared, where))
-        with pytest.raises(AssertionError, match="lone"):
-            curvature._coordinate_data.__wrapped__(3)

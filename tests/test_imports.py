@@ -8,7 +8,8 @@ helper, class or constant starting with one "_") that no module of the
 package reads, as a deletion can leave one behind.  And modules load on
 first use: in a fresh interpreter, importing the package or the CLI loads
 only what it names, and the miner builds its slot-map tables only when a
-search first asks for them.
+search first asks for them.  The CLI has one writer: only cli._emit prints
+to standard output, and only cli.run to standard error.
 """
 
 import ast
@@ -131,6 +132,46 @@ def test_the_check_finds_unread_private_names():
 def test_no_unread_private_names():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def stream_writes(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module.function, call) for each print and sys.stdout or sys.stderr
+    write in sources, sorted; print names the file it writes to."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        scopes = [tree] + [node for node in ast.walk(tree) if isinstance(node, FUNCTIONS)]
+        for scope in scopes:
+            where = f"{module}.{getattr(scope, 'name', '<module>')}"
+            for node in _own_nodes(scope):
+                if not isinstance(node, ast.Call):
+                    continue
+                call = ast.unparse(node.func)
+                if call == "print":
+                    file = [ast.unparse(k.value) for k in node.keywords if k.arg == "file"]
+                    found.append((where, f"print to {(file or ['sys.stdout'])[0]}"))
+                elif (call.startswith(("sys.stdout.", "sys.stderr."))
+                      and call.endswith((".write", ".writelines"))):
+                    found.append((where, call))
+    return sorted(found)
+
+
+def test_the_check_finds_stream_writes():
+    sources = {"a": ("import sys\nprint('top')\n"
+                     "def f(out):\n    print(1, file=out)\n    sys.stdout.flush()\n"
+                     "class C:\n    def g(self):\n        def h():\n"
+                     "            sys.stdout.buffer.write(b'')\n"
+                     "        sys.stderr.writelines([])\n        return h\n")}
+    assert stream_writes(sources) == [
+        ("a.<module>", "print to sys.stdout"), ("a.f", "print to out"),
+        ("a.g", "sys.stderr.writelines"), ("a.h", "sys.stdout.buffer.write")]
+
+
+def test_the_cli_has_one_writer():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert stream_writes(sources) == [
+        ("cli._emit", "print to sys.stdout"), ("cli._emit", "print to sys.stdout"),
+        ("cli.run", "print to sys.stderr")]
 
 
 def fresh(code: str) -> str:

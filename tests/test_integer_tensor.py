@@ -208,6 +208,14 @@ class TestGivenEntries:
         assert built == []
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_coordinates_are_the_drawn_rationals(n):
+    # read at the kernel's single-term coordinates, past the dimensions
+    # that test_curvature's round trip builds the basis for
+    assert coordinates(random_curvature(n, seed=1)) == [
+        rng.rational_at(f"curv|{n}|10", 1, i, 10) for i in range(curvature_space_dim(n))]
+
+
 def test_pontryagin_form_builds_no_entries_until_read(monkeypatch):
     built = []
     entries = tensor._entries
