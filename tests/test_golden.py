@@ -101,6 +101,9 @@ COMMANDS = {
     "mine n=4 p=2 text": (["mine", "--dim", "4", "--degree", "2", "--seed", "1",
                            "--output", "text"], 0,
         "c0f7fdc8c22d8057bfae73fd63a080d88ca0d368406d8d1db4ef505a95f8d626"),
+    # recorded when jets --output text began to write the hol/1 document
+    "jets n=3 cap=15 text": (["jets", "--dim", "3", "--cap", "15", "--output", "text"], 0,
+        "7a93cf47a2a61b988e1650bb13dc6fa01a6feb12beaa0d11d3fcd80341c1dfa7"),
 }
 
 
