@@ -1,4 +1,4 @@
-"""Property tests: JSON round-trips and the CLI's exit-code contract.
+"""Property tests: JSON round-trips and the CLI's contracts.
 
 Every strategy is small (dimension at most 5, sample, seed and cap counts at
 most 2), so no generated case is slow or allocates much, and the runs are
@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hesslab import cli, serialize
-from hesslab.tensor import Sym3Tensor, Tensor, sym3_dim
+from hesslab.tensor import Sym3Tensor, Tensor, sym3_dim, sym3_triples
+from tensor_helpers import LONG_DIGITS_DOCUMENT
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None)
 
@@ -51,6 +52,8 @@ FILES = {
     # exact eigenvectors, and sym3 entries, past float range
     "overflow.json": {"rows": [[1, 10 ** 200, 0], [10 ** 200, 10 ** 400, 0], [0, 0, 0]]},
     "digits.json": serialize.tensor_to_json(Sym3Tensor(2, (10 ** 399, -3 * 10 ** 399, 0, 7))),
+    # a curvature with entries past the int-string digit limit
+    "long.json": LONG_DIGITS_DOCUMENT,
     "huge.json": {"n": 10 ** 6, "order": 3, "packing": "sym3", "entries": []},
     "list.json": [1, 2, 3],
     "bad.json": "{not json",
@@ -114,10 +117,12 @@ def command_lines(draw):
 
 @settings(SETTINGS, max_examples=200)
 @given(command_lines())
-# the inputs past float range, which the 200 generated lines may not name
+# the inputs past float range and the digit limit, which the 200
+# generated lines may not name
 @example(argv=["solve3d", "--ricci", "@overflow.json"])
 @example(argv=["rho", "--in", "@digits.json"])
 @example(argv=["validate", "--in", "@digits.json", "--output", "text"])
+@example(argv=["rho", "--in", "@long.json", "--out", "@out.json"])
 def test_cli_exit_code_is_0_1_or_2(tmp_path_factory, argv):
     folder = tmp_path_factory.getbasetemp() / "cli-inputs"
     if not folder.exists():
@@ -138,3 +143,39 @@ def test_cli_exit_code_is_0_1_or_2(tmp_path_factory, argv):
         # one JSON document, naming the subcommand that wrote it
         doc = json.loads(out.getvalue())
         assert (doc["schema"], doc["command"]) == ("hol/1", argv[0])
+
+
+@st.composite
+def sym3_documents(draw):
+    """sym3 documents, now and then with one entry that validate refuses."""
+    n = draw(st.integers(2, 5))
+    keys = st.sampled_from([" ".join(map(str, idx)) for idx in sym3_triples(n)])
+    values = st.one_of(rationals.map(serialize.format_rational), st.just("7" * 2500))
+    entries = [list(e) for e in draw(st.dictionaries(keys, values, max_size=6)).items()]
+    flaw = draw(st.sampled_from([None, None, None, [f"0 0 {n}", "1"], ["1 0 0", "1"],
+                                 ["0 0 0 0", "1"], ["0 1 1", "1/0"], ["0 1 1", "0.5"]]))
+    return {"n": n, "order": 3, "packing": "sym3", "entries": entries + [flaw] * bool(flaw)}
+
+
+def run_quietly(*argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.run([*argv, "--no-meta"])
+    return code, out.getvalue()
+
+
+@settings(SETTINGS, max_examples=60)
+@given(sym3_documents())
+@example(doc=LONG_DIGITS_DOCUMENT)
+def test_rho_accepts_what_validate_accepts(tmp_path_factory, doc):
+    folder = tmp_path_factory.getbasetemp() / "rho-inputs"
+    folder.mkdir(exist_ok=True)
+    path, out_path = folder / "A.json", folder / "R.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_quietly("validate", "--in", str(path))
+    if not json.loads(out)["valid"]:
+        return
+    assert run_quietly("rho", "--in", str(path), "--out", str(out_path))[0] == 0
+    code, out = run_quietly("validate", "--in", str(out_path))
+    assert code == 0
+    assert json.loads(out)["curvature_symmetries"] is True
