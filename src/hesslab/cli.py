@@ -1,12 +1,12 @@
 """Command-line frontend: one subcommand per laboratory module.
 
 Every run that exits 0 or 1 writes one JSON document (or aligned text
-with --output text) to standard output; jets --output text prints the bare
-jet table.  Exit code 0 means success, 1 a verification failure (something
-expected to vanish did not, or mine did not stabilize), and 2 a usage
-error or a standard output closed before it was written; standard error
-is written only with exit 2.  Seeded subcommands are bit-reproducible;
---no-meta drops the timestamped metadata block for byte-for-byte checks.
+with --output text) to standard output, through _emit.  Exit code 0 means
+success, 1 a verification failure (something expected to vanish did not,
+or mine did not stabilize), and 2 a usage error or a standard output
+closed before it was written; standard error is written only with exit 2.
+Seeded subcommands are bit-reproducible; --no-meta drops the timestamped
+metadata block for byte-for-byte checks.
 
 The parser reports a missing --dim, a count below 1 and an unknown option
 with the subcommand's usage.  An unreadable or non-JSON input file is a usage
