@@ -133,8 +133,8 @@ def _bianchi_kernel(n: int):
     no ij|kl), 1 there and 0 at the other free columns, and at ij|kl +1
     for the free column ik|jl and -1 for il|jk.  A vector weighs the
     symmetric products e_ij e_kl + e_kl e_ij of 2-forms, so its diagonal
-    coordinates c[ij,ij] count twice in R_ijij.  So the coordinates with
-    one term are exactly the free columns, in the order of their vectors.
+    coordinates c[ij,ij] count twice in R_ijij.  An ij|kl coordinate has
+    two terms, so those with one are the free columns, in vector order.
 
     Returns, per coordinate, the (vector, integer value) pairs of the
     kernel that are nonzero there, and for every dense index the coordinate
