@@ -230,3 +230,11 @@ class TestCoordinates:
         R = random_curvature(n, seed=8)
         rebuilt = combine(*zip(coordinates(R), curvature_basis(n)))
         assert rebuilt == R
+
+    @pytest.mark.parametrize("c", [2**61, 2**62, 2**63 - 1, 2**63, 2**64],
+                             ids=["2**61", "2**62", "2**63-1", "2**63", "2**64"])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["same", "opposite"])
+    def test_round_trip_of_coefficients_past_int64(self, c, sign):
+        # the coordinate sums reach 2 * c, past int64 from c = 2**62 on
+        co = [c, sign * c] + [0] * 18
+        assert coordinates(materialize(4, co)) == co

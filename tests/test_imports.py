@@ -9,7 +9,9 @@ package reads, as a deletion can leave one behind.  And modules load on
 first use: in a fresh interpreter, importing the package or the CLI loads
 only what it names, and the miner builds its slot-map tables only when a
 search first asks for them.  The CLI has one writer: only cli._emit prints
-to standard output, and only cli.run to standard error.
+to standard output, and only cli.run to standard error.  And numpy guesses
+no dtype: every np.array and np.asarray call names its dtype, since a
+guessed one reads ints past int64 as uint64 or float64.
 """
 
 import ast
@@ -172,6 +174,30 @@ def test_the_cli_has_one_writer():
     assert stream_writes(sources) == [
         ("cli._emit", "print to sys.stdout"), ("cli._emit", "print to sys.stdout"),
         ("cli.run", "print to sys.stderr")]
+
+
+def guessed_dtypes(sources: dict[str, str]) -> list[tuple[str, int]]:
+    """(module, line) of each np.array or np.asarray call in sources
+    without a dtype= keyword, sorted."""
+    return sorted((module, node.lineno) for module, source in sources.items()
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and ast.unparse(node.func) in ("np.array", "np.asarray")
+                  and not any(k.arg == "dtype" for k in node.keywords))
+
+
+def test_the_check_finds_guessed_dtypes():
+    sources = {"a": ("import numpy as np\nx = np.array([2**63])\n"
+                     "y = np.asarray(x, dtype=object)\n"
+                     "def f(v):\n    return np.zeros(3), np.asarray(v), np.array(v, object)\n"),
+               "b": "z = [np.array([1.5], dtype=float), np.empty(2)]\n"}
+    # a positional dtype is flagged too: the check asks for the keyword
+    assert guessed_dtypes(sources) == [("a", 2), ("a", 5), ("a", 5)]
+
+
+def test_numpy_guesses_no_dtype():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert guessed_dtypes(sources) == []
 
 
 def fresh(code: str) -> str:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hesslab import linalg, rng
@@ -117,6 +117,12 @@ class TestRaggedRows:
         with pytest.raises(ValueError):
             linalg.in_span([[1, 0]], [1, 0, 5])
 
+    def test_inexact_entries_are_refused(self):
+        with pytest.raises(ValueError, match="entry 1.5 is not an integer or a Fraction"):
+            linalg.rank([[1.5, 2], [1, 1]])
+        with pytest.raises(ValueError, match="entry '1' is not an integer or a Fraction"):
+            linalg.RowSpace(2).add(["1", 2])
+
 
 class TestIntegerElimination:
     def test_integer_rows_build_no_fraction(self, monkeypatch):
@@ -230,3 +236,46 @@ class TestRankModP:
     def test_zero_and_empty(self):
         assert linalg.rank_mod_p([[0, 0], [0, 0]]) == 0
         assert linalg.rank_mod_p([]) == 0
+
+    def test_big_ints_in_a_list_are_read_exactly(self):
+        # numpy alone reads this list as float64, whose rows are independent
+        m = [[-1, 2**62 + 700], [-3, 3 * 2**62 + 2100]]
+        assert linalg.rank_mod_p(m) == linalg.rank(m) == 1
+
+    def test_rationals_are_cleared_not_truncated(self):
+        m = [[Fraction(3, 2), Fraction(1, 2)], [3, 1]]
+        assert linalg.rank_mod_p(m) == linalg.rank(m) == 1
+
+    @pytest.mark.parametrize("m", [[[1.5, 0.5], [3, 1]], np.array([[1.5, 0.5], [3, 1]])],
+                             ids=["list", "ndarray"])
+    def test_floats_are_refused(self, m):
+        with pytest.raises(ValueError, match="entry 1.5 is not an integer or a Fraction"):
+            linalg.rank_mod_p(m)
+
+
+SMALL = st.integers(-3, 3)
+BIG = st.integers(2**62, 2**66) | st.integers(-2**66, -2**62)
+RATIONAL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def exact_matrices(draw):
+    """Lists of rows of small ints, ints past int64 and Fractions, some rows
+    planted as combinations of others."""
+    cols = draw(st.integers(1, 4))
+    row = st.lists(SMALL | BIG | RATIONAL, min_size=cols, max_size=cols)
+    m = draw(st.lists(row, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        (a, s), (b, t) = (draw(st.tuples(st.sampled_from(m), SMALL | RATIONAL)) for _ in "ab")
+        m.insert(draw(st.integers(0, len(m))), [s * x + t * y for x, y in zip(a, b)])
+    return m
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(exact_matrices())
+@example([[-1, 2**62 + 700], [-3, 3 * 2**62 + 2100]])
+@example([[Fraction(3, 2), Fraction(1, 2)], [3, 1]])
+def test_rank_mod_p_is_a_lower_bound(m):
+    r = linalg.rank_mod_p(m)
+    assert r <= linalg.rank(m)
+    assert r == linalg.rank_mod_p(np.array(m, dtype=object))

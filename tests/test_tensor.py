@@ -182,6 +182,12 @@ class TestIntegerContraction:
         assert (X.tolist(), D, rational, X.dtype) == ([2**40, -3], 1, False, object)
         assert {type(x) for x in X} == {int}
 
+    def test_integer_form_reads_ints_past_int64(self):
+        # numpy alone reads this list as float64
+        X, D, rational = tensor.integer_form([2**63, -1], lambda M: M)
+        assert (X.tolist(), D, rational, X.dtype) == ([2**63, -1], 1, False, object)
+        assert {type(x) for x in X} == {int}
+
 
 # degrees 1, 2 and 3 in one call, so each row needs its own D**deg
 MIXED_SPECS = ["ijkl->ijkl", "ijab,klba->ijkl", "iajb,kbcd,ldac->ijkl", "iajb,kcad,ldbc->ijkl"]
