@@ -161,14 +161,14 @@ def _bianchi_kernel(n: int):
 def materialize(n: int, coeffs) -> CurvTensor:
     """sum_m coeffs[m] * curvature_basis(n)[m], in the coefficients' number type.
 
-    The integer kernel vectors combine the coefficients, cleared once by
-    the lcm L of their denominators, into integer pair coordinates; one
-    gather spreads them, with their signs, over the n**4 array, held over L.
+    The kernel vectors combine the coefficients, cleared once by the lcm L of
+    their denominators, into integer pair coordinates of at most 2 max|c|, the
+    bound that picks their dtype; one gather spreads them over the n**4 array.
     """
     terms, where = _bianchi_kernel(n)
-    c, L, rational = integer_form(coeffs, lambda M: M)
-    c = c.tolist()  # the coordinate sums run on Python ints
-    coords = np.array([sum(c[m] * v for m, v in t) for t in terms])
+    X, L, rational = integer_form(coeffs, lambda M: 2 * M)
+    c = X.tolist()  # the coordinate sums run on Python ints
+    coords = np.array([sum(c[m] * v for m, v in t) for t in terms], dtype=X.dtype)
     return CurvTensor.from_integers(np.concatenate([coords, -coords, [0]])[where], L, rational)
 
 

@@ -1,24 +1,27 @@
 """Exact linear algebra over the rationals.
 
-Matrix entries may be ints of any size, numpy integers or Fractions;
-results come back as Fractions.  The one elimination routine is RowSpace.
-It keeps its rows in reduced row echelon form, stored as integer rows over
-one common denominator, so elimination is integer arithmetic with exact
-divisions (fraction-free Gauss-Jordan elimination, Bareiss 1968).  The
-reduced form of a row space is unique, so rref, rank, nullspace and
-in_span read it from a RowSpace of the matrix rows, whatever order they
-come in.  rank_mod_p is the one shortcut: a rank over a prime field,
-which never exceeds the rank over the rationals.
+Matrix entries may be ints of any size, numpy integers or Fractions; all but
+an all-int row are read by tensor._clear, and results come back as
+Fractions.  The one elimination routine is RowSpace.  It keeps its rows in
+reduced row echelon form, stored as integer rows over one common
+denominator, so elimination is integer arithmetic with exact divisions
+(fraction-free Gauss-Jordan elimination, Bareiss 1968).  The reduced form of
+a row space is unique, so rref, rank, nullspace and in_span read it from a
+RowSpace of the matrix rows, whatever order they come in.  rank_mod_p is the
+one shortcut, a rank over a prime field: it reads an integer array as it is
+and all else by _clear (one lcm clears rationals, floats are refused), so it
+never exceeds the rank over the rationals.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import operator
 from fractions import Fraction
 
 import numpy as np
+
+from .tensor import _clear
 
 PRIME = 2**31 - 1  # (p - 1)**2 < 2**62, so a product of residues fits in int64
 
@@ -62,11 +65,7 @@ class RowSpace:
         """row times the lcm of its denominators, divided by its content."""
         if len(row) != self.cols:
             raise ValueError(f"row has {len(row)} entries, expected {self.cols}")
-        try:
-            v = [operator.index(x) for x in row]
-        except TypeError:  # not all integers
-            m = math.lcm(*(x.denominator for x in row))
-            v = [x.numerator * (m // x.denominator) for x in row]
+        v = list(row) if all(type(x) is int for x in row) else _clear(row)[0].tolist()
         g = math.gcd(*v)
         return [x // g for x in v] if g > 1 else v
 
@@ -124,14 +123,14 @@ def rank(m) -> int:
 
 
 def rank_mod_p(m) -> int:
-    """Rank over the integers mod PRIME of an integer matrix.
+    """Rank mod PRIME of m cleared of denominators: at most its rank over Q.
 
-    A minor that is nonzero mod PRIME is nonzero, so this is at most the
-    rank over the rationals: it proves that rank only when it equals
-    min(rows, cols).  Entries may be int64 or Python ints of any size; they
-    are reduced mod PRIME first, and elimination runs in int64.
+    An integer array is read as it is, anything else by _clear: one lcm
+    clears rationals, which keeps the rank, and floats are refused.  A minor
+    nonzero mod PRIME is nonzero, so this proves the rank over the rationals
+    only when it equals min(rows, cols).  Elimination runs in int64.
     """
-    a = np.asarray(m)
+    a = m if isinstance(m, np.ndarray) and m.dtype.kind in "iu" else _clear(m)[0]
     if a.size == 0:
         return 0
     a = (a % PRIME).astype(np.int64)

@@ -185,7 +185,7 @@ def solve_from_ricci(r, mode: str = "exact", tol: float = 1e-9):
         if not 0 <= tol < math.inf:  # "resid > nan" is never true
             raise ValueError(f"tol must be a finite number >= 0, got {tol}")
         try:  # an entry, or an eigenvalue, past float range
-            sym = np.array([[float(x) for x in row] for row in rows])
+            sym = np.array([[float(x) for x in row] for row in rows], dtype=float)
             w, rotation = np.linalg.eigh(sym)
             lams = [Fraction(float(x)) for x in w]
         except OverflowError as exc:
@@ -202,7 +202,7 @@ def solve_from_ricci(r, mode: str = "exact", tol: float = 1e-9):
                != rows[i][j] for i in range(3) for j in range(3)):
             raise VerificationError("exact eigendecomposition round-trip failed")
         rotation = np.array([[float(v[i]) / math.sqrt(float(norm)) for v, norm in zip(V, norms)]
-                             for i in range(3)])
+                             for i in range(3)], dtype=float)
         residual = 0
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -5,21 +5,21 @@ arrays.  The frame is orthonormal, so the metric is the identity and every
 trace is a plain contraction of two slots.
 
 Arithmetic runs on integers, not on ``Fraction`` entries.  Every Tensor
-holds its integer form: an integer array X and one denominator D, the
-tensor being X / D, reduced by their gcd.  Tensor(n, data) clears the
-given entries into its own X once, and Sym3Tensor(n, packed) its packed
-entries, gathered into the dense X; rho_raw, materialize, cyclic_sum and
-miner.alternating_form build X directly.  The entries are made only if
-``data`` is read.  integer_form hands the form over (int64 where the
-caller's a-priori bound rules out overflow, Python ints otherwise).  The
-one evaluator, alternating_rows, runs a list of einsum specs on a batch
-of samples: their integer forms are stacked, each pairwise step of a
-spec's plan (made once, whatever n is) is one np.matmul over the sample
-axis, a first step that specs share up to renaming of letters runs once,
-and each spec is read at the sorted index tuples as soon as it is done.
-Its rows stay integers, D**deg times a sample's values:
-miner.alternating_form weighs them over one denominator and scatters
-them into an antisymmetric Tensor.
+holds its integer form: an integer array X and one denominator D, the tensor
+being X / D, reduced by their gcd.  _clear is the one reader of a caller's
+numbers, here and in linalg: it reads them with dtype=object, so numpy
+guesses no dtype, refuses all but ints and Fractions, and clears them by
+their lcm.  Tensor(n, data) and Sym3Tensor(n, packed) clear their entries
+once; rho_raw, materialize, cyclic_sum and miner.alternating_form build X
+directly; the entries are made only if ``data`` is read.  integer_form hands
+the form over and alone picks int64, where the caller's a-priori bound rules
+out overflow.  The one evaluator, alternating_rows, runs a list of einsum
+specs on a batch of samples: their integer forms are stacked, each pairwise
+step of a spec's plan is one np.matmul over the sample axis, a first step
+that specs share up to renaming of letters runs once, and each spec is read
+at the sorted index tuples as soon as it is done.  Its rows stay integers,
+D**deg times a sample's values: miner.alternating_form weighs them over one
+denominator and scatters them into an antisymmetric Tensor.
 
 A Tensor, a Sym3Tensor too, has no +, - or scalar multiple, which
 nothing in the package needs; antisymmetrize is the one function left
@@ -135,26 +135,27 @@ def _entries(X: np.ndarray, D: int, rational: bool) -> np.ndarray:
     return arr
 
 
-def _clear(a: np.ndarray) -> tuple[np.ndarray, int, bool]:
-    """(X, D, rational) of integer_form for the entries of a, in a new array."""
+def _clear(data) -> tuple[np.ndarray, int, bool]:
+    """(X, D, rational) of integer_form for the entries of data, in a new array."""
+    a = np.asarray(data, dtype=object)
     flat = a.ravel().tolist()
     for x in [x for x in flat if not hasattr(x, "denominator")]:
         raise ValueError(f"entry {x!r} is not an integer or a Fraction")
     D = math.lcm(*(x.denominator for x in flat))
-    X = np.array([x.numerator * (D // x.denominator) for x in flat], dtype=object)
+    X = np.array([int(x.numerator) * (D // x.denominator) for x in flat], dtype=object)
     return X.reshape(a.shape), D, any(isinstance(x, Fraction) for x in flat)
 
 
 def integer_form(data, bound) -> tuple[np.ndarray, int, bool]:
     """(X, D, rational): X = D * data in integers, D the lcm of data's denominators.
 
-    A Tensor hands over its stored form; an array, list or tuple is cleared.
-    bound(M) is the caller's a-priori limit on every intermediate its
-    integer arithmetic on X forms, given M = max|X|.  X is int64 when
+    A Tensor hands over its stored form; an array, list or tuple is read by
+    _clear.  bound(M) is the caller's a-priori limit on every intermediate
+    its integer arithmetic on X forms, given M = max|X|.  X is int64 when
     bound(M) < 2**62 and holds Python ints otherwise.  rational says that
     data held a Fraction, so results computed from X should be Fractions.
     """
-    X, D, rational = data._int if isinstance(data, Tensor) else _clear(np.asarray(data))
+    X, D, rational = data._int if isinstance(data, Tensor) else _clear(data)
     M = max(int(X.max(initial=0)), -int(X.min(initial=0)))
     return X.astype(np.int64 if bound(M) < 2**62 else object, copy=False), D, rational
 
@@ -349,7 +350,7 @@ class Sym3Tensor(Tensor):
         check_dim(n)
         if len(packed) != sym3_dim(n):
             raise ValueError(f"expected {sym3_dim(n)} packed entries, got {len(packed)}")
-        X, D, rational = _clear(np.array(packed, dtype=object))
+        X, D, rational = _clear(packed)
         self._store(n, X[sym3_index(n)], D, rational)
 
     @property

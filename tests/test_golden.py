@@ -326,7 +326,8 @@ def test_miner_generic_sample_is_unchanged(n, monkeypatch):
 @pytest.mark.parametrize("n", [4, 5])
 def test_number_types_stay_exact(n, monkeypatch):
     # the miner contracts Python ints (einsum on Fraction would be slow);
-    # coordinates divides by basis entries, so those must not be ints
+    # the basis reads back as Fractions, and coordinates divides by
+    # _coordinate_data's values, not by basis entries, into Fractions too
     samples, _ = _mine_samples(n, monkeypatch)
     assert {type(x) for s in samples for x in s.flat} == {int}
     assert {type(x) for b in curvature_basis(n) for x in b.data.flat} == {Fraction}

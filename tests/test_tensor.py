@@ -188,6 +188,12 @@ class TestIntegerContraction:
         assert (X.tolist(), D, rational, X.dtype) == ([2**63, -1], 1, False, object)
         assert {type(x) for x in X} == {int}
 
+    def test_integer_form_reads_numpy_ints_as_python_ints(self):
+        # a numpy int's numerator times the lcm would wrap in int64
+        X, D, _ = tensor.integer_form([np.int64(2**62), Fraction(1, 3)], lambda M: M)
+        assert (X.tolist(), D) == ([3 * 2**62, 1], 3)
+        assert {type(x) for x in X} == {int}
+
 
 # degrees 1, 2 and 3 in one call, so each row needs its own D**deg
 MIXED_SPECS = ["ijkl->ijkl", "ijab,klba->ijkl", "iajb,kbcd,ldac->ijkl", "iajb,kcad,ldbc->ijkl"]
