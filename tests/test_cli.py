@@ -336,6 +336,21 @@ class TestSubcommands:
         if command == "validate":
             assert json.loads(out)["valid"] is False
 
+    # two-item strings and dicts that unpack like an [index, value] pair
+    @pytest.mark.parametrize("entries", [["01", "13"], {"01": "x"}, [{"0": "a", "1/2": "b"}]],
+                             ids=["strings", "dict", "dict-entry"])
+    @pytest.mark.parametrize("command, exit_code", [("validate", 1), ("rho", 2)])
+    def test_entries_must_be_a_list_of_pairs(self, capsys, tmp_path, entries, command,
+                                             exit_code):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"n": 2, "order": 1, "packing": "dense",
+                                    "entries": entries}))
+        code, out, err = run(capsys, command, "--in", str(path), "--no-meta")
+        assert code == exit_code
+        assert "malformed tensor document" in out + err
+        if command == "validate":
+            assert json.loads(out)["valid"] is False
+
     def test_validate_refuses_sym3_of_another_order(self, capsys, tmp_path):
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"n": 3, "order": 2, "packing": "sym3", "entries": []}))
