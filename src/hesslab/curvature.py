@@ -31,8 +31,8 @@ def cyclic_sum(t: Tensor) -> Tensor:
     """R_{ijkl} + R_{jkil} + R_{kijl}, the first-Bianchi cyclic sum."""
     if t.order != 4:
         raise ValueError("expected an order-4 tensor")
-    X, D, rational = integer_form(t, lambda M: 3 * M)
-    return Tensor.from_integers(_cyclic(X), D, rational)
+    X, D = integer_form(t, lambda M: 3 * M)
+    return Tensor.from_integers(_cyclic(X), D)
 
 
 def _cyclic(d: np.ndarray) -> np.ndarray:
@@ -102,19 +102,18 @@ class RicciTensor(Tensor):
         """RicciTensor(n, rows) of the entries read by Fraction: floats and strings exactly."""
         return cls(len(rows), [[Fraction(x) for x in r] for r in rows])
 
-    def trace(self):
-        X, D, rational = self._int
-        s = sum(X.diagonal().tolist())
-        return Fraction(s, D) if rational else s
+    def trace(self) -> Fraction:
+        X, D = self._int
+        return Fraction(sum(X.diagonal().tolist()), D)
 
 
 def ricci(R: CurvTensor) -> RicciTensor:
     """r_{ik} = sum_a R_{iaka}, traced on the integer form X / D of R."""
-    X, D, rational = integer_form(R, lambda M: R.n * M)
-    return RicciTensor.from_integers(np.trace(X, axis1=1, axis2=3), D, rational)
+    X, D = integer_form(R, lambda M: R.n * M)
+    return RicciTensor.from_integers(np.trace(X, axis1=1, axis2=3), D)
 
 
-def scalar_curvature(R: CurvTensor):
+def scalar_curvature(R: CurvTensor) -> Fraction:
     """s = sum_{ij} R_{ijij}."""
     return ricci(R).trace()
 
@@ -159,25 +158,24 @@ def _bianchi_kernel(n: int):
 
 
 def materialize(n: int, coeffs) -> CurvTensor:
-    """sum_m coeffs[m] * curvature_basis(n)[m], in the coefficients' number type.
+    """sum_m coeffs[m] * curvature_basis(n)[m].
 
     The kernel vectors combine the coefficients, cleared once by the lcm L of
     their denominators, into integer pair coordinates of at most 2 max|c|, the
     bound that picks their dtype; one gather spreads them over the n**4 array.
     """
     terms, where = _bianchi_kernel(n)
-    X, L, rational = integer_form(coeffs, lambda M: 2 * M)
+    X, L = integer_form(coeffs, lambda M: 2 * M)
     c = X.tolist()  # the coordinate sums run on Python ints
     coords = np.array([sum(c[m] * v for m, v in t) for t in terms], dtype=X.dtype)
-    return CurvTensor.from_integers(np.concatenate([coords, -coords, [0]])[where], L, rational)
+    return CurvTensor.from_integers(np.concatenate([coords, -coords, [0]])[where], L)
 
 
 @lru_cache(maxsize=None)
 def curvature_basis(n: int) -> tuple[CurvTensor, ...]:
-    """Fixed basis of the curvature space: the Bianchi kernel, in Fraction
-    entries made, with one shared zero, when a tensor's data is first read."""
+    """Fixed basis of the curvature space: the Bianchi kernel."""
     dim = curvature_space_dim(n)
-    return tuple(materialize(n, [Fraction(int(m == k)) for k in range(dim)])
+    return tuple(materialize(n, [int(m == k) for k in range(dim)])
                  for m in range(dim))
 
 
@@ -210,5 +208,5 @@ def coordinates(R: Tensor) -> list[Fraction]:
     coordinate i times values[i]: an exact gather from X / D, with no inverse.
     """
     positions, values = _coordinate_data(R.n)
-    X, D, _ = integer_form(R, lambda M: M)
+    X, D = R._int
     return [Fraction(x, D) / v for x, v in zip(X.take(positions).tolist(), values)]

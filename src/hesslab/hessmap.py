@@ -27,11 +27,11 @@ def rho_raw(A: Sym3Tensor) -> CurvTensor:
     It runs on L A, with L the lcm of A's denominators: each entry of the
     einsum is at most n M**2 in size for M = max|L A|, the difference
     twice that.  The tensor is held as that integer array over L**2; its
-    entries, Fractions for rational A, are formed only if they are read.
+    entries are formed only if they are read.
     """
-    a, L, rational = integer_form(A, lambda M: 2 * A.n * M * M)
+    a, L = integer_form(A, lambda M: 2 * A.n * M * M)
     t = np.einsum("ika,jla->ijkl", a, a)
-    return CurvTensor.from_integers(t.transpose(0, 1, 3, 2) - t, L * L, rational)
+    return CurvTensor.from_integers(t.transpose(0, 1, 3, 2) - t, L * L)
 
 
 def rho(A: Sym3Tensor) -> CurvTensor:
@@ -56,7 +56,7 @@ def _integer_jacobian(A: Sym3Tensor) -> tuple[np.ndarray, int]:
     size; below 2**62 the build runs in int64, otherwise in Python ints.
     """
     n = A.n
-    a, L, _ = integer_form(A, lambda M: 4 * n * M)
+    a, L = integer_form(A, lambda M: 4 * n * M)
     index = sym3_index(n)
     pos = _coordinate_data(n)[0]
     i, j, k, l = np.unravel_index(pos, (n,) * 4)

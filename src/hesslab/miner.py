@@ -378,7 +378,7 @@ def alternating_form(R: Tensor, terms) -> Tensor:
         raise ValueError(f"a degree-{k} antisymmetric form is identically zero "
                          f"for n={R.n} < {k}")
     rows = alternating_rows([R], [_einsum_spec(slots) for slots, _ in terms])[0]
-    _, D, rational = R._int
+    D = R._int[1]
     scales = [weight.denominator * D ** (len(slots) // 4) for slots, weight in terms]
     L = math.lcm(*scales)
     values = sum(weight.numerator * (L // scale) * row
@@ -386,7 +386,7 @@ def alternating_form(R: Tensor, terms) -> Tensor:
     at, signs = _alternating_index(R.n, k)
     X = np.zeros((R.n,) * k, dtype=object)
     X[at] = values[:, None] * signs
-    return Tensor.from_integers(X, L, rational or any(isinstance(w, Fraction) for _, w in terms))
+    return Tensor.from_integers(X, L)
 
 
 def evaluate_pattern(pat: ContractionPattern, R) -> Tensor:
@@ -419,8 +419,10 @@ class MinedIdentityBasis:
         return len(self.image_identities) - len(self.universal_identities)
 
     def to_json(self) -> dict:
+        from .serialize import format_rational  # census and verify never load serialize
+
         def fr(v):
-            return [f"{q.numerator}/{q.denominator}" for q in v]
+            return [format_rational(q) for q in v]
         return {
             "n": self.n,
             "degree": self.degree,

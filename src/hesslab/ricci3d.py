@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .curvature import RicciTensor
 from .hessmap import rho2
-from .tensor import Sym3Tensor, integer_form
+from .tensor import Sym3Tensor
 
 # rho2 of the ansatz family is exactly 1/72 of its quadratic display
 # polynomials (ansatz_ricci_scaled in tests/test_ricci3d.py); the solvers
@@ -64,8 +64,8 @@ def isotropic_coefficients(lam):
 
 def _permute_sym3(A: Sym3Tensor, perm) -> Sym3Tensor:
     """Relabel the orthonormal frame: result_{ijk} = A_{perm(i) perm(j) perm(k)}."""
-    X, D, rational = integer_form(A, lambda M: M)
-    return Sym3Tensor.from_integers(X[np.ix_(perm, perm, perm)], D, rational)
+    X, D = A._int
+    return Sym3Tensor.from_integers(X[np.ix_(perm, perm, perm)], D)
 
 
 def solve_from_eigenvalues(l1, l2, l3) -> Sym3Tensor:

@@ -14,11 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tensor import MAX_DIM, MAX_ORDER, Sym3Tensor, Tensor, integer_form, sym3_triples
+from .tensor import MAX_DIM, MAX_ORDER, Sym3Tensor, Tensor, sym3_triples
 
 
 def format_rational(x) -> str:
-    f = Fraction(x)
+    f = x if isinstance(x, Fraction) else Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -38,7 +38,7 @@ def parse_rational(s: str) -> Fraction:
 def tensor_to_json(t) -> dict:
     if not isinstance(t, Tensor):
         raise TypeError(f"cannot serialize {type(t).__name__}")
-    X, D, _ = integer_form(t, lambda M: M)
+    X, D = t._int
     sym3 = isinstance(t, Sym3Tensor)
     indices = sym3_triples(t.n) if sym3 else itertools.product(range(t.n), repeat=t.order)
     entries = [[" ".join(map(str, idx)), format_rational(Fraction(int(X[idx]), D))]
@@ -47,9 +47,7 @@ def tensor_to_json(t) -> dict:
             "entries": entries}
 
 
-def _parse_index(key) -> tuple:
-    if not isinstance(key, str):
-        raise TypeError(f"index key {key!r} is not a string")
+def _parse_index(key: str) -> tuple:
     if not _INDEX.fullmatch(key):
         raise ValueError(f"index key {key!r} is not ASCII digits separated by single spaces")
     return tuple(int(s) for s in key.split())
@@ -58,7 +56,11 @@ def _parse_index(key) -> tuple:
 def tensor_from_json(doc: dict):
     try:
         n, order, packing = doc["n"], doc["order"], doc["packing"]
-        raw = [(_parse_index(key), parse_rational(val)) for key, val in doc["entries"]]
+        entries = doc["entries"]
+        if type(entries) is not list or any(
+                type(e) is not list or [type(s) for s in e] != [str, str] for e in entries):
+            raise TypeError("entries is not a list of [index, value] pairs of strings")
+        raw = [(_parse_index(key), parse_rational(val)) for key, val in entries]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed tensor document: {exc}") from exc
     if not (type(n) is type(order) is int and 2 <= n <= MAX_DIM and 0 <= order <= MAX_ORDER):

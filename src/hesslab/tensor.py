@@ -1,8 +1,7 @@
 """Dense tensor arithmetic in a fixed orthonormal frame.
 
-Entries are exact, ``fractions.Fraction`` or Python ints, in numpy object
-arrays.  The frame is orthonormal, so the metric is the identity and every
-trace is a plain contraction of two slots.
+The frame is orthonormal, so the metric is the identity and every trace is
+a plain contraction of two slots.
 
 Arithmetic runs on integers, not on ``Fraction`` entries.  Every Tensor
 holds its integer form: an integer array X and one denominator D, the tensor
@@ -69,19 +68,19 @@ class Tensor:
         self._store(n, *_clear(arr))
 
     @classmethod
-    def from_integers(cls, X: np.ndarray, D: int, rational: bool) -> "Tensor":
-        """X / D; rational: Fraction entries, not ints."""
+    def from_integers(cls, X: np.ndarray, D: int) -> "Tensor":
+        """X / D."""
         t = cls.__new__(cls)
-        t._store(X.shape[0], X, D, rational)
+        t._store(X.shape[0], X, D)
         return t
 
-    def _store(self, n: int, X: np.ndarray, D: int, rational: bool) -> None:
+    def _store(self, n: int, X: np.ndarray, D: int) -> None:
         """Hold X and D over their gcd: D is the lcm of the denominators."""
         g = math.gcd(D, int(np.gcd.reduce(X, axis=None)))
         if g > 1:
             X, D = X // g, D // g
         X.flags.writeable = False
-        self.n, self.order, self._data, self._int = n, X.ndim, None, (X, D, rational)
+        self.n, self.order, self._data, self._int = n, X.ndim, None, (X, D)
 
     @property
     def data(self) -> np.ndarray:
@@ -126,38 +125,37 @@ def antisymmetrize(t: Tensor, axes: list[int]) -> Tensor:
     return Tensor(t.n, total * Fraction(1, math.factorial(len(axes))))
 
 
-def _entries(X: np.ndarray, D: int, rational: bool) -> np.ndarray:
-    """X / D, read-only: Fractions if rational, else ints; zeros share one object."""
-    zero = Fraction(0) if rational else 0
-    flat = [Fraction(v, D) if rational and v else v or zero for v in X.ravel().tolist()]
+def _entries(X: np.ndarray, D: int) -> np.ndarray:
+    """X / D in Fractions, read-only; zeros share one object."""
+    zero = Fraction(0)
+    flat = [Fraction(v, D) if v else zero for v in X.ravel().tolist()]
     arr = np.array(flat, dtype=object).reshape(X.shape)
     arr.flags.writeable = False
     return arr
 
 
-def _clear(data) -> tuple[np.ndarray, int, bool]:
-    """(X, D, rational) of integer_form for the entries of data, in a new array."""
+def _clear(data) -> tuple[np.ndarray, int]:
+    """(X, D) of integer_form for the entries of data, in a new array."""
     a = np.asarray(data, dtype=object)
     flat = a.ravel().tolist()
     for x in [x for x in flat if not hasattr(x, "denominator")]:
         raise ValueError(f"entry {x!r} is not an integer or a Fraction")
     D = math.lcm(*(x.denominator for x in flat))
     X = np.array([int(x.numerator) * (D // x.denominator) for x in flat], dtype=object)
-    return X.reshape(a.shape), D, any(isinstance(x, Fraction) for x in flat)
+    return X.reshape(a.shape), D
 
 
-def integer_form(data, bound) -> tuple[np.ndarray, int, bool]:
-    """(X, D, rational): X = D * data in integers, D the lcm of data's denominators.
+def integer_form(data, bound) -> tuple[np.ndarray, int]:
+    """(X, D): X = D * data in integers, D the lcm of data's denominators.
 
     A Tensor hands over its stored form; an array, list or tuple is read by
     _clear.  bound(M) is the caller's a-priori limit on every intermediate
     its integer arithmetic on X forms, given M = max|X|.  X is int64 when
-    bound(M) < 2**62 and holds Python ints otherwise.  rational says that
-    data held a Fraction, so results computed from X should be Fractions.
+    bound(M) < 2**62 and holds Python ints otherwise.
     """
-    X, D, rational = data._int if isinstance(data, Tensor) else _clear(data)
+    X, D = data._int if isinstance(data, Tensor) else _clear(data)
     M = max(int(X.max(initial=0)), -int(X.min(initial=0)))
-    return X.astype(np.int64 if bound(M) < 2**62 else object, copy=False), D, rational
+    return X.astype(np.int64 if bound(M) < 2**62 else object, copy=False), D
 
 
 @lru_cache(maxsize=None)
@@ -350,12 +348,12 @@ class Sym3Tensor(Tensor):
         check_dim(n)
         if len(packed) != sym3_dim(n):
             raise ValueError(f"expected {sym3_dim(n)} packed entries, got {len(packed)}")
-        X, D, rational = _clear(packed)
-        self._store(n, X[sym3_index(n)], D, rational)
+        X, D = _clear(packed)
+        self._store(n, X[sym3_index(n)], D)
 
     @property
     def packed(self) -> tuple:
-        """The entries at sym3_triples(n), Fractions if rational, else ints."""
+        """The entries at sym3_triples(n)."""
         return tuple(self.data[ijk] for ijk in sym3_triples(self.n))
 
     @classmethod

@@ -67,7 +67,7 @@ class TestBasis:
     def test_materialize_keeps_the_coefficient_type(self):
         coeffs = [(-1) ** m * (m % 4) for m in range(curvature_space_dim(4))]
         got = materialize(4, coeffs)
-        assert {type(x) for x in got.data.flat} == {int}
+        assert {type(x) for x in got.data.flat} == {Fraction}
         assert got == materialize(4, [Fraction(c) for c in coeffs])
 
     @pytest.mark.parametrize("n", [9, 12])
@@ -193,10 +193,30 @@ class TestTypes:
         assert R == T and hash(R) == hash(T)
         assert repr(R) == "CurvTensor(n=4, order=4)" and repr(T) == "Tensor(n=4, order=4)"
 
+    @pytest.mark.parametrize("entries", [
+        (1, -2, 0, 3), (Fraction(1, 2), Fraction(-2), Fraction(0), Fraction(3, 4)),
+        (1, Fraction(1, 2), 0, -2)], ids=["int", "fraction", "mixed"])
+    def test_every_entry_is_a_fraction(self, entries):
+        t = Tensor(2, np.array(entries, dtype=object).reshape(2, 2))
+        A = Sym3Tensor(2, entries)
+        r = RicciTensor(2, [[entries[0], entries[1]], [entries[1], entries[3]]])
+        values = [*t.data.flat, t[0, 1], *A.packed, *A.to_dense().data.flat,
+                  *r.data.flat, r.trace()]
+        assert {type(x) for x in values} == {Fraction}
+
+    def test_division_stays_exact(self):
+        assert Tensor(2, [1, 2]).data.tolist() == [1, 2]
+        assert (Tensor(2, [1, 2]).data / 2).tolist() == [Fraction(1, 2), Fraction(1)]
+        thirds = [x / 3 for x in Sym3Tensor(2, (1, 2, 3, 4)).packed]
+        assert thirds == [Fraction(k, 3) for k in (1, 2, 3, 4)]
+        s = scalar_curvature(materialize(4, list(range(20))))
+        assert s == 260 and s / 7 == Fraction(260, 7)
+        assert {type(x) for x in (*thirds, s / 7)} == {Fraction}
+
     def test_ricci_entries_follow_the_integer_form(self):
         ints = ricci(materialize(4, list(range(-10, 10))))
-        assert not ints.is_zero() and all(type(x) is int for x in ints.data.flat)
-        assert type(scalar_curvature(materialize(4, list(range(20))))) is int
+        assert not ints.is_zero() and all(type(x) is Fraction for x in ints.data.flat)
+        assert type(scalar_curvature(materialize(4, list(range(20))))) is Fraction
         fractions = ricci(random_curvature(4, seed=1))
         assert all(type(x) is Fraction for x in fractions.data.flat)
 

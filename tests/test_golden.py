@@ -303,7 +303,7 @@ GENERIC_SAMPLES = {
 
 
 def _mine_samples(n, monkeypatch):
-    """Every sample array mine(n, 2, seed=0) evaluates, and how many are rho samples.
+    """Every sample tensor mine(n, 2, seed=0) evaluates, and how many are rho samples.
 
     The miner hands alternating_rows integer-backed tensors; their entries
     are read here only to pin them.
@@ -311,7 +311,7 @@ def _mine_samples(n, monkeypatch):
     seen = []
     evaluate = miner.alternating_rows
     monkeypatch.setattr(miner, "alternating_rows", lambda batch, specs: seen.extend(
-        t.data for t in batch) or evaluate(batch, specs))
+        batch) or evaluate(batch, specs))
     result = miner.mine(n, 2, seed=0)
     return seen, result.rho_samples_used
 
@@ -319,19 +319,20 @@ def _mine_samples(n, monkeypatch):
 @pytest.mark.parametrize("n", [4, 5])
 def test_miner_generic_sample_is_unchanged(n, monkeypatch):
     samples, rho_used = _mine_samples(n, monkeypatch)
-    entries = ",".join(str(x) for x in samples[rho_used + 1].flat)
+    entries = ",".join(str(x) for x in samples[rho_used + 1].data.flat)
     assert _digest(entries) == GENERIC_SAMPLES[n]
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_number_types_stay_exact(n, monkeypatch):
-    # the miner contracts Python ints (einsum on Fraction would be slow);
-    # the basis reads back as Fractions, and coordinates divides by
-    # _coordinate_data's values, not by basis entries, into Fractions too
+    # the miner contracts Python ints (einsum on Fraction would be slow):
+    # every sample's integer form X / D has D == 1; the basis reads back as
+    # Fractions, and coordinates divides by _coordinate_data's values, not
+    # by basis entries, into Fractions too
     samples, _ = _mine_samples(n, monkeypatch)
-    assert {type(x) for s in samples for x in s.flat} == {int}
+    assert {s._int[1] for s in samples} == {1}
     assert {type(x) for b in curvature_basis(n) for x in b.data.flat} == {Fraction}
-    assert {type(x) for x in coordinates(Tensor(n, samples[-1]))} == {Fraction}
+    assert {type(x) for x in coordinates(Tensor(n, samples[-1].data))} == {Fraction}
 
 
 def _raw_patterns(p):

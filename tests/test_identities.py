@@ -200,12 +200,12 @@ class TestOneFormConstructor:
         assert {type(x) for x in got.data.flat} == {Fraction}
 
     def test_number_type_follows_data_and_weights(self):
-        """A form of an integer tensor reads back ints under integer weights
-        and Fractions under a Fraction weight; of a rational tensor, Fractions."""
+        """Every form reads back Fractions: of an integer tensor under integer
+        weights and under a Fraction weight, and of a rational tensor."""
         R = materialize(4, list(range(-9, curvature_space_dim(4) - 9)))
-        assert {type(x) for x in R.data.flat} == {int}
+        assert {type(x) for x in R.data.flat} == {Fraction}
         ints, fractions = pontryagin_form(R, 2), pontryagin_quadratic(R)
-        assert not ints.is_zero() and {type(x) for x in ints.data.flat} == {int}
+        assert not ints.is_zero() and {type(x) for x in ints.data.flat} == {Fraction}
         assert {type(x) for x in fractions.data.flat} == {Fraction}
         assert combine((24, fractions)) == ints
         rational = pontryagin_form(combine((Fraction(1, 3), R)), 2)

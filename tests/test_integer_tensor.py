@@ -4,7 +4,7 @@ Every Tensor holds an integer form (X, D) and makes its entries only when
 .data is read; Tensor(n, data) clears given entries into its own form.
 rho_raw, materialize and cyclic_sum build theirs from integers.  Each is
 compared with the entries the direct Fraction computation gives: the same
-integer form, the same values and element types, read-only, with one
+integer form, the same values, every one a Fraction, read-only, with one
 shared zero.
 """
 
@@ -52,14 +52,14 @@ def check_against(t, reference):
     """t, built from integers, stands for the object array reference."""
     forms = [integer_form(t, bound) for bound in BOUNDS]
     assert t._data is None  # the stored forms, no entry read
-    for (X, D, rational), bound in zip(forms, BOUNDS):
-        for Y, E, expect in (integer_form(reference, bound), integer_form(t.data, bound)):
-            assert (X.dtype, D, rational) == (Y.dtype, E, expect)
+    for (X, D), bound in zip(forms, BOUNDS):
+        for Y, E in (integer_form(reference, bound), integer_form(t.data, bound)):
+            assert (X.dtype, D) == (Y.dtype, E)
             assert X.tolist() == Y.tolist()
             assert [type(x) for x in X.flat] == [type(x) for x in Y.flat]
     data = t.data
     assert data.tolist() == reference.tolist()
-    assert [type(x) for x in data.flat] == [type(x) for x in reference.flat]
+    assert {type(x) for x in data.flat} == {Fraction}
     assert not data.flags.writeable
     assert len({id(x) for x in data.flat if x == 0}) == 1
     assert t.is_zero() == (not any(data.flat))
@@ -188,10 +188,10 @@ class TestGivenEntries:
         t, u = Tensor(4, ints), Tensor(4, fractions)
         assert t == u and hash(t) == hash(u)
         assert ({type(x) for x in t.data.flat}, {type(x) for x in u.data.flat}) == (
-            {int}, {Fraction})
+            {Fraction}, {Fraction})
         # 3X / 6 is held as X / 2, the form of the halved entries
         halves = Tensor(4, fractions / 2)
-        scaled = Tensor.from_integers(np.arange(-8, 8).reshape(4, 4) * 3, 6, True)
+        scaled = Tensor.from_integers(np.arange(-8, 8).reshape(4, 4) * 3, 6)
         assert scaled == halves and hash(scaled) == hash(halves)
         assert halves != u
 
@@ -244,12 +244,12 @@ class TestCombineOracle:
     @pytest.mark.parametrize("n, order", [(2, 2), (3, 3), (4, 4), (5, 4)])
     def test_matches_integer_forms(self, n, order):
         a, b = random_rational(n, order, seed=n), random_rational(n, order, seed=n + 1)
-        (X1, D1, _), (X2, D2, _) = (integer_form(t, lambda M: 2**62) for t in (a, b))
+        (X1, D1), (X2, D2) = (integer_form(t, lambda M: 2**62) for t in (a, b))
         for c1, c2 in [(1, 1), (1, -1), (Fraction(3, 7), -2**40), (0, Fraction(-5, 2))]:
             D = math.lcm(D1 * Fraction(c1).denominator, D2 * Fraction(c2).denominator)
             w1, w2 = Fraction(c1 * D, D1), Fraction(c2 * D, D2)
             assert w1.denominator == w2.denominator == 1
-            expect = Tensor.from_integers(int(w1) * X1 + int(w2) * X2, D, True)
+            expect = Tensor.from_integers(int(w1) * X1 + int(w2) * X2, D)
             assert combine((c1, a), (c2, b)) == expect
 
     def test_rejects_shape_mismatch(self):
