@@ -114,12 +114,12 @@ class RowSpace:
 
 def rref(m) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form as (nonzero rows, pivot columns)."""
-    space = RowSpace(len(m[0]) if m else 0, m)
+    space = RowSpace(len(m[0]) if len(m) else 0, m)
     return space.rows, space.pivots
 
 
 def rank(m) -> int:
-    return RowSpace(len(m[0]) if m else 0, m).rank
+    return RowSpace(len(m[0]) if len(m) else 0, m).rank
 
 
 def rank_mod_p(m) -> int:
@@ -152,9 +152,9 @@ def rank_mod_p(m) -> int:
 
 def nullspace(m, cols: int | None = None) -> list[Vector]:
     """Basis of the right nullspace.  `cols` is required if m has no rows."""
-    if not m and cols is None:
+    if not len(m) and cols is None:
         raise ValueError("cols required for an empty matrix")
-    return RowSpace(len(m[0]) if m else cols, m).nullspace()
+    return RowSpace(len(m[0]) if len(m) else cols, m).nullspace()
 
 
 def in_span(vectors: list[Vector], v: Vector) -> bool:

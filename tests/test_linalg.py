@@ -52,8 +52,28 @@ class TestNullspace:
             linalg.nullspace([])
 
 
+class TestArrays:
+    """rref, rank and nullspace read a numpy array as they read its rows as a
+    list: an int array, an object array and the equal list agree."""
+
+    @pytest.mark.parametrize("rows, cols", [([[1, 2], [2, 4]], None),
+                                            ([[1, 2, 3], [2, 4, 6], [0, 1, 1]], None),
+                                            ([], 3)])
+    def test_int_and_object_arrays_read_as_the_list(self, rows, cols):
+        shape = (len(rows), len(rows[0]) if rows else cols)
+        forms = [rows, np.array(rows, dtype=np.int64).reshape(shape),
+                 np.array(rows, dtype=object).reshape(shape)]
+        results = [(linalg.rref(m), linalg.rank(m), linalg.nullspace(m, cols)) for m in forms]
+        assert results[1] == results[2] == results[0]
+        assert results[0][1] == linalg.rank_mod_p(forms[1])
+
+    def test_empty_array_needs_cols(self):
+        with pytest.raises(ValueError, match="cols required"):
+            linalg.nullspace(np.zeros((0, 3), dtype=np.int64))
+
+
 class TestSpan:
-    VS = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
+    VS =[[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
 
     def test_in_span(self):
         assert linalg.in_span(self.VS, [Fraction(5), Fraction(3)])
