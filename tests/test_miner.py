@@ -188,6 +188,29 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="dimension must be in"):
             miner.mine(100000, 5)
 
+    # the orbit-marking enumeration takes about 0.45 s at degree 4
+    @pytest.mark.parametrize("p", (3, 4))
+    def test_table_is_the_enumeration(self, p):
+        words = [miner._einsum_spec(pat.slots).split("->")[0].replace(",", "")
+                 for pat in miner._enumerate(p)]
+        per_line = 6 if p == 3 else 5
+        table = "\n".join(" ".join(words[i:i + per_line])
+                          for i in range(0, len(words), per_line))
+        assert miner._PATTERNS[p].split() == words, f"regenerated degree-{p} words:\n{table}"
+        assert miner.enumerate_patterns(p) == miner._enumerate(p)
+
+    def test_only_degree_2_is_canonicalized_by_mine(self, monkeypatch):
+        """mine reads degree 3 from the table and enumerates degree 2, so the
+        benchmark's smoke workload (mine at degree 2) still traces canonicalize."""
+        calls, canonicalize = [], miner.canonicalize
+        monkeypatch.setattr(miner, "canonicalize",
+                            lambda slots: calls.append(slots) or canonicalize(slots))
+        miner.enumerate_patterns.cache_clear()  # as in a new process
+        miner.mine(4, 3)
+        assert calls == []
+        miner.mine(4, 2)
+        assert len(calls) > 0
+
     def test_canonicalization_idempotent(self, patterns2):
         for pat in patterns2:
             canon, sign, zero = miner.canonicalize(pat.slots)
@@ -310,7 +333,7 @@ class TestKeys:
             return canonicalize(slots)
 
         monkeypatch.setattr(miner, "canonicalize", counted)
-        pats = miner.enumerate_patterns.__wrapped__(p)  # bypass the cache
+        pats = miner._enumerate(p)
         assert tuple(pat.slots for pat in pats) == PINNED_PATTERNS[p]
         assert len(count) == calls
 
@@ -337,7 +360,7 @@ class TestKeys:
 
         monkeypatch.setattr(miner, "_keys", counted)
         monkeypatch.setattr(miner, "canonicalize", canonical)
-        pats = miner.enumerate_patterns.__wrapped__(p)  # bypass the cache
+        pats = miner._enumerate(p)
         assert tuple(pat.slots for pat in pats) == PINNED_PATTERNS[p]
         assert len(marks) == sweeps + orbits
         swept, orbit_keys = marks[0], [np.unique(k) for k in marks[sweeps:]]
