@@ -15,7 +15,7 @@ marked once.  That enumeration (_enumerate) serves degree 2 and is the
 reference of _PATTERNS, the table that enumerate_patterns reads degrees 3
 and 4 from: in a new process on a 2-CPU x86-64 host, the table gives the
 degree-3 patterns in 0.3-0.5 ms and the degree-4 ones in 2-4 ms, where the
-enumeration takes 13-21 ms and 0.48-0.57 s (and 17 MB of peak RSS).
+enumeration takes 12-21 ms and 0.33-0.57 s (and 17 MB of peak RSS).
 Evaluating every pattern on random points of the image of rho and on
 random generic curvature tensors turns the search for identities into
 exact nullspace computations.  Each pattern is one einsum spec, and one
@@ -263,8 +263,8 @@ def enumerate_patterns(p: int) -> tuple[ContractionPattern, ...]:
 
     Degrees 3 and 4 are read from _PATTERNS, each word through
     pattern_from_slot_names and ContractionPattern, which checks its pairing
-    and labels: 0.3-0.5 ms and 2-4 ms in a new process, against 13-21 ms and
-    0.48-0.57 s for _enumerate.  Degree 2 is enumerated by _enumerate (about
+    and labels: 0.3-0.5 ms and 2-4 ms in a new process, against 12-21 ms and
+    0.33-0.57 s for _enumerate.  Degree 2 is enumerated by _enumerate (about
     2 ms), which the tests check against a brute-force oracle; it is also
     the one mine run of perfbench's smoke workload, whose selftest expects
     it to call canonicalize.  _enumerate refuses every other degree.

@@ -188,16 +188,17 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="dimension must be in"):
             miner.mine(100000, 5)
 
-    # the orbit-marking enumeration takes about 0.45 s at degree 4
+    # the orbit-marking enumeration takes about 0.4 s at degree 4
     @pytest.mark.parametrize("p", (3, 4))
     def test_table_is_the_enumeration(self, p):
+        enumerated = miner._enumerate(p)
         words = [miner._einsum_spec(pat.slots).split("->")[0].replace(",", "")
-                 for pat in miner._enumerate(p)]
-        per_line = 6 if p == 3 else 5
+                 for pat in enumerated]
+        per_line = 6 if p == 3 else 5  # the layout of _PATTERNS
         table = "\n".join(" ".join(words[i:i + per_line])
                           for i in range(0, len(words), per_line))
         assert miner._PATTERNS[p].split() == words, f"regenerated degree-{p} words:\n{table}"
-        assert miner.enumerate_patterns(p) == miner._enumerate(p)
+        assert miner.enumerate_patterns(p) == enumerated
 
     def test_only_degree_2_is_canonicalized_by_mine(self, monkeypatch):
         """mine reads degree 3 from the table and enumerates degree 2, so the
