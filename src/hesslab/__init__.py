@@ -17,9 +17,8 @@ __version__ = "0.1.0"
 
 # module -> its public names, in the order of __all__
 _EXPORTS = {
-    "cartan": ("CartanReport", "SymbolParameters", "TwoDSym3", "cartan_test",
-               "prolonged_symbol_matrix", "scalar_relation_residual", "solve_a",
-               "symbol_matrix"),
+    "cartan": ("CartanReport", "SymbolParameters", "cartan_test",
+               "prolonged_symbol_matrix", "symbol_matrix"),
     "curvature": ("CurvTensor", "RicciTensor", "curvature_basis", "curvature_space_dim",
                   "cyclic_sum", "random_curvature", "ricci", "scalar_curvature"),
     "hessmap": ("ImageRankReport", "image_rank_census", "rho", "rho2", "rho_jacobian"),
@@ -27,8 +26,8 @@ _EXPORTS = {
                    "pontryagin_quadratic"),
     "jets": ("JetReport", "crossover", "jet_dim_hessian_data", "jet_dim_metric"),
     "miner": ("ContractionPattern", "MinedIdentityBasis", "enumerate_patterns",
-              "evaluate_pattern", "mine"),
-    "ricci3d": ("solve_from_eigenvalues", "solve_from_ricci", "solve_isotropic"),
+              "mine"),
+    "ricci3d": ("solve_from_eigenvalues", "solve_from_ricci"),
     "serialize": ("tensor_from_json", "tensor_to_json"),
     "tensor": ("Sym3Tensor", "Tensor"),
 }

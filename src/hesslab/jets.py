@@ -34,11 +34,6 @@ def jet_dim_hessian_data(n: int, k: int) -> int:
     return (n + 1) * _taylor_terms(n, k + 2)
 
 
-def deficit(n: int, k: int) -> int:
-    """jet_dim_metric(n, k) - jet_dim_hessian_data(n, k)."""
-    return jet_dim_metric(n, k) - jet_dim_hessian_data(n, k)
-
-
 @dataclass
 class JetReport:
     n: int

@@ -486,13 +486,6 @@ def alternating_form(R: Tensor, terms) -> Tensor:
     return Tensor.from_integers(X, L)
 
 
-def evaluate_pattern(pat: ContractionPattern, R) -> Tensor:
-    """Contract degree copies of R per the pattern, antisymmetrize free slots."""
-    if not isinstance(R, Tensor):
-        R = Tensor(len(R), R)
-    return alternating_form(R, [(pat.slots, Fraction(1, 24))])
-
-
 def _int_sym3(n: int, seed: int, bound: int) -> Sym3Tensor:
     vals = tuple(rng.integer_at(f"mine-rho|{n}|{bound}", seed, i, bound)
                  for i in range(sym3_dim(n)))

@@ -92,11 +92,6 @@ def solve_from_eigenvalues(l1, l2, l3) -> Sym3Tensor:
     return A
 
 
-def solve_isotropic(lam) -> Sym3Tensor:
-    """A with rho2(A) = lam * identity: the single-point case of solve_from_eigenvalues."""
-    return solve_from_eigenvalues(lam, lam, lam)
-
-
 # --- diagonalization of a general symmetric input -------------------------
 
 def _char_poly(m) -> list[Fraction]:

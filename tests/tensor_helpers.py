@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from hesslab import linalg, rng
+from hesslab.miner import alternating_form
 from hesslab.tensor import Sym3Tensor, Tensor, signed_permutations, sym3_dim, sym3_triples
 
 
@@ -53,6 +54,13 @@ def identity_spans(basis) -> tuple[linalg.RowSpace, linalg.RowSpace]:
     cols = len(basis.patterns)
     return (linalg.RowSpace(cols, basis.image_identities),
             linalg.RowSpace(cols, basis.universal_identities))
+
+
+def evaluate_pattern(pat, R) -> Tensor:
+    """Contract degree copies of R per the pattern, antisymmetrize free slots."""
+    if not isinstance(R, Tensor):
+        R = Tensor(len(R), R)
+    return alternating_form(R, [(pat.slots, Fraction(1, 24))])
 
 
 def sym3_from_dense(t: Tensor) -> Sym3Tensor:

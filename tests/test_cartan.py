@@ -9,14 +9,27 @@ from hesslab.rng import rational_at
 from hesslab.tensor import Sym3Tensor
 
 
-# scalar_curvature(rho(A)) = SCALAR_CURVATURE_SCALE * s, where s is the
-# value of the display polynomial (4/9)(3ac + 3bd - b^2 - c^2); frozen by
-# exact evaluation.
+# The planar scalar relation is this file's oracle for rho in the plane.  A
+# symmetric 3-tensor with symmetrized-monomial coefficients (a, b, c, d) on
+# e1^3, e1^2 e2, e1 e2^2, e2^3 has scalar_curvature(rho(A)) =
+# SCALAR_CURVATURE_SCALE * s, where s is the value of the display polynomial
+# (4/9)(3ac + 3bd - b^2 - c^2); frozen by exact evaluation.
 SCALAR_CURVATURE_SCALE = Fraction(-1, 2)
 
 
+def planar(a, b, c, d) -> Sym3Tensor:
+    """The planar symmetric 3-tensor with these monomial coefficients."""
+    return Sym3Tensor.from_monomials(2, {(0, 0, 0): a, (0, 0, 1): b,
+                                         (0, 1, 1): c, (1, 1, 1): d})
+
+
+def display_polynomial(a, b, c, d) -> Fraction:
+    """(4/9)(3ac + 3bd - b^2 - c^2), the value of s forced by the relation."""
+    return Fraction(4, 9) * (3 * a * c + 3 * b * d - b * b - c * c)
+
+
 def random_components(seed):
-    return cartan.TwoDSym3(*(rational_at("c2d", seed, i, 9) for i in range(4)))
+    return tuple(rational_at("c2d", seed, i, 9) for i in range(4))
 
 
 # The contracted curvature condition s + x*|A|^2 + y*|tr A|^2 = 0 holds
@@ -25,17 +38,23 @@ def random_components(seed):
 EQ_SIGNS = (Fraction(2), Fraction(-2))
 
 
-def contracted_relation_residual(t: cartan.TwoDSym3, s) -> Fraction:
-    """s + 2 |A|^2 - 2 |trace A|^2, the contracted curvature condition.
-
-    Vanishes exactly when scalar_relation_residual does (same A, same s).
-    """
-    dn = t.to_sym3().to_dense().data
+def contracted_terms(t) -> tuple[Fraction, Fraction]:
+    """|A|^2 and |trace A|^2 of A = planar(*t), read off its dense entries."""
+    dn = planar(*t).to_dense().data
     full = sum(dn[i, al, j] * dn[j, i, al]
                for i in range(2) for j in range(2) for al in range(2))
     tr = [sum(dn[j, al, j] for j in range(2)) for al in range(2)]
+    return full, tr[0] ** 2 + tr[1] ** 2
+
+
+def contracted_relation_residual(t, s) -> Fraction:
+    """s + 2 |A|^2 - 2 |trace A|^2, the contracted curvature condition.
+
+    Vanishes exactly when s is the display polynomial's value at t.
+    """
+    full, t2 = contracted_terms(t)
     x, y = EQ_SIGNS
-    return Fraction(s) + x * full + y * (tr[0] ** 2 + tr[1] ** 2)
+    return Fraction(s) + x * full + y * t2
 
 
 def reconcile_signs(samples=10) -> tuple[Fraction, Fraction]:
@@ -43,14 +62,9 @@ def reconcile_signs(samples=10) -> tuple[Fraction, Fraction]:
     display polynomial identically; returns the unique successful pair."""
     cands = [(Fraction(x), Fraction(y)) for x in (2, -2) for y in (2, -2)]
     for i in range(samples):
-        t = cartan.TwoDSym3(*(rational_at("cartan-signs", 7, 4 * i + j, 9)
-                              for j in range(4)))
-        s = cartan.display_polynomial(t)
-        dn = t.to_sym3().to_dense().data
-        full = sum(dn[p, al, q] * dn[q, p, al]
-                   for p in range(2) for q in range(2) for al in range(2))
-        tr = [sum(dn[q, al, q] for q in range(2)) for al in range(2)]
-        t2 = tr[0] ** 2 + tr[1] ** 2
+        t = tuple(rational_at("cartan-signs", 7, 4 * i + j, 9) for j in range(4))
+        s = display_polynomial(*t)
+        full, t2 = contracted_terms(t)
         cands = [(x, y) for x, y in cands if s + x * full + y * t2 == 0]
     if len(cands) != 1:
         raise AssertionError(f"sign reconciliation not unique: {cands}")
@@ -89,70 +103,30 @@ def echelon_column_permutation():
 
 class TestScalarRelation:
     def test_zero_case(self):
-        t = cartan.TwoDSym3.from_scalars(0, 0, 0, 0)
-        assert cartan.scalar_relation_residual(t, 0) == 0
+        assert display_polynomial(0, 0, 0, 0) == 0
+        assert scalar_curvature(rho(planar(0, 0, 0, 0))) == 0
 
     def test_documented_example(self):
-        t = cartan.TwoDSym3.from_scalars(1, 0, 1, 0)
-        assert cartan.scalar_relation_residual(t, Fraction(8, 9)) == 0
-        assert cartan.scalar_relation_residual(t, Fraction(4, 3)) != 0
+        assert display_polynomial(1, 0, 1, 0) == Fraction(8, 9)
+        assert scalar_curvature(rho(planar(1, 0, 1, 0))) == Fraction(-4, 9)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_display_and_contracted_forms_agree(self, seed):
         t = random_components(seed)
-        s = cartan.display_polynomial(t)
-        assert cartan.scalar_relation_residual(t, s) == 0
+        s = display_polynomial(*t)
         assert contracted_relation_residual(t, s) == 0
-        off = s + 1
-        assert cartan.scalar_relation_residual(t, off) == \
-            contracted_relation_residual(t, off)
+        assert contracted_relation_residual(t, s + 1) == 1
 
     @pytest.mark.parametrize("seed", range(5))
     def test_frozen_curvature_normalization(self, seed):
         # scalar curvature of the induced curvature tensor is exactly -1/2
         # times the display polynomial value
         t = random_components(seed)
-        s_curv = scalar_curvature(rho(t.to_sym3()))
-        assert s_curv == SCALAR_CURVATURE_SCALE * cartan.display_polynomial(t)
+        s_curv = scalar_curvature(rho(planar(*t)))
+        assert s_curv == SCALAR_CURVATURE_SCALE * display_polynomial(*t)
 
     def test_sign_reconciliation_unique(self):
         assert reconcile_signs() == (Fraction(2), Fraction(-2))
-
-    def test_component_round_trip(self):
-        t = random_components(3)
-        assert cartan.TwoDSym3.from_sym3(t.to_sym3()) == t
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_from_sym3_reads_the_dense_components(self, seed):
-        A = Sym3Tensor.random(2, seed=seed)
-        d = A.to_dense().data
-        assert cartan.TwoDSym3.from_sym3(A) == cartan.TwoDSym3(
-            d[0, 0, 0], 3 * d[0, 0, 1], 3 * d[0, 1, 1], d[1, 1, 1])
-
-    def test_from_sym3_refuses_another_dimension(self):
-        with pytest.raises(ValueError, match="planar"):
-            cartan.TwoDSym3.from_sym3(Sym3Tensor.random(3, seed=1))
-
-
-class TestSolveA:
-    def test_unit_case(self):
-        assert cartan.solve_a(0, 1, 0, 0) == Fraction(1, 3)
-
-    def test_documented_case(self):
-        assert cartan.solve_a(3, 1, 1, 0) == Fraction(1, 3)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_postcondition(self, seed):
-        b, c, d, s = (rational_at("solvea", seed, i, 9) for i in range(4))
-        if c == 0:
-            c = Fraction(1)
-        a = cartan.solve_a(b, c, d, s)
-        t = cartan.TwoDSym3(a, Fraction(b), Fraction(c), Fraction(d))
-        assert cartan.scalar_relation_residual(t, s) == 0
-
-    def test_degenerate_chart(self):
-        with pytest.raises(ValueError):
-            cartan.solve_a(1, 0, 1, 0)
 
 
 class TestSymbolMatrices:
@@ -166,7 +140,7 @@ class TestSymbolMatrices:
         assert linalg.rank(m) == 3
 
     def test_symbol_matches_display_at_zero(self):
-        p = cartan.SymbolParameters.from_scalars(0, 0, 0)
+        p = cartan.SymbolParameters(Fraction(0), Fraction(0), Fraction(0))
         assert cartan.symbol_matrix(p) == [
             [1, 0, 0, 0, 0, 0],
             [0, 1, 0, -1, 0, 0],
@@ -175,7 +149,7 @@ class TestSymbolMatrices:
 
     def test_matrices_at_rational_parameters(self):
         a, b, g = Fraction(2, 3), Fraction(-5, 7), Fraction(1, 2)
-        p = cartan.SymbolParameters.from_scalars(a, b, g)
+        p = cartan.SymbolParameters(a, b, g)
         sym = cartan.symbol_matrix(p)
         assert sym == [
             [1, 0, 0, a, b, g],
@@ -231,8 +205,7 @@ class TestSymbolMatrices:
 
 class TestCartanTest:
     def test_report_values(self):
-        p = cartan.SymbolParameters.from_scalars(
-            Fraction(2, 3), Fraction(-5, 7), Fraction(1, 2))
+        p = cartan.SymbolParameters(Fraction(2, 3), Fraction(-5, 7), Fraction(1, 2))
         rep = cartan.cartan_test(p)
         assert (rep.g01, rep.g02, rep.g12) == (0, 3, 3)
         assert rep.involutive

@@ -22,6 +22,7 @@ from hesslab import cli, identities, miner
 from hesslab.curvature import coordinates, curvature_basis, random_curvature
 from hesslab.hessmap import rho_jacobian
 from hesslab.tensor import Sym3Tensor, Tensor
+from tensor_helpers import evaluate_pattern
 
 COMMANDS = {
     "verify quad n=4": (
@@ -131,7 +132,7 @@ def _values(n: int) -> dict:
         "pontryagin_form p=2": identities.pontryagin_form(R, 2),
     }
     for i, pat in enumerate(miner.enumerate_patterns(2)):
-        out[f"evaluate_pattern {i}"] = miner.evaluate_pattern(pat, R)
+        out[f"evaluate_pattern {i}"] = evaluate_pattern(pat, R)
     return {name: _entries_digest(t) for name, t in out.items()}
 
 

@@ -12,7 +12,7 @@ from hesslab.hessmap import rho
 from hesslab.identities import (bianchi_residual, cubic_identity,
                                 pontryagin_form, pontryagin_quadratic)
 from hesslab.tensor import Sym3Tensor, Tensor, antisymmetrize, signed_permutations
-from tensor_helpers import combine, integer_form_dtypes
+from tensor_helpers import combine, evaluate_pattern, integer_form_dtypes
 
 
 def pontryagin_form_naive(R: CurvTensor, p: int) -> Tensor:
@@ -164,7 +164,7 @@ def pontryagin(p):
 
 
 def first_quadratic_pattern(R):
-    return miner.evaluate_pattern(miner.enumerate_patterns(2)[0], R)
+    return evaluate_pattern(miner.enumerate_patterns(2)[0], R)
 
 
 class TestOneFormConstructor:

@@ -253,7 +253,7 @@ print(json.dumps({{
     "nope": nope,
 }}))
 """))
-    assert len(doc["all"]) == len(set(doc["all"])) == 42
+    assert len(doc["all"]) == len(set(doc["all"])) == 37
     assert doc["star"] == doc["all"]
     assert set(doc["all"]) <= set(doc["dir"])
     assert doc["modules"] == [f"hesslab.{m[:-3]}" for m in MODULES]

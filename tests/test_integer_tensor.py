@@ -24,7 +24,7 @@ from hesslab.curvature import (coordinates, curvature_space_dim, cyclic_sum, mat
 from hesslab.hessmap import rho, rho2, rho_jacobian, rho_raw
 from hesslab.identities import pontryagin_form
 from hesslab.tensor import Sym3Tensor, Tensor, integer_form
-from tensor_helpers import combine, random_rational, sym3_combine
+from tensor_helpers import combine, evaluate_pattern, random_rational, sym3_combine
 
 # the second bound is past 2**62 for every M, so it forces the object path
 BOUNDS = [lambda M: 3 * M, lambda M: 2**62]
@@ -155,7 +155,7 @@ def test_evaluate_pattern_never_builds_curvature_entries(n, monkeypatch):
     monkeypatch.setattr(tensor, "_entries", lambda *form: built.append(form) or entries(*form))
     R = rho(Sym3Tensor.random(n, seed=n))
     for pat in miner.enumerate_patterns(2):
-        miner.evaluate_pattern(pat, R)
+        evaluate_pattern(pat, R)
     assert built == []
 
 

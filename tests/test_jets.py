@@ -61,10 +61,9 @@ class TestCrossover:
 
     def test_n3_closed_form_oracle(self):
         # for n=3 the deficit sign reduces to 3(k+1)(k+2) > 2(k+4)(k+5)
-        for k in range(30):
-            direct = jets.deficit(3, k) > 0
+        for k, _, _, deficit in jets.crossover(3, 29).rows:
             inequality = 3 * (k + 1) * (k + 2) > 2 * (k + 4) * (k + 5)
-            assert direct == inequality
+            assert (deficit > 0) == inequality
 
     def test_n2_never_positive(self):
         report = jets.crossover(2, 200)
@@ -102,8 +101,8 @@ class TestCrossover:
 class TestFactoredDeficit:
     def test_exact_identity_all_n_and_k(self):
         for n in range(2, 9):
-            for k in range(31):
-                assert 2 * jets.deficit(n, k) == deficit_factored_twice(n, k)
+            for k, _, _, deficit in jets.crossover(n, 30).rows:
+                assert 2 * deficit == deficit_factored_twice(n, k)
 
     def test_two_dimensional_factor_vanishes(self):
         # the (n-2) factor in the factored form explains n=2: the remaining
@@ -115,4 +114,5 @@ class TestFactoredDeficit:
         # binomials far beyond 64-bit range must stay exact
         val = jets.jet_dim_metric(8, 2000)
         assert val > 2 ** 63
-        assert 2 * jets.deficit(8, 2000) == deficit_factored_twice(8, 2000)
+        dh = jets.jet_dim_hessian_data(8, 2000)
+        assert 2 * (val - dh) == deficit_factored_twice(8, 2000)

@@ -13,7 +13,7 @@ from hesslab import linalg, miner
 from hesslab.curvature import curvature_space_dim, materialize, random_curvature
 from hesslab.hessmap import rho
 from hesslab.tensor import Sym3Tensor, Tensor, signed_permutations
-from tensor_helpers import combine, identity_spans
+from tensor_helpers import combine, evaluate_pattern, identity_spans
 
 # golden values frozen at first enumeration; the degree-2 count is
 # independently cross-checked below by evaluation-based deduplication
@@ -423,11 +423,11 @@ class TestCanonicalForms:
         for _ in range(count):
             raw = random_raw(rnd, p)
             canon, sign, zero = miner.canonicalize(raw)
-            value = miner.evaluate_pattern(miner.ContractionPattern(p, raw), R)
+            value = evaluate_pattern(miner.ContractionPattern(p, raw), R)
             if zero:
                 assert value.is_zero()
             else:
-                canonical = miner.evaluate_pattern(miner.ContractionPattern(p, canon), R)
+                canonical = evaluate_pattern(miner.ContractionPattern(p, canon), R)
                 assert value == combine((sign, canonical))
                 nonzero += not value.is_zero()
         assert nonzero > count // 4
@@ -478,14 +478,14 @@ class TestEvaluation:
         from hesslab.curvature import CurvTensor
         Z = CurvTensor(Tensor(4, np.full((4,) * 4, Fraction(0), dtype=object)))
         for pat in patterns2:
-            assert miner.evaluate_pattern(pat, Z).is_zero()
+            assert evaluate_pattern(pat, Z).is_zero()
 
     def test_double_trace_matches_quadratic_identity(self, patterns2):
         from hesslab.identities import pontryagin_quadratic
         R = random_curvature(4, seed=7)
         vec = miner.coefficient_vector(
             patterns2, [(miner.trace_pattern(2), 1)])
-        acc = combine(*[(c, miner.evaluate_pattern(pat, R))
+        acc = combine(*[(c, evaluate_pattern(pat, R))
                         for pat, c in zip(patterns2, vec) if c])
         assert acc == pontryagin_quadratic(R)
 
@@ -508,7 +508,7 @@ class TestEvaluation:
         from hesslab.identities import cubic_identity
         R = random_curvature(4, seed=8)
         vec = miner.coefficient_vector(patterns3, miner.cubic_identity_combination())
-        acc = combine(*[(c, miner.evaluate_pattern(pat, R))
+        acc = combine(*[(c, evaluate_pattern(pat, R))
                         for pat, c in zip(patterns3, vec) if c])
         assert acc == cubic_identity(R)
 
@@ -522,7 +522,7 @@ class TestEvaluation:
         for pat in patterns2 + (patterns3[::6] if n == 4 else ()):
             raw = np.einsum(miner._einsum_spec(pat.slots), *[R.data] * pat.degree)
             old = antisymmetrize(Tensor(n, raw), [0, 1, 2, 3])
-            assert miner.evaluate_pattern(pat, R) == old
+            assert evaluate_pattern(pat, R) == old
 
     @pytest.mark.parametrize("n, p", [(4, 2), (4, 3), (5, 2), (5, 3)])
     def test_integer_rows_are_24_times_pattern_values(self, n, p):
@@ -532,7 +532,7 @@ class TestEvaluation:
         for data in (rho(miner._int_sym3(n, 2, 5)).data, generic):
             specs = [miner._einsum_spec(pat.slots) for pat in pats]
             rows = miner.alternating_rows([data], specs)[0].T.tolist()
-            vals = [miner.evaluate_pattern(pat, data) for pat in pats]
+            vals = [evaluate_pattern(pat, data) for pat in pats]
             assert rows == [[24 * v.data[q] for v in vals] for q in quads]
             assert all(type(x) is int for row in rows for x in row)
 
@@ -541,13 +541,13 @@ class TestEvaluation:
         R2 = random_curvature(4, seed=10)
         both = Tensor(4, R1.data + R2.data)
         for pat in patterns2[:2]:
-            phi1, phi2 = miner.evaluate_pattern(pat, R1), miner.evaluate_pattern(pat, R2)
+            phi1, phi2 = evaluate_pattern(pat, R1), evaluate_pattern(pat, R2)
             # the quadratic expansion leaves exactly the two mixed terms:
             # phi(R1+R2) - phi(R1) - phi(R2) must be bilinear, so scaling
             # R2 by 2 doubles it
-            mixed = combine((1, miner.evaluate_pattern(pat, both)), (-1, phi1), (-1, phi2))
+            mixed = combine((1, evaluate_pattern(pat, both)), (-1, phi1), (-1, phi2))
             doubled = Tensor(4, R1.data + 2 * R2.data)
-            mixed2 = combine((1, miner.evaluate_pattern(pat, doubled)), (-1, phi1), (-4, phi2))
+            mixed2 = combine((1, evaluate_pattern(pat, doubled)), (-1, phi1), (-4, phi2))
             assert mixed2 == combine((2, mixed))
 
 
@@ -574,7 +574,7 @@ class TestMine:
         quads = list(itertools.combinations(range(4), 4))
         for s in range(50):
             R = rho(Sym3Tensor.random(4, seed=10_000 + s, bound=5))
-            vals = [miner.evaluate_pattern(p, R) for p in mined42.patterns]
+            vals = [evaluate_pattern(p, R) for p in mined42.patterns]
             for v in mined42.image_identities:
                 for q in quads:
                     assert sum(c * t.data[q] for c, t in zip(v, vals)) == 0
@@ -585,7 +585,7 @@ class TestMine:
             hit = False
             for s in range(5):
                 R = random_curvature(4, seed=20_000 + s, bound=5)
-                vals = [miner.evaluate_pattern(p, R) for p in mined42.patterns]
+                vals = [evaluate_pattern(p, R) for p in mined42.patterns]
                 if any(sum(c * t.data[q] for c, t in zip(v, vals)) != 0
                        for q in quads):
                     hit = True

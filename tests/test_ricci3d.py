@@ -116,11 +116,11 @@ class TestSolveFromEigenvalues:
 class TestIsotropic:
     @pytest.mark.parametrize("lam", [0, 4, Fraction(-7, 3)])
     def test_oracle_verified_values(self, lam):
-        A = ricci3d.solve_isotropic(lam)
+        A = ricci3d.solve_from_eigenvalues(lam, lam, lam)
         assert rho2(A) == diag(lam, lam, lam)
 
     def test_flat_curvature_from_nonzero_tensor(self):
-        A = ricci3d.solve_isotropic(0)
+        A = ricci3d.solve_from_eigenvalues(0, 0, 0)
         assert not A.is_zero()
         assert rho2(A).is_zero()
 
@@ -132,7 +132,7 @@ class TestIsotropic:
     def test_scaling_cannot_replace_branch(self):
         # homogeneity: scaling one solution scales the Ricci by c^2, so the
         # one-parameter family genuinely needs the formula, not a rescaling
-        A = ricci3d.solve_isotropic(4)
+        A = ricci3d.solve_from_eigenvalues(4, 4, 4)
         c = Fraction(2)
         scaled = rho2(sym3_combine((c, A)))
         assert scaled == diag(16, 16, 16)  # c^2 * 4, not c * 4
@@ -272,8 +272,7 @@ class TestVerificationGuards:
     @pytest.mark.parametrize("solve, args", [
         (ricci3d.solve_from_eigenvalues, (1, 2, 3)),
         (ricci3d.solve_from_eigenvalues, (4, 4, 4)),
-        (ricci3d.solve_isotropic, (4,)),
-    ], ids=["closed-form", "isotropic", "solve_isotropic"])
+    ], ids=["closed-form", "isotropic"])
     def test_wrong_ricci_image_refused(self, monkeypatch, solve, args):
         monkeypatch.setattr(ricci3d, "rho2", lambda A: diag(0, 0, 1))
         with pytest.raises(ricci3d.VerificationError, match="rho2 = "):
