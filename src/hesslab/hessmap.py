@@ -79,18 +79,6 @@ def rho_jacobian(A: Sym3Tensor) -> list[list[Fraction]]:
     return (X.astype(object) / (L * values[:, None])).tolist()
 
 
-def jacobian_rank(A: Sym3Tensor) -> int:
-    """Exact rank of rho_jacobian(A), from its integer form.
-
-    The rank mod linalg.PRIME is at most the rank over the rationals, which
-    is at most min(rows, cols); when it reaches that bound it is the rank.
-    Otherwise exact elimination decides.
-    """
-    X, _ = _integer_jacobian(A)
-    r = linalg.rank_mod_p(X)
-    return r if r == min(X.shape) else linalg.rank(X.tolist())
-
-
 @dataclass
 class ImageRankReport:
     n: int
@@ -121,7 +109,8 @@ def image_rank_census(n: int, samples: int, seed: int,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     dim_s3, dim_curv = sym3_dim(n), curvature_space_dim(n)
-    ranks = [jacobian_rank(Sym3Tensor.random(n, seed=rng.sample_seed(seed, i), bound=bound))
+    ranks = [linalg.rank(_integer_jacobian(Sym3Tensor.random(n, seed=rng.sample_seed(seed, i),
+                                                             bound=bound))[0])
              for i in range(samples)]
     max_rank = max(ranks)
     fraction = ranks.count(max_rank) / samples

@@ -7,10 +7,10 @@ reduced row echelon form, stored as integer rows over one common
 denominator, so elimination is integer arithmetic with exact divisions
 (fraction-free Gauss-Jordan elimination, Bareiss 1968).  The reduced form of
 a row space is unique, so rref, rank, nullspace and in_span read it from a
-RowSpace of the matrix rows, whatever order they come in.  rank_mod_p is the
-one shortcut, a rank over a prime field: it reads an integer array as it is
-and all else by _clear (one lcm clears rationals, floats are refused), so it
-never exceeds the rank over the rationals.
+RowSpace of the matrix rows, whatever order they come in.  rank_mod_p, a rank
+over a prime field, is the one shortcut: it never exceeds the rank over the
+rationals, so rank returns it exactly when it equals min(rows, cols), the one
+value that proves the rank, and asks RowSpace otherwise.
 """
 
 from __future__ import annotations
@@ -112,23 +112,33 @@ class RowSpace:
         return basis
 
 
+def _read(m, cols: int | None = None) -> tuple:
+    """RowSpace's (cols, rows) for matrix m: cols is the rows' length, or the
+    given cols (else 0) if m has none.  An ndarray's rows come as Python lists."""
+    if len(m) and cols not in (None, len(m[0])):
+        raise ValueError(f"cols is {cols}, but the rows have {len(m[0])} entries")
+    rows = map(np.ndarray.tolist, m) if isinstance(m, np.ndarray) else m
+    return len(m[0]) if len(m) else cols or 0, rows
+
+
 def rref(m) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form as (nonzero rows, pivot columns)."""
-    space = RowSpace(len(m[0]) if len(m) else 0, m)
+    space = RowSpace(*_read(m))
     return space.rows, space.pivots
 
 
 def rank(m) -> int:
-    return RowSpace(len(m[0]) if len(m) else 0, m).rank
+    """Exact rank: rank_mod_p(m) if that is min(rows, cols), else RowSpace's."""
+    cols, rows = _read(m)
+    r = rank_mod_p(m)
+    return r if r == min(len(m), cols) else RowSpace(cols, rows).rank
 
 
 def rank_mod_p(m) -> int:
     """Rank mod PRIME of m cleared of denominators: at most its rank over Q.
 
-    An integer array is read as it is, anything else by _clear: one lcm
-    clears rationals, which keeps the rank, and floats are refused.  A minor
-    nonzero mod PRIME is nonzero, so this proves the rank over the rationals
-    only when it equals min(rows, cols).  Elimination runs in int64.
+    Elimination runs in int64 on an integer array as it is, and on anything
+    else as read by _clear, which clears rationals by one lcm and refuses floats.
     """
     a = m if isinstance(m, np.ndarray) and m.dtype.kind in "iu" else _clear(m)[0]
     if a.size == 0:
@@ -154,7 +164,7 @@ def nullspace(m, cols: int | None = None) -> list[Vector]:
     """Basis of the right nullspace.  `cols` is required if m has no rows."""
     if not len(m) and cols is None:
         raise ValueError("cols required for an empty matrix")
-    return RowSpace(len(m[0]) if len(m) else cols, m).nullspace()
+    return RowSpace(*_read(m, cols)).nullspace()
 
 
 def in_span(vectors: list[Vector], v: Vector) -> bool:

@@ -3,10 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hesslab import curvature, hessmap, linalg
+from hesslab import curvature, hessmap, linalg, rng
 from hesslab.curvature import coordinates, curvature_space_dim, ricci, symmetry_failures
-from hesslab.hessmap import (image_rank_census, jacobian_rank, rho, rho2, rho_jacobian,
-                             rho_raw)
+from hesslab.hessmap import image_rank_census, rho, rho2, rho_jacobian, rho_raw
 from hesslab.tensor import MAX_DIM, Sym3Tensor, sym3_dim
 from tensor_helpers import combine, integer_form_dtypes, sym3_basis, sym3_combine
 
@@ -122,31 +121,43 @@ class TestJacobian:
         assert {type(x) for row in m for x in row} == {Fraction}
 
 
+def exact_rank(m) -> int:
+    """Rank by RowSpace alone, with no rank mod p in front of it."""
+    return linalg.RowSpace(len(m[0]), m).rank
+
+
+def census_rank(A: Sym3Tensor) -> int:
+    """The rank image_rank_census records for A: linalg.rank of its integer Jacobian."""
+    return linalg.rank(hessmap._integer_jacobian(A)[0])
+
+
 class TestJacobianRank:
     @pytest.fixture
     def exact_ranks(self, monkeypatch):
-        """Matrices handed to the exact linalg.rank, recorded."""
+        """Rows of each RowSpace built, recorded: one per exact fallback."""
         seen = []
-        rank = linalg.rank
-        monkeypatch.setattr(linalg, "rank", lambda m: seen.append(m) or rank(m))
+        space = linalg.RowSpace
+        monkeypatch.setattr(linalg, "RowSpace",
+                            lambda cols, rows=(): seen.append(rows) or space(cols, rows))
         return seen
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_equals_exact_rank_of_the_jacobian(self, n):
-        for seed in (1, 2):
-            A = Sym3Tensor.random(n, seed=seed)
-            assert jacobian_rank(A) == linalg.rank(rho_jacobian(A))
+        ranks = image_rank_census(n, samples=2, seed=1).ranks
+        for i, rank in enumerate(ranks):
+            A = Sym3Tensor.random(n, seed=rng.sample_seed(1, i))
+            assert census_rank(A) == rank == exact_rank(rho_jacobian(A))
 
     def test_zero_point_falls_back_to_exact_rank(self, exact_ranks):
-        assert jacobian_rank(Sym3Tensor(4, (0,) * 20)) == 0
+        assert census_rank(Sym3Tensor(4, (0,) * 20)) == 0
         assert len(exact_ranks) == 1
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_rank_one_cube_falls_back_to_exact_rank(self, n, exact_ranks):
         A = Sym3Tensor.from_monomials(n, {(0, 0, 0): Fraction(1)})
-        expected = linalg.rank(rho_jacobian(A))
+        expected = exact_rank(rho_jacobian(A))
         exact_ranks.clear()
-        assert jacobian_rank(A) == expected < min(curvature_space_dim(n), sym3_dim(n))
+        assert census_rank(A) == expected < min(curvature_space_dim(n), sym3_dim(n))
         assert len(exact_ranks) == 1
 
     def test_n4_generic_rank_is_exact_not_certified(self, exact_ranks):
@@ -158,18 +169,18 @@ class TestJacobianRank:
         # a prime dividing every maximal minor lowers the rank mod p; the
         # exact rank then decides
         monkeypatch.setattr(linalg, "rank_mod_p", lambda m: min(np.shape(m)) - 1)
-        assert jacobian_rank(Sym3Tensor.random(5, seed=1)) == 35
+        assert census_rank(Sym3Tensor.random(5, seed=1)) == 35
         assert len(exact_ranks) == 1
 
     def test_certified_census_needs_no_rho_coordinates_or_exact_rank(self, monkeypatch):
         monkeypatch.setattr(hessmap, "rho_raw", refuse)
         monkeypatch.setattr(curvature, "coordinates", refuse)
-        monkeypatch.setattr(linalg, "rank", refuse)
+        monkeypatch.setattr(linalg, "RowSpace", refuse)
         assert image_rank_census(5, samples=3, seed=1).ranks == [35, 35, 35]
 
     @pytest.mark.parametrize("n, rank", [(7, 84), (8, 120)])
     def test_certified_generic_rank_is_dim_s3(self, n, rank, monkeypatch):
-        monkeypatch.setattr(linalg, "rank", refuse)
+        monkeypatch.setattr(linalg, "RowSpace", refuse)
         assert image_rank_census(n, samples=1, seed=1).ranks == [rank] == [sym3_dim(n)]
 
 

@@ -11,7 +11,9 @@ only what it names, and the miner builds its slot-map tables only when a
 search first asks for them.  The CLI has one writer: only cli._emit prints
 to standard output, and only cli.run to standard error.  And numpy guesses
 no dtype: every np.array and np.asarray call names its dtype, since a
-guessed one reads ints past int64 as uint64 or float64.
+guessed one reads ints past int64 as uint64 or float64.  And only linalg
+calls rank_mod_p, so the rule that makes a rank mod p a proof lives in
+linalg.rank alone.
 """
 
 import ast
@@ -198,6 +200,39 @@ def test_the_check_finds_guessed_dtypes():
 def test_numpy_guesses_no_dtype():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert guessed_dtypes(sources) == []
+
+
+def rank_mod_p_calls(sources: dict[str, str]) -> list[tuple[str, int]]:
+    """(module, line) of each call to rank_mod_p in sources, by its name or as
+    an attribute, and of each import of the name, which an alias could call;
+    sorted."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                names = [ast.unparse(node.func).rsplit(".", 1)[-1]]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if "rank_mod_p" in names:
+                found.append((module, node.lineno))
+    return sorted(found)
+
+
+def test_the_check_finds_rank_mod_p_calls():
+    sources = {"a": ("from . import linalg\nr = linalg.rank_mod_p\n"
+                     "def f(m):\n    return linalg.rank_mod_p(m) + linalg.rank(m)\n"),
+               "b": "from .linalg import rank_mod_p as mod\nx = mod([[1]])\n",
+               "c": ("def rank_mod_p(m):\n    return 0\n"
+                     "def rank(m):\n    return rank_mod_p(m) or g()(m)\n")}
+    # a reference that is not called is not a call; an aliased import is
+    assert rank_mod_p_calls(sources) == [("a", 4), ("b", 1), ("c", 4)]
+
+
+def test_only_linalg_calls_rank_mod_p():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert {module for module, _ in rank_mod_p_calls(sources)} == {"linalg"}
 
 
 def fresh(code: str) -> str:

@@ -15,6 +15,21 @@ def random_matrix(rows, cols, seed, tag="lin"):
             for r in range(rows)]
 
 
+def exact_rank(m) -> int:
+    """Rank by the Fraction reference elimination: no rank mod p in front of it."""
+    return FractionRowSpace(len(m[0]) if len(m) else 0, m).rank
+
+
+@pytest.fixture
+def spaces(monkeypatch):
+    """Rows of each RowSpace that linalg builds, recorded as they reach it."""
+    seen = []
+    space = linalg.RowSpace
+    monkeypatch.setattr(linalg, "RowSpace",
+                        lambda cols, rows=(): seen.append(list(rows)) or space(cols, seen[-1]))
+    return seen
+
+
 class TestRank:
     def test_identity(self):
         m = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
@@ -33,6 +48,17 @@ class TestRank:
         m = random_matrix(5, 7, seed=3)
         t = [list(col) for col in zip(*m)]
         assert linalg.rank(m) == linalg.rank(t)
+
+    def test_rank_mod_p_decides_only_at_min_rows_cols(self, monkeypatch, spaces):
+        assert linalg.rank(np.eye(3, 4, dtype=np.int64)) == 3
+        assert spaces == []
+        # a rank mod p below min(rows, cols) is set aside for RowSpace
+        assert linalg.rank(np.array([[1, 2], [2, 4]], dtype=np.int64)) == 1
+        monkeypatch.setattr(linalg, "rank_mod_p", lambda m: 1)
+        assert linalg.rank([[1, 0], [0, 1]]) == 2
+        assert spaces == [[[1, 2], [2, 4]], [[1, 0], [0, 1]]]
+        # an integer array's rows reach RowSpace as Python ints
+        assert {type(x) for rows in spaces for row in rows for x in row} == {int}
 
 
 class TestNullspace:
@@ -65,7 +91,7 @@ class TestArrays:
                  np.array(rows, dtype=object).reshape(shape)]
         results = [(linalg.rref(m), linalg.rank(m), linalg.nullspace(m, cols)) for m in forms]
         assert results[1] == results[2] == results[0]
-        assert results[0][1] == linalg.rank_mod_p(forms[1])
+        assert exact_rank(rows) == results[0][1] == linalg.rank_mod_p(forms[1])
 
     def test_empty_array_needs_cols(self):
         with pytest.raises(ValueError, match="cols required"):
@@ -132,6 +158,13 @@ class TestRaggedRows:
             linalg.rank([[1, 2], [3]])
         with pytest.raises(ValueError):
             linalg.nullspace([[1, 2], [3]])
+
+    @pytest.mark.parametrize("m", [[[1, 2]], np.array([[1, 2]], dtype=np.int64)],
+                             ids=["list", "ndarray"])
+    def test_nullspace_refuses_cols_the_rows_disagree_with(self, m):
+        with pytest.raises(ValueError, match="cols is 3, but the rows have 2 entries"):
+            linalg.nullspace(m, cols=3)
+        assert linalg.nullspace(m, cols=2) == [[Fraction(-2), Fraction(1)]]
 
     def test_in_span_rejects_a_vector_of_another_length(self):
         with pytest.raises(ValueError):
@@ -231,23 +264,23 @@ class TestRankModP:
         for seed in range(5):
             m = self.integer_matrix(rows, cols, seed)
             m.append([a - 2 * b for a, b in zip(m[0], m[-1])])  # a dependent row
-            assert linalg.rank_mod_p(m) == linalg.rank(m)
-            assert linalg.rank_mod_p(np.array(m, dtype=np.int64)) == linalg.rank(m)
+            assert linalg.rank_mod_p(m) == exact_rank(m)
+            assert linalg.rank_mod_p(np.array(m, dtype=np.int64)) == exact_rank(m)
 
     def test_dependent_rows(self):
         m = [[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4]]
-        assert linalg.rank_mod_p(m) == linalg.rank(m) == 2
+        assert linalg.rank_mod_p(m) == exact_rank(m) == 2
 
     def test_rank_can_drop_mod_p_but_never_rise(self):
         # det = p: singular mod p, so the certificate must not claim rank 2
         m = [[self.P, 0], [0, 1]]
         assert linalg.rank_mod_p(m) == 1
-        assert linalg.rank(m) == 2
+        assert exact_rank(m) == linalg.rank(m) == 2
 
     def test_python_ints_beyond_int64(self):
         big = 2 ** 80 + 3
         m = np.array([[big, 1], [2 * big, 2], [1, -big]], dtype=object)
-        assert linalg.rank_mod_p(m) == linalg.rank(m.tolist()) == 2
+        assert linalg.rank_mod_p(m) == exact_rank(m.tolist()) == 2
 
     def test_negative_entries_reduce_to_residues(self):
         assert linalg.rank_mod_p([[-1, 1], [1, -1]]) == 1
@@ -260,11 +293,11 @@ class TestRankModP:
     def test_big_ints_in_a_list_are_read_exactly(self):
         # numpy alone reads this list as float64, whose rows are independent
         m = [[-1, 2**62 + 700], [-3, 3 * 2**62 + 2100]]
-        assert linalg.rank_mod_p(m) == linalg.rank(m) == 1
+        assert linalg.rank_mod_p(m) == exact_rank(m) == 1
 
     def test_rationals_are_cleared_not_truncated(self):
         m = [[Fraction(3, 2), Fraction(1, 2)], [3, 1]]
-        assert linalg.rank_mod_p(m) == linalg.rank(m) == 1
+        assert linalg.rank_mod_p(m) == exact_rank(m) == 1
 
     @pytest.mark.parametrize("m", [[[1.5, 0.5], [3, 1]], np.array([[1.5, 0.5], [3, 1]])],
                              ids=["list", "ndarray"])
@@ -296,6 +329,6 @@ def exact_matrices(draw):
 @example([[-1, 2**62 + 700], [-3, 3 * 2**62 + 2100]])
 @example([[Fraction(3, 2), Fraction(1, 2)], [3, 1]])
 def test_rank_mod_p_is_a_lower_bound(m):
-    r = linalg.rank_mod_p(m)
-    assert r <= linalg.rank(m)
+    r, exact = linalg.rank_mod_p(m), exact_rank(m)
+    assert r <= exact == linalg.rank(m)
     assert r == linalg.rank_mod_p(np.array(m, dtype=object))
