@@ -87,7 +87,6 @@ def parameter_sweep(count: int, seed: int) -> list[CartanReport]:
     """Reports at `count` random rational parameter triples."""
     out = []
     for i in range(count):
-        p = SymbolParameters(*(rng.rational_at("cartan-sweep", seed, 3 * i + j, 10)
-                               for j in range(3)))
+        p = SymbolParameters(*rng.rationals("cartan-sweep", seed, range(3 * i, 3 * i + 3), 10))
         out.append(cartan_test(p))
     return out

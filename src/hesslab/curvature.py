@@ -183,8 +183,7 @@ def random_curvature(n: int, seed: int, bound: int = 10) -> CurvTensor:
     """Random rational element of the span of the curvature basis."""
     check_dim(n)
     tag = f"curv|{n}|{bound}"
-    return materialize(n, [rng.rational_at(tag, seed, i, bound)
-                           for i in range(curvature_space_dim(n))])
+    return materialize(n, rng.rationals(tag, seed, range(curvature_space_dim(n)), bound))
 
 
 @lru_cache(maxsize=None)

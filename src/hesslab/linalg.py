@@ -113,12 +113,20 @@ class RowSpace:
 
 
 def _read(m, cols: int | None = None) -> tuple:
-    """RowSpace's (cols, rows) for matrix m: cols is the rows' length, or the
-    given cols (else 0) if m has none.  An ndarray's rows come as Python lists."""
-    if len(m) and cols not in (None, len(m[0])):
-        raise ValueError(f"cols is {cols}, but the rows have {len(m[0])} entries")
-    rows = map(np.ndarray.tolist, m) if isinstance(m, np.ndarray) else m
-    return len(m[0]) if len(m) else cols or 0, rows
+    """RowSpace's (cols, rows) for matrix m: cols is the length of every row,
+    or the given cols (else 0) if m has none.  An ndarray's rows come as
+    Python lists."""
+    if not len(m):
+        return cols or 0, m
+    width = len(m[0])
+    if cols not in (None, width):
+        raise ValueError(f"cols is {cols}, but the rows have {width} entries")
+    if isinstance(m, np.ndarray):
+        return width, map(np.ndarray.tolist, m)
+    for row in m:
+        if len(row) != width:
+            raise ValueError(f"row has {len(row)} entries, expected {width}")
+    return width, m
 
 
 def rref(m) -> tuple[Matrix, list[int]]:

@@ -487,9 +487,7 @@ def alternating_form(R: Tensor, terms) -> Tensor:
 
 
 def _int_sym3(n: int, seed: int, bound: int) -> Sym3Tensor:
-    vals = tuple(rng.integer_at(f"mine-rho|{n}|{bound}", seed, i, bound)
-                 for i in range(sym3_dim(n)))
-    return Sym3Tensor(n, vals)
+    return Sym3Tensor(n, rng.integers(f"mine-rho|{n}|{bound}", seed, range(sym3_dim(n)), bound))
 
 
 @dataclass
@@ -582,9 +580,8 @@ def mine(n: int, p: int, max_samples: int | None = None,
 
     def generic_sample(i):
         tag, sample = f"mine-generic|{n}|{_SAMPLE_BOUND}", rng.sample_seed(seed, i)
-        coeffs = [rng.integer_at(tag, sample, m, _SAMPLE_BOUND)
-                  for m in range(curvature_space_dim(n))]
-        return materialize(n, coeffs)
+        return materialize(n, rng.integers(tag, sample, range(curvature_space_dim(n)),
+                                           _SAMPLE_BOUND))
 
     # one sample space: N1 is its nullspace after the rho rows, N2 after
     # the generic rows have been added on top

@@ -1,8 +1,13 @@
 """Counter-based deterministic random rationals.
 
-Every random value is derived by hashing (tag, seed, counter) with
+Every random value is derived by hashing f"{tag}|{seed}|{counter}" with
 blake2b, so a given entry of a given random object is reproducible
-independently of how many other values were drawn before it.
+independently of how many other values were drawn before it.  _digests is
+the one routine that hashes: for a run of counters it hashes the
+f"{tag}|{seed}|" prefix once and completes a copy of that state per
+counter, which gives the digest of the whole string.  integers and
+rationals draw a run of counters through it; integer_at and rational_at
+are their views at one counter.
 """
 
 from __future__ import annotations
@@ -10,14 +15,22 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 
+_LOW = (1 << 64) - 1
 
-def _draw(tag: str, seed: int, counter: int, bound: int) -> tuple[int, int]:
-    """The integer draw p in [-bound, bound] and a second 64-bit word v."""
+
+def _digests(tag: str, seed: int, counters, bound: int) -> list[int]:
+    """Per int counter, the 16-byte blake2b digest of f"{tag}|{seed}|{counter}"
+    read as a big-endian integer: its high 64 bits draw the integer in
+    [-bound, bound], its low 64 bits a rational's denominator."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    d = hashlib.blake2b(f"{tag}|{seed}|{counter}".encode(), digest_size=16).digest()
-    u, v = int.from_bytes(d[:8], "big"), int.from_bytes(d[8:], "big")
-    return u % (2 * bound + 1) - bound, v
+    prefix = hashlib.blake2b(f"{tag}|{seed}|".encode(), digest_size=16)
+    digests = []
+    for counter in counters:
+        h = prefix.copy()
+        h.update(b"%d" % counter)
+        digests.append(int.from_bytes(h.digest(), "big"))
+    return digests
 
 
 def sample_seed(seed: int, i: int) -> int:
@@ -25,15 +38,28 @@ def sample_seed(seed: int, i: int) -> int:
     return seed * 1_000_003 + i
 
 
-def rational_at(tag: str, seed: int, counter: int, bound: int) -> Fraction:
-    """Uniform rational p/q with |p| <= bound and 1 <= q <= bound.
+def rationals(tag: str, seed: int, counters, bound: int) -> list[Fraction]:
+    """Per counter, a uniform rational p/q with |p| <= bound and 1 <= q <= bound.
 
     The same (tag, seed, counter, bound) always yields the same value.
     """
-    p, v = _draw(tag, seed, counter, bound)
-    return Fraction(p, v % bound + 1)
+    m = 2 * bound + 1
+    return [Fraction((d >> 64) % m - bound, (d & _LOW) % bound + 1)
+            for d in _digests(tag, seed, counters, bound)]
+
+
+def integers(tag: str, seed: int, counters, bound: int) -> list[int]:
+    """Per counter, a uniform integer in [-bound, bound]: the numerator p
+    that rationals draws."""
+    m = 2 * bound + 1
+    return [(d >> 64) % m - bound for d in _digests(tag, seed, counters, bound)]
+
+
+def rational_at(tag: str, seed: int, counter: int, bound: int) -> Fraction:
+    """rationals at the one counter."""
+    return rationals(tag, seed, (counter,), bound)[0]
 
 
 def integer_at(tag: str, seed: int, counter: int, bound: int) -> int:
-    """Uniform integer in [-bound, bound]: the numerator p that rational_at draws."""
-    return _draw(tag, seed, counter, bound)[0]
+    """integers at the one counter."""
+    return integers(tag, seed, (counter,), bound)[0]

@@ -18,6 +18,8 @@ from .tensor import MAX_DIM, MAX_ORDER, Sym3Tensor, Tensor, sym3_triples
 
 
 def format_rational(x) -> str:
+    if x == 0:  # most entries of a mined basis; no Fraction is built for them
+        return "0/1"
     f = x if isinstance(x, Fraction) else Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 

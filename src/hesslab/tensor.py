@@ -171,39 +171,64 @@ def _alternating_index(n: int, k: int):
 
 @lru_cache(maxsize=None)
 def _einsum_steps(spec: str) -> tuple[tuple[tuple[int, ...], tuple | str, str | None], ...]:
-    """numpy's greedy pairwise plan for spec, made once for every dimension.
+    """The pairwise plan of spec by numpy's greedy rule, made once for every dimension.
 
-    The plan is made at n = MAX_DIM with no memory limit, so numpy never
-    leaves three or more operands in one step for want of room (its default
-    limit, the largest input or output, did so for degree-4 specs whose
-    every pairwise intermediate has n**6 entries).  Each step is (pos,
-    plan, key): it pops the operands at positions pos and appends their
-    contraction, which keeps every letter a later step or the output still
-    needs.  plan is how _step runs it: _matmul_plan's for two operands, an
-    einsum spec for the one operand of a degree-1 spec.  A step whose
-    operands are all inputs carries a key, its spec with the letters
-    renamed in order of first appearance: steps with equal keys compute the
-    same array.
+    Each step contracts the candidate pair of least _greedy_key at
+    n = MAX_DIM, the earliest candidate on a tie.  The candidates are the
+    pairs of operands that share a letter, in the order they arise: the
+    pairs of inputs, then each contraction with the operands before it.
+    When there is none, every pair of the operands is one, and stays one
+    while both its operands live.  No memory limit applies, so every step
+    has two operands; np.einsum_path is not called, so the plan does not
+    depend on the installed numpy.  Each step is (pos, plan, key): it pops
+    the operands at positions pos and appends their contraction, which
+    keeps every letter a later step or the output still needs.  plan is
+    how _step runs it: _matmul_plan's for two operands, an einsum spec for
+    the one operand of a degree-1 spec.  A step whose operands are all
+    inputs carries a key, its spec with the letters renamed in order of
+    first appearance: steps with equal keys compute the same array.
     """
     inputs, output = spec.split("->")
-    subs = inputs.split(",")
-    is_input = [True] * len(subs)
-    shapes = [np.empty((MAX_DIM,) * len(sub), dtype=np.int8) for sub in subs]
-    steps = []
-    for pos in np.einsum_path(spec, *shapes, optimize=("greedy", 2**62))[0][1:]:
-        pos = tuple(sorted(pos, reverse=True))
-        taken = [subs.pop(p) for p in pos]
-        on_inputs = all([is_input.pop(p) for p in pos])
-        keep = set("".join(subs) + output)
+    if "," not in inputs:
+        return (((0,), f"...{inputs}->...{output}", _renamed(spec)),)
+    subs = dict(enumerate(inputs.split(",")))  # operand id -> letters, in position order
+    m = len(subs)
+    fresh, candidates, steps = itertools.combinations(subs, 2), {}, []
+    for new in range(m, 2 * m - 1):  # the id of each step's contraction
+        candidates.update((pair, _greedy_key(subs, pair, output)) for pair in fresh
+                          if set(subs[pair[0]]) & set(subs[pair[1]]))
+        candidates = candidates or {pair: _greedy_key(subs, pair, output)
+                                    for pair in itertools.combinations(subs, 2)}
+        x, y = min(candidates, key=candidates.get)  # x before y
+        candidates = {pair: c for pair, c in candidates.items() if x not in pair and y not in pair}
+        pos = (list(subs).index(y), list(subs).index(x))
+        taken = [subs.pop(y), subs.pop(x)]
+        keep = set("".join(subs.values()) + output)
         out = "".join(dict.fromkeys(c for c in "".join(taken) if c in keep)) if subs else output
-        subs.append(out)
-        is_input.append(False)
-        plan = _matmul_plan(*taken, out) if len(taken) == 2 else f"...{taken[0]}->...{out}"
-        names: dict = {}
-        key = "".join(names.setdefault(c, chr(97 + len(names))) if c.isalpha() else c
-                      for c in ",".join(taken) + "->" + out)
-        steps.append((pos, plan, key if on_inputs else None))
+        key = _renamed(f"{taken[0]},{taken[1]}->{out}") if y < m else None
+        steps.append((pos, _matmul_plan(*taken, out), key))
+        fresh = [(i, new) for i in subs]
+        subs[new] = out
     return tuple(steps)
+
+
+def _greedy_key(subs: dict, pair: tuple, output: str) -> tuple[int, int]:
+    """numpy's greedy key of contracting the pair at n = MAX_DIM: the
+    negated removed size (the operands' sizes less the result's, each
+    letter counted once) and the flop cost (the size of all their letters,
+    doubled if a letter is summed)."""
+    a, b = set(subs[pair[0]]), set(subs[pair[1]])
+    keep = set(output).union(*(s for i, s in subs.items() if i not in pair))
+    both, out = len(a | b), len((a | b) & keep)
+    n = MAX_DIM
+    return n**out - n**len(a) - n**len(b), n**both * (2 if out < both else 1)
+
+
+def _renamed(spec: str) -> str:
+    """spec with its letters renamed in order of first appearance."""
+    names: dict = {}
+    return "".join(names.setdefault(c, chr(97 + len(names))) if c.isalpha() else c
+                   for c in spec)
 
 
 def _matmul_plan(a: str, b: str, out: str):
@@ -265,6 +290,7 @@ def _contract(steps, X: np.ndarray, deg: int, shared: dict) -> np.ndarray:
     return operands[0]
 
 
+@lru_cache(maxsize=None)
 def _term_size(spec: str) -> tuple[int, int]:
     """(factors, contracted letters) of an einsum spec."""
     inputs, output = spec.split("->")
@@ -293,7 +319,8 @@ def alternating_rows(batch, specs) -> np.ndarray:
     n = batch[0].n if isinstance(batch[0], Tensor) else len(batch[0])
     k = len(specs[0].split("->")[1])
     sizes = [_term_size(spec) for spec in specs]
-    X = np.stack([integer_form(data, lambda M: max(n**s * M**deg for deg, s in sizes))[0]
+    terms = set(sizes)
+    X = np.stack([integer_form(data, lambda M: max(n**s * M**deg for deg, s in terms))[0]
                   for data in batch])
     M = max(int(X.max()), -int(X.min())) if X.dtype == np.int64 else None
     at, signs = _alternating_index(n, k)
@@ -380,8 +407,7 @@ class Sym3Tensor(Tensor):
     def random(cls, n: int, seed: int, bound: int = 10) -> "Sym3Tensor":
         check_dim(n)
         tag = f"sym3|{n}|{bound}"
-        return cls(n, tuple(rng.rational_at(tag, seed, i, bound)
-                            for i in range(sym3_dim(n))))
+        return cls(n, rng.rationals(tag, seed, range(sym3_dim(n)), bound))
 
     def to_dense(self) -> Tensor:
         """The same entries as a plain Tensor."""

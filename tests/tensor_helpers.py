@@ -102,7 +102,7 @@ def random_rational(n: int, order: int, seed: int, bound: int = 10,
     evaluation order and identical across runs for fixed arguments.
     """
     full_tag = f"{tag}|{n}|{order}|{bound}"
-    flat = [rng.rational_at(full_tag, seed, i, bound) for i in range(n ** order)]
+    flat = rng.rationals(full_tag, seed, range(n ** order), bound)
     return Tensor(n, np.array(flat, dtype=object).reshape((n,) * order))
 
 
@@ -146,3 +146,54 @@ def integer_form_dtypes(monkeypatch, module) -> list:
 
     monkeypatch.setattr(module, "integer_form", spy)
     return seen
+
+
+def greedy_key(operands: list[str], pair: tuple[int, int], output: str,
+               n: int = 8) -> tuple[int, int]:
+    """numpy's greedy key of contracting the pair of operands at dimension n.
+
+    The result keeps the pair's letters that the output or another operand
+    holds.  The key is (minus the removed size, the flop cost): the removed
+    size is the two operands' sizes less the result's, and the flop cost is
+    the size of all the pair's letters, twice that if the pair sums a
+    letter.  A size counts each letter once.
+    """
+    a, b = set(operands[pair[0]]), set(operands[pair[1]])
+    rest = set(output).union(*(s for m, s in enumerate(operands) if m not in pair))
+    kept = (a | b) & rest
+    return n ** len(kept) - n ** len(a) - n ** len(b), n ** len(a | b) * (1 if kept == a | b else 2)
+
+
+def check_greedy_plan(spec: str, steps) -> None:
+    """Assert that each step of a pairwise plan of spec contracts a
+    candidate pair of least greedy_key, the rule of numpy's greedy planner.
+
+    The candidates are the pairs of operands that share a letter and, once
+    a step found none and took every pair as a candidate, each of those
+    pairs while both its operands live.  A step pops the operands at
+    positions pos and appends their result.
+    """
+    inputs, output = spec.split("->")
+    operands, ids = inputs.split(","), list(range(inputs.count(",") + 1))
+    assert len(steps) == max(1, len(operands) - 1)
+    if len(operands) == 1:
+        assert [pos for pos, _, _ in steps] == [(0,)]
+        return
+    outer = []  # the operand ids of each pair taken when none shared a letter
+    for pos, _, _ in steps:
+        pairs = list(itertools.combinations(range(len(operands)), 2))
+        candidates = [(i, j) for i, j in pairs if set(operands[i]) & set(operands[j])
+                      or {ids[i], ids[j]} in outer]
+        if not candidates:
+            candidates, outer = pairs, [{ids[i], ids[j]} for i, j in pairs]
+        chosen = tuple(sorted(pos))
+        assert chosen in candidates
+        assert greedy_key(operands, chosen, output) == min(
+            greedy_key(operands, pair, output) for pair in candidates)
+        taken = "".join(operands.pop(p) for p in sorted(pos, reverse=True))
+        new = max(ids) + 1
+        for p in sorted(pos, reverse=True):
+            ids.pop(p)
+        rest = set(output).union(*operands)
+        operands.append("".join(c for c in taken if c in rest) if operands else output)
+        ids.append(new)

@@ -540,7 +540,7 @@ class TestUsageErrors:
         def refuse(*args):
             raise AssertionError("drew a random value before validating the degree")
 
-        monkeypatch.setattr(rng, "integer_at", refuse)
+        monkeypatch.setattr(rng, "_digests", refuse)
         code, out, err = run(capsys, "mine", "--dim", "4", "--degree", degree, "--no-meta")
         assert code == 2 and out == ""
         assert err.splitlines() == [f"error: degree {degree} not supported (use 2, 3 or 4)"]
@@ -572,8 +572,7 @@ class TestUsageErrors:
         def refuse(*args):
             raise AssertionError("drew a random value before validating n")
 
-        monkeypatch.setattr(rng, "rational_at", refuse)
-        monkeypatch.setattr(rng, "integer_at", refuse)
+        monkeypatch.setattr(rng, "_digests", refuse)
         code, out, err = run(capsys, *argv, "--no-meta")
         assert code == 2 and out == ""
         assert err.startswith("error: dimension must be in [2, 8]")

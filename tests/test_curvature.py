@@ -239,7 +239,7 @@ class TestTypes:
         def refuse(*args):
             raise AssertionError("drew a coefficient before checking n")
 
-        monkeypatch.setattr(curvature.rng, "rational_at", refuse)
+        monkeypatch.setattr(curvature.rng, "_digests", refuse)
         with pytest.raises(ValueError, match=r"dimension must be in \[2, 8\]"):
             random_curvature(1000, 1)
 

@@ -13,7 +13,9 @@ to standard output, and only cli.run to standard error.  And numpy guesses
 no dtype: every np.array and np.asarray call names its dtype, since a
 guessed one reads ints past int64 as uint64 or float64.  And only linalg
 calls rank_mod_p, so the rule that makes a rank mod p a proof lives in
-linalg.rank alone.
+linalg.rank alone.  And only rng imports hashlib, so one routine hashes
+every draw, and no module calls np.einsum_path: tensor plans its
+contractions itself, whatever planner the installed numpy has.
 """
 
 import ast
@@ -202,10 +204,10 @@ def test_numpy_guesses_no_dtype():
     assert guessed_dtypes(sources) == []
 
 
-def rank_mod_p_calls(sources: dict[str, str]) -> list[tuple[str, int]]:
-    """(module, line) of each call to rank_mod_p in sources, by its name or as
-    an attribute, and of each import of the name, which an alias could call;
-    sorted."""
+def calls_to(sources: dict[str, str], name: str) -> list[tuple[str, int]]:
+    """(module, line) of each call to the function name in sources, by its
+    name or as an attribute, and of each import of the name, which an alias
+    could call; sorted."""
     found = []
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
@@ -215,7 +217,7 @@ def rank_mod_p_calls(sources: dict[str, str]) -> list[tuple[str, int]]:
                 names = [alias.name for alias in node.names]
             else:
                 continue
-            if "rank_mod_p" in names:
+            if name in names:
                 found.append((module, node.lineno))
     return sorted(found)
 
@@ -227,12 +229,47 @@ def test_the_check_finds_rank_mod_p_calls():
                "c": ("def rank_mod_p(m):\n    return 0\n"
                      "def rank(m):\n    return rank_mod_p(m) or g()(m)\n")}
     # a reference that is not called is not a call; an aliased import is
-    assert rank_mod_p_calls(sources) == [("a", 4), ("b", 1), ("c", 4)]
+    assert calls_to(sources, "rank_mod_p") == [("a", 4), ("b", 1), ("c", 4)]
 
 
 def test_only_linalg_calls_rank_mod_p():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert {module for module, _ in rank_mod_p_calls(sources)} == {"linalg"}
+    assert {module for module, _ in calls_to(sources, "rank_mod_p")} == {"linalg"}
+
+
+def imports_of(sources: dict[str, str], name: str) -> list[tuple[str, int]]:
+    """(module, line) of each import of the module name, or of a name from
+    it, in sources; sorted."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module.split(".")[0]]
+            else:
+                continue
+            if name in names:
+                found.append((module, node.lineno))
+    return sorted(found)
+
+
+def test_the_checks_find_hashing_and_numpy_planning():
+    sources = {"a": ("import os, hashlib as h\nimport numpy as np\n"
+                     "def f(spec, *ops):\n    from hashlib import blake2b\n"
+                     "    return np.einsum_path(spec, *ops), h, blake2b\n"),
+               "b": ("from numpy import einsum_path\nfrom . import hashlib\n"
+                     "p = einsum_path\nq = [np.einsum(s) for s in 'ab']\n")}
+    # a package module named hashlib is not the library; an import of
+    # einsum_path is a call an alias could make
+    assert imports_of(sources, "hashlib") == [("a", 1), ("a", 4)]
+    assert calls_to(sources, "einsum_path") == [("a", 5), ("b", 1)]
+
+
+def test_only_rng_hashes_and_no_module_calls_numpys_planner():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert {module for module, _ in imports_of(sources, "hashlib")} == {"rng"}
+    assert calls_to(sources, "einsum_path") == []
 
 
 def fresh(code: str) -> str:

@@ -154,10 +154,12 @@ class TestRaggedRows:
             linalg.RowSpace(2, [[1, 0]]).contains([1, 0, 5])
 
     def test_rank_rejects_a_ragged_matrix(self):
-        with pytest.raises(ValueError):
-            linalg.rank([[1, 2], [3]])
-        with pytest.raises(ValueError):
-            linalg.nullspace([[1, 2], [3]])
+        # rank, rref and nullspace all read the matrix through linalg._read
+        for m, message in (([[1, 2], [3]], "row has 1 entries, expected 2"),
+                           ([[1], [2, 3]], "row has 2 entries, expected 1")):
+            for read in (linalg.rank, linalg.rref, linalg.nullspace):
+                with pytest.raises(ValueError, match=message):
+                    read(m)
 
     @pytest.mark.parametrize("m", [[[1, 2]], np.array([[1, 2]], dtype=np.int64)],
                              ids=["list", "ndarray"])

@@ -16,6 +16,11 @@ class TestRationals:
         assert format_rational(Fraction(3)) == "3/1"
         assert format_rational(Fraction(-2, 4)) == "-1/2"
 
+    def test_zero_is_written_without_a_fraction(self, monkeypatch):
+        zeros = (0, Fraction(0), np.int64(0), -0.0)
+        monkeypatch.setattr(serialize, "Fraction", None)  # a Fraction built here would raise
+        assert [format_rational(x) for x in zeros] == ["0/1"] * 4
+
     def test_parse_round_trip(self):
         for x in (Fraction(0), Fraction(7, 3), Fraction(-5, 9)):
             assert parse_rational(format_rational(x)) == x

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hesslab import miner, rng, tensor
 from hesslab.tensor import (Sym3Tensor, Tensor, alternating_rows, antisymmetrize,
                             signed_permutations, sym3_dim, sym3_triples)
-from tensor_helpers import (alternating_contraction_reference, contract,
+from tensor_helpers import (alternating_contraction_reference, check_greedy_plan, contract,
                             integer_form_dtypes, random_rational, sym3_basis,
                             sym3_from_dense, symmetrize)
 
@@ -23,7 +24,7 @@ def test_sym3_dimension_checked_before_drawing_or_allocating(make, monkeypatch):
 
     for name in ("sym3_dim", "sym3_triples"):
         monkeypatch.setattr(tensor, name, refuse)
-    monkeypatch.setattr(rng, "rational_at", refuse)
+    monkeypatch.setattr(rng, "_digests", refuse)
     with pytest.raises(ValueError, match=r"dimension must be in \[2, 8\]"):
         make()
 
@@ -257,7 +258,7 @@ PONTRYAGIN_SPECS = ["ijaa->ij", "ijab,klbc,mnca->ijklmn"]
 
 def integer_sample(n, seed, scale=1):
     """A generic n**4 object array of Python ints in [-5, 5], times scale."""
-    flat = [scale * rng.integer_at(f"batch|{n}", seed, i, 5) for i in range(n**4)]
+    flat = [scale * x for x in rng.integers(f"batch|{n}", seed, range(n**4), 5)]
     return np.array(flat, dtype=object).reshape((n,) * 4)
 
 
@@ -343,6 +344,26 @@ class TestBatchedRows:
         for spec, row in list(zip(specs, rows))[::24]:
             assert list(row) == list(alternating_contraction_reference(X, [(spec, 1)]))
 
+    def test_every_plan_contracts_pairs_of_least_greedy_key(self):
+        specs = [miner._einsum_spec(pat.slots) for p in (2, 3, 4)
+                 for pat in miner.enumerate_patterns(p)]
+        specs += [miner._einsum_spec(miner.trace_pattern(p)) for p in (2, 3)]
+        specs += [miner._einsum_spec(slots) for slots, _ in miner.cubic_identity_combination()]
+        for spec in specs + PONTRYAGIN_SPECS:
+            check_greedy_plan(spec, tensor._einsum_steps(spec))
+
+    @pytest.mark.parametrize("spec, positions", [
+        # b joins the first two factors, a smaller saving than c, d of the last two
+        ("iajb,kbcd,ldac->ijkl", [(1, 0), (1, 0)]),
+        # no factor shares a letter; once the scalars are contracted, the
+        # pairs found then are the candidates, not the new scalar's
+        ("abab,cdcd,efef,ijkl->ijkl", [(1, 0), (2, 0), (1, 0)]),
+    ])
+    def test_the_plan_check_refuses_other_pairs(self, spec, positions):
+        with pytest.raises(AssertionError):
+            check_greedy_plan(spec, [(pos, None, None) for pos in positions])
+        check_greedy_plan(spec, tensor._einsum_steps(spec))
+
     @pytest.mark.parametrize("n, specs, scale", [
         (4, ["ijkl->ijkl"], None),
         (6, IDENTITY_SPECS[1:], 20_000),
@@ -398,6 +419,21 @@ class TestRandomRational:
             else:
                 q = p / x
                 assert q.denominator == 1 and 1 <= q <= bound
+
+    @pytest.mark.parametrize("tag, seed, counters, bound", [
+        ("t", 1, range(50), 10), ("mine-rho|5|5", 3_000_003, range(35), 5),
+        ("cartan-sweep", 7, range(9, 12), 10), ("t", -2, [40, 3, 3, 0], 1)])
+    def test_a_run_of_draws_hashes_each_counter_in_full(self, tag, seed, counters, bound):
+        # the oracle hashes f"{tag}|{seed}|{counter}" afresh per counter
+        expected = []
+        for counter in counters:
+            d = hashlib.blake2b(f"{tag}|{seed}|{counter}".encode(), digest_size=16).digest()
+            p = int.from_bytes(d[:8], "big") % (2 * bound + 1) - bound
+            expected.append((p, Fraction(p, int.from_bytes(d[8:], "big") % bound + 1)))
+        assert rng.integers(tag, seed, counters, bound) == [p for p, _ in expected]
+        assert rng.rationals(tag, seed, counters, bound) == [x for _, x in expected]
+        assert [(rng.integer_at(tag, seed, c, bound), rng.rational_at(tag, seed, c, bound))
+                for c in counters] == expected
 
     @pytest.mark.parametrize("draw", [rng.rational_at, rng.integer_at])
     def test_bound_below_one_refused(self, draw):
